@@ -7,6 +7,13 @@ group, group') is defined by composition of primitives so the two layers
 cannot drift apart.  ``*_by_fold`` variants restate some primitives as
 explicit folds; tests cross-check them against the fast versions.
 
+``eval_query`` runs a ``select`` directly over a ``product`` as a hash
+equijoin when the predicate starts with ``.i = .j``, one field from each
+side: its cost grows with the input plus the output instead of with the
+full product.  The equality matches numbers across Int and Real, as ``=``
+does.  Every other ``select`` over a ``product`` still builds the full
+product; ``q_select`` over ``q_product`` stays the reference for both.
+
 Rows are plain values.  A tuple row has fields 1..n; any other value is
 treated as a one-field row, so ``.1`` on a scalar row is the row itself.
 """
@@ -355,6 +362,59 @@ def q_product(b1: Bag, b2: Bag) -> Bag:
     return Bag.of(out)
 
 
+def q_equijoin(pred: Expr, b1: Bag, b2: Bag) -> Bag:
+    """``q_select(pred, q_product(b1, b2))`` for a predicate whose leftmost
+    conjunct is ``.i = .j``.  When the two fields come one from each side,
+    only the pairs that satisfy the equality are built: every other pair
+    makes ``pred`` false before any later conjunct runs, so the result and
+    the errors are those of the full product."""
+    _check_uniform_arity(b1, "product (left)")
+    _check_uniform_arity(b2, "product (right)")
+    if b1.is_empty or b2.is_empty:
+        return EMPTY
+    fields = _leading_equality(pred)
+    n1 = len(tuple_parts(b1.elements[0]))
+    n2 = len(tuple_parts(b2.elements[0]))
+    if fields is None or not (1 <= fields[0] <= n1 < fields[1] <= n1 + n2):
+        return q_select(pred, q_product(b1, b2))
+    i, j = fields[0] - 1, fields[1] - n1 - 1
+    index: dict[object, list[tuple[Value, ...]]] = {}
+    for y in b2:
+        py = tuple_parts(y)
+        index.setdefault(_join_key(py[j]), []).append(py)
+    matched = []
+    for x in b1:
+        px = tuple_parts(x)
+        for py in index.get(_join_key(px[i]), ()):
+            matched.append(Tuple(px + py))
+    return q_select(pred, Bag.of(matched))
+
+
+def _leading_equality(pred: Expr) -> Optional[tuple[int, int]]:
+    """The two field indices, in ascending order, of ``.i = .j`` when it is
+    the conjunct ``pred`` evaluates first."""
+    while isinstance(pred, And):
+        pred = pred.left
+    if (
+        isinstance(pred, Cmp)
+        and pred.op == "="
+        and isinstance(pred.left, Field)
+        and isinstance(pred.right, Field)
+    ):
+        i, j = pred.left.index, pred.right.index
+        return (i, j) if i <= j else (j, i)
+    return None
+
+
+def _join_key(v: Value) -> tuple:
+    """Equal exactly when ``=`` holds: numbers by magnitude across Int and
+    Real (so -0.0 joins 0.0, but 2**53 + 1 does not join 2.0**53), every
+    other value by its canonical key, whose ranks are never negative."""
+    if isinstance(v, (Int, Real)):
+        return (-1, v.value)
+    return v.key
+
+
 def _check_uniform_arity(b: Bag, where: str) -> None:
     arity = None
     for row in b:
@@ -545,6 +605,8 @@ def eval_query(
         if isinstance(node, Project):
             return BagV(q_project(node.indices, bag_of(node.q)))
         if isinstance(node, Select):
+            if isinstance(node.q, Product) and _leading_equality(node.pred) is not None:
+                return BagV(q_equijoin(node.pred, bag_of(node.q.q1), bag_of(node.q.q2)))
             return BagV(q_select(node.pred, bag_of(node.q)))
         if isinstance(node, DUnion):
             return BagV(q_dunion(bag_of(node.q1), bag_of(node.q2)))

@@ -297,6 +297,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as e:
         print(f"bagdb: resource limit: {e}", file=sys.stderr)
         return 4
+    except RecursionError:
+        print("bagdb: resource limit: input nested too deeply", file=sys.stderr)
+        return 4
     except EngineError as e:
         print(f"bagdb: {e}", file=sys.stderr)
         return 3

@@ -400,3 +400,118 @@ class TestEvalQuery:
         assert eval_query(Dedup(Lit(ints(1, 1))), {}) == BagV(ints(1))
         got = eval_query(GroupPrime(Lit(ints(1, 1, 2))), {})
         assert got == BagV(Bag.of([BagV(ints(1, 1)), BagV(ints(2))]))
+
+
+# Join fields that `=` equates across variants (1 and 1.0, 0.0 and -0.0)
+# or keeps apart despite a close float (2**53 + 1 and 2.0**53), plus
+# strings and compound values whose items differ only in Int vs Real.
+JOIN_FIELDS = [
+    Int(1), Real(1.0), Int(0), Real(0.0), Real(-0.0),
+    Int(2**53 + 1), Real(2.0**53), Int(2**53),
+    Str("a"), Str("b"),
+    Tuple((Int(1),)), Tuple((Real(1.0),)), Tagged("a", Int(1)), Tagged("a", Real(1.0)),
+]
+
+
+@st.composite
+def join_operands(draw, non_bool=False):
+    """Two bags of tuple rows (2 or 3 fields a side, duplicates likely, either
+    side possibly empty) and a select predicate whose leftmost conjunct is an
+    equality between a field of each side, followed by 0-2 residual
+    conjuncts.  With ``non_bool``, a residual may be a bare field, which is
+    never a boolean and so raises on any row that reaches it."""
+    n1, n2 = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    field = st.sampled_from(JOIN_FIELDS)
+
+    def side(n):
+        row = st.tuples(*[field] * n).map(Tuple)
+        return st.lists(row, max_size=5).map(Bag.of)
+
+    a, b = draw(side(n1)), draw(side(n2))
+    i, j = draw(st.integers(1, n1)), draw(st.integers(n1 + 1, n1 + n2))
+    pred = Cmp("=", Field(i), Field(j)) if draw(st.booleans()) else Cmp("=", Field(j), Field(i))
+    any_field = st.integers(1, n1 + n2).map(Field)
+    residual = st.one_of(
+        st.builds(Cmp, st.sampled_from(["=", "!=", "<", ">="]), any_field, any_field),
+        st.builds(lambda f: Not(IsTag(f, "a")), any_field),
+        st.builds(lambda f, g: Or(Cmp("=", f, Const(Str("a"))), Cmp("<", g, Const(Int(1)))),
+                  any_field, any_field),
+        any_field if non_bool else st.nothing(),
+    )
+    for c in draw(st.lists(residual, max_size=2)):
+        pred = And(pred, c)
+    return pred, a, b
+
+
+def outcome(fn):
+    """A route's result, or the type and message of the error it raised."""
+    try:
+        return fn()
+    except EngineTypeError as e:
+        return type(e), str(e)
+
+
+def both_routes(pred, a, b):
+    """(join route through eval_query, reference q_select over q_product)."""
+    join = outcome(lambda: eval_query(Select(pred, Product(Lit(a), Lit(b))), {}))
+    naive = outcome(lambda: BagV(q_select(pred, q_product(a, b))))
+    return join, naive
+
+
+class TestEquijoin:
+    @given(join_operands())
+    def test_select_over_product_law(self, case):
+        join, naive = both_routes(*case)
+        assert join == naive
+
+    @given(join_operands(non_bool=True))
+    def test_non_bool_residual_raises_on_the_same_rows(self, case):
+        join, naive = both_routes(*case)
+        assert join == naive
+
+    def test_join_route_builds_no_product(self, monkeypatch):
+        import bagdb.algebra as algebra
+
+        def no_product(b1, b2):
+            raise AssertionError("full product built")
+
+        monkeypatch.setattr(algebra, "q_product", no_product)
+        a = Bag.of([Tuple((Str("x"), Int(1))), Tuple((Str("y"), Int(2)))])
+        b = Bag.of([Tuple((Real(1.0), Str("p"))), Tuple((Int(3), Str("q")))])
+        got = eval_query(Select(Cmp("=", Field(3), Field(2)), Product(Lit(a), Lit(b))), {})
+        assert got == BagV(Bag.of([Tuple((Str("x"), Int(1), Real(1.0), Str("p")))]))
+
+    def test_numbers_join_by_magnitude(self):
+        a = Bag.of([Int(1), Real(-0.0), Int(2**53 + 1)])
+        b = Bag.of([Real(1.0), Int(0), Real(2.0**53)])
+        got = eval_query(Select(Cmp("=", Field(1), Field(2)), Product(Lit(a), Lit(b))), {})
+        assert got == BagV(Bag.of([Tuple((Int(1), Real(1.0))), Tuple((Real(-0.0), Int(0)))]))
+
+    @pytest.mark.parametrize("left_mixed", [True, False])
+    def test_mixed_arity_raises_on_both_routes(self, left_mixed):
+        mixed = Bag.of([Tuple((Int(1), Int(2))), Int(1)])
+        a, b = (mixed, EMPTY) if left_mixed else (EMPTY, mixed)
+        join, naive = both_routes(Cmp("=", Field(1), Field(2)), a, b)
+        assert join == naive and join[0] is EngineTypeError
+
+    @pytest.mark.parametrize("pred", [
+        And(Cmp("=", Field(1), Field(2)), Const(Int(1))),
+        Cmp("=", Field(1), Field(9)),
+    ])
+    def test_empty_side_is_empty_without_evaluating(self, pred):
+        for a, b in ((EMPTY, ints(1)), (ints(1), EMPTY)):
+            assert both_routes(pred, a, b) == (BagV(EMPTY), BagV(EMPTY))
+
+    @pytest.mark.parametrize("pred", [
+        Cmp("=", Field(1), Field(2)),  # both fields on the left
+        Cmp("=", Field(4), Field(3)),  # both fields on the right
+        Cmp("=", Field(1), Field(5)),  # out of range
+        Cmp("=", Field(0), Field(3)),  # out of range
+        Or(Cmp("=", Field(1), Field(3)), Const(Bool(False))),
+        Not(Cmp("!=", Field(1), Field(3))),
+    ])
+    def test_other_shapes_match_the_reference(self, pred):
+        a = Bag.of([Tuple((Int(1), Int(1))), Tuple((Int(2), Int(1)))])
+        b = Bag.of([Tuple((Int(1), Int(2))), Tuple((Real(2.0), Real(2.0)))])
+        join, naive = both_routes(pred, a, b)
+        assert join == naive

@@ -244,6 +244,34 @@ class TestEstimate:
         assert len(outs) == 1
 
 
+class TestDeepInput:
+    """Input nested past the interpreter's recursion limit is a resource
+    limit (exit 4), not a traceback."""
+
+    DEPTH = 3000
+
+    @pytest.mark.parametrize("query, table", [
+        ("table db |> select (" + "(" * DEPTH + "1 = 1" + ")" * DEPTH + ")", None),
+        ("table db" + " |> dedup" * DEPTH, None),
+        ("table deep", "[" * DEPTH + "]" * DEPTH),
+    ], ids=["parens", "pipeline", "jsonl-array"])
+    def test_exit_4_without_traceback(self, tmp_path, query, table):
+        db = DB
+        if table is not None:
+            db = str(tmp_path / "deep.jsonl")
+            Path(db).write_text(table + "\n")
+        q = tmp_path / "q.query"
+        q.write_text(query + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "bagdb.cli", "query", "--db", db, "--query", str(q)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        assert "nested too deeply" in proc.stderr
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
