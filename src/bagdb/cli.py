@@ -4,8 +4,8 @@ Three subcommands: ``query`` evaluates a deterministic query over JSONL
 tables, ``generate`` runs a generative rule program and emits worlds
 (exact weights or Monte-Carlo samples), ``estimate`` pushes a query
 through sampled worlds and reports a statistic.  All output is
-deterministic given inputs, seed and flags; worker count never changes
-results.
+deterministic given inputs, seed and flags.  ``--workers`` is validated
+but worlds are generated sequentially, so it cannot change results.
 
 Exit codes: 0 ok, 1 usage, 2 parse error, 3 type/schema error,
 4 resource limit, 5 infinite-support request on the exact backend.

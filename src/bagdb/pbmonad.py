@@ -7,13 +7,22 @@ values are bags) or a PBSampler (a function from sample index to world
 bag, deterministic under the seed contract).  The distributive law turns
 a collection of independent per-element distributions into one
 distribution over bags; everything else is built from it.
+
+The mc backend compiles a rule program once per sampler.  A rule whose
+body reads no tag that an earlier rule produces matches the same facts in
+every world, so its matches, guards and per-match distributions are
+worked out once, at the first world that reaches it.  Every other rule
+joins its atoms through hash indexes whose buckets keep bag order, so the
+matches, and with them the match ordinals that address the draws, come
+out as ``rule_matches`` lists them.  The cost of a world is then linear in
+the size of the database rather than a product of atom sizes.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product as iproduct
-from typing import Callable, Iterable, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algebra import Cmp, Const, eval_expr, tuple_parts
 from .bags import EMPTY, Bag, unit
@@ -31,6 +40,7 @@ from .prob import (
     Poisson,
     SamplerExpr,
     Seed,
+    child_rng,
     draw_from,
     exact_of,
     normal_pair,
@@ -130,12 +140,11 @@ class PBSampler:
         return self.world_fn(index)
 
     def worlds(self, n: int, workers: int = 1) -> list[Bag]:
-        """First n worlds in index order; parallelism cannot change the
-        result because every world is addressed by its index."""
-        if workers <= 1:
-            return [self.world_fn(i) for i in range(n)]
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(self.world_fn, range(n)))
+        """First n worlds in index order.  ``workers`` is accepted for the
+        CLI's ``--workers`` and the worlds run sequentially: a thread pool
+        measured slower than this loop.  Every world is addressed by its
+        index, so no worker count could change the result."""
+        return [self.world_fn(i) for i in range(n)]
 
 
 def poisson_bag(rate: float, gen: SamplerExpr, seed: Seed) -> Bag:
@@ -375,17 +384,6 @@ def _head_options_exact(rule: Rule, env: dict[str, Value]) -> list[tuple[Value, 
     return options
 
 
-def _head_value_mc(rule: Rule, env: dict[str, Value], seed: Seed, rule_idx: int, world_idx: int, match_idx: int) -> Value:
-    parts: list[Value] = []
-    for t in rule.head_terms:
-        if isinstance(t, DistT):
-            draw_seed = seed.child(rule_idx).child(world_idx).child(match_idx)
-            parts.append(draw_from(_dist_sampler(t, env), draw_seed.rng()))
-        else:
-            parts.append(_resolve(t, env))
-    return _make_head(rule.head_tag, parts)
-
-
 def _apply_rule_exact(rule: Rule, dist: ExactDist, max_worlds: int) -> ExactDist:
     out: dict[Value, float] = {}
     processed = 0
@@ -431,20 +429,206 @@ def run_rule_program(
     if backend == "mc":
         if seed is None:
             raise EngineTypeError("the mc backend needs a seed")
-        rules = prog.rules
-
-        def world_fn(i: int) -> Bag:
-            w = b
-            for k, rule in enumerate(rules):
-                heads = [
-                    _head_value_mc(rule, env, seed, k, i, j)
-                    for j, env in enumerate(rule_matches(rule, w))
-                ]
-                w = w.uplus(Bag.of(heads))
-            return w
-
-        return PBSampler(world_fn)
+        return PBSampler(_CompiledProgram(prog, b, seed).world)
     raise EngineTypeError(f"unknown backend {backend!r}; use exact or mc")
+
+
+# ---------------------------------------------------------------------------
+# Compiled rule programs (mc backend)
+
+_KEY = attrgetter("key")
+
+# Heads memoised per match of a static rule, at most: bernoulli draws need
+# two, a continuous draw never repeats and must not grow the memo forever.
+_HEAD_MEMO_CAP = 32
+
+
+def _group_by_tag(rows: Iterable[Value]) -> dict[str, list[Value]]:
+    """Tagged rows per tag, in the order given (bag order for a Bag)."""
+    groups: dict[str, list[Value]] = {}
+    for v in rows:
+        if isinstance(v, Tagged):
+            groups.setdefault(v.tag, []).append(v)
+    return groups
+
+
+class _AtomPlan:
+    """How one body atom joins against the tagged rows of its tag.
+
+    A row is accepted when its payload has the atom's arity, equals each
+    constant, and repeats a field wherever the atom repeats a variable.
+    Accepted rows go into buckets keyed by the fields of the variables
+    that earlier atoms bound (the probe), in row order; an entry holds
+    the values of the variables this atom binds first.  Fields compare by
+    ``Value.key``, which is exactly the ``!=`` of ``rule_matches``.
+    """
+
+    def __init__(self, atom: Atom, slot_of: dict[str, int]):
+        self.tag = atom.tag
+        self.arity = len(atom.args)
+        self.consts: list[tuple[int, tuple]] = []  # (field, key of the constant)
+        self.same: list[tuple[int, int]] = []  # (field, earlier field of the same variable)
+        self.probe: list[int] = []  # fields of variables bound by earlier atoms ...
+        self.slots: list[int] = []  # ... and their env slots
+        self.binds: list[int] = []  # fields whose variables take the next env slots
+        first: dict[str, int] = {}
+        for pos, arg in enumerate(atom.args):
+            if isinstance(arg, ConstT):
+                self.consts.append((pos, arg.value.key))
+            elif arg.name in first:
+                self.same.append((pos, first[arg.name]))
+            else:
+                first[arg.name] = pos
+                if arg.name in slot_of:
+                    self.probe.append(pos)
+                    self.slots.append(slot_of[arg.name])
+                else:
+                    slot_of[arg.name] = len(slot_of)
+                    self.binds.append(pos)
+
+    def index(self, rows: Iterable[Value]) -> dict[tuple, list[tuple[Value, ...]]]:
+        arity, consts, same, probe, binds = self.arity, self.consts, self.same, self.probe, self.binds
+        buckets: dict[tuple, list[tuple[Value, ...]]] = {}
+        for row in rows:
+            parts = tuple_parts(row.value)  # type: ignore[attr-defined]
+            if len(parts) != arity:
+                continue
+            if consts and any(parts[p].key != k for p, k in consts):
+                continue
+            if same and any(parts[p].key != parts[q].key for p, q in same):
+                continue
+            key = tuple([parts[p].key for p in probe])
+            vals = tuple([parts[p] for p in binds])
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [vals]
+            else:
+                bucket.append(vals)
+        return buckets
+
+
+class _RulePlan:
+    """One rule compiled for the mc backend.
+
+    The rule is static when no earlier rule produces any of its body tags:
+    it then sees the input rows in every world, so its matches, their
+    distributions and the heads for each drawn value are kept after the
+    first world that computes them without raising.  Atoms of a dynamic
+    rule whose tag no earlier rule produces keep their index likewise.
+    """
+
+    def __init__(self, k: int, rule: Rule, produced_before: set[str], feeds_later: bool):
+        self.k = k
+        self.rule = rule
+        self.feeds_later = feeds_later  # a later rule reads the head tag
+        slot_of: dict[str, int] = {}
+        self.atoms = [_AtomPlan(a, slot_of) for a in rule.atoms]
+        self.names = tuple(slot_of)  # variables in env slot order
+        self.varying = [a.tag in produced_before for a in rule.atoms]
+        self.static = not any(self.varying)
+        self.fixed_index: list[Optional[dict]] = [None] * len(self.atoms)
+        self.dist = next((n for n, t in enumerate(rule.head_terms) if isinstance(t, DistT)), -1)
+        # static rules only, filled lazily
+        self.envs: Optional[list[dict[str, Value]]] = None
+        self.samplers: Optional[list[SamplerExpr]] = None
+        self.memos: list[dict[Value, Value]] = []
+        self.heads: Optional[list[Value]] = None
+
+    def matches(self, rows: Mapping[str, Sequence[Value]]) -> list[dict[str, Value]]:
+        """``rule_matches`` against a world given as its tagged rows per tag."""
+        envs: list[tuple[Value, ...]] = [()]
+        for n, ap in enumerate(self.atoms):
+            index = None if self.varying[n] else self.fixed_index[n]
+            if index is None:
+                index = ap.index(rows.get(ap.tag, ()))
+                if not self.varying[n]:
+                    self.fixed_index[n] = index
+            nxt = []
+            for env in envs:  # the env loop stays outermost: earlier atoms vary slowest
+                bucket = index.get(tuple([env[s].key for s in ap.slots]))
+                if bucket:
+                    nxt.extend([env + vals for vals in bucket])
+            envs = nxt
+        named = [dict(zip(self.names, env)) for env in envs]
+        guards = self.rule.guards
+        return [env for env in named if all(_guard_holds(g, env) for g in guards)]
+
+    def head(self, env: dict[str, Value], drawn: Optional[Value] = None) -> Value:
+        parts = [drawn if n == self.dist else _resolve(t, env)  # type: ignore[arg-type]
+                 for n, t in enumerate(self.rule.head_terms)]
+        return _make_head(self.rule.head_tag, parts)  # type: ignore[arg-type]
+
+    def fire(self, rows: Mapping[str, Sequence[Value]], seed: Seed, i: int) -> list[Value]:
+        """The heads this rule appends in world i, in match order.  The
+        draw of match j uses the stream of seed/(rule, i, j)."""
+        if not self.static:
+            envs = self.matches(rows)
+            if self.dist < 0 or not envs:
+                return [self.head(env) for env in envs]
+            prefix = seed.child(self.k).child(i).hasher()  # raises for i >= 2**64
+            dist = self.rule.head_terms[self.dist]
+            return [
+                self.head(env, draw_from(_dist_sampler(dist, env), child_rng(prefix, j)))  # type: ignore[arg-type]
+                for j, env in enumerate(envs)
+            ]
+        if self.envs is None:
+            self.envs = self.matches(rows)
+        envs = self.envs
+        if self.dist < 0 or not envs:
+            if self.heads is None:
+                self.heads = [self.head(env) for env in envs]
+            return self.heads
+        prefix = seed.child(self.k).child(i).hasher()  # a bad world index fails before a bad parameter
+        if self.samplers is None:
+            dist = self.rule.head_terms[self.dist]
+            self.samplers = [_dist_sampler(dist, env) for env in envs]  # type: ignore[arg-type]
+            self.memos = [{} for _ in envs]
+        out = []
+        for j, (sampler, memo) in enumerate(zip(self.samplers, self.memos)):
+            drawn = draw_from(sampler, child_rng(prefix, j))
+            h = memo.get(drawn)
+            if h is None:
+                h = self.head(envs[j], drawn)
+                if len(memo) < _HEAD_MEMO_CAP:
+                    memo[drawn] = h
+            out.append(h)
+        return out
+
+
+class _CompiledProgram:
+    """A rule program compiled once for the mc backend; ``world(i)`` runs
+    it for world i.  Rows are kept per tag, and a rule's heads are merged
+    into their tag's rows only when a later rule reads that tag; the world
+    bag is built once, at the end."""
+
+    def __init__(self, prog: RuleProgram, b: Bag, seed: Seed):
+        self.base = b
+        self.seed = seed
+        self.groups = _group_by_tag(b)
+        self.plans: list[_RulePlan] = []
+        produced: set[str] = set()
+        for k, rule in enumerate(prog.rules):
+            read_later = {a.tag for r in prog.rules[k + 1:] for a in r.atoms}
+            self.plans.append(_RulePlan(k, rule, produced, rule.head_tag in read_later))
+            produced.add(rule.head_tag)
+
+    def world(self, i: int) -> Bag:
+        rows = dict(self.groups)
+        heads: list[Value] = []
+        for plan in self.plans:
+            new = plan.fire(rows, self.seed, i)
+            if new:
+                heads += new
+                if plan.feeds_later:
+                    tag = plan.rule.head_tag
+                    rows[tag] = sorted([*rows.get(tag, ()), *new], key=_KEY)
+        return Bag.of([*self.base, *heads])
+
+
+def indexed_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
+    """``rule_matches`` computed the compiled way, through order-keeping
+    hash indexes: the same envs in the same order."""
+    return _RulePlan(0, rule, set(), False).matches(_group_by_tag(bag))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ Exact distributions are canonical (support sorted, weights positive,
 total within 1e-9 of one) so distribution equality is meaningful.  The
 sampling side is built on explicit Seed values: a 64-bit master plus a
 derivation path, hashed into an independent stream per path.  Every
-parallel or multi-draw construct derives child seeds instead of sharing a
-stream, which is what makes results independent of worker count.
+multi-draw construct derives child seeds instead of sharing a stream, so
+each draw is addressed by its path and no evaluation order can change a
+result.  (``--workers`` is accepted by the CLI but worlds are generated
+sequentially; it cannot change output.)
 """
 from __future__ import annotations
 
@@ -49,12 +51,31 @@ class Seed:
     def child(self, index: int) -> "Seed":
         return Seed(self.master, self.path + (index,))
 
-    def rng(self) -> random.Random:
-        h = hashlib.sha256()
-        h.update(self.master.to_bytes(8, "little"))
+    def hasher(self) -> "hashlib._Hash":
+        """sha256 fed the master and then each path entry, 8 little-endian
+        bytes apiece.  ``rng`` digests it; ``child_rng`` extends a copy, so
+        siblings share the hashing of their common prefix."""
+        h = hashlib.sha256(self.master.to_bytes(8, "little"))
         for p in self.path:
             h.update(p.to_bytes(8, "little"))
-        return random.Random(int.from_bytes(h.digest(), "little"))
+        return h
+
+    def rng(self) -> random.Random:
+        return _rng_of(self.hasher())
+
+
+def child_rng(prefix: "hashlib._Hash", index: int) -> random.Random:
+    """``seed.child(index).rng()`` given ``prefix = seed.hasher()``: the same
+    digest, so the same stream.  ``prefix`` is copied, not changed."""
+    if not (0 <= index < 2**64):
+        raise EngineTypeError("seed path entries must be unsigned 64-bit integers")
+    h = prefix.copy()
+    h.update(index.to_bytes(8, "little"))
+    return _rng_of(h)
+
+
+def _rng_of(h: "hashlib._Hash") -> random.Random:
+    return random.Random(int.from_bytes(h.digest(), "little"))
 
 
 # ---------------------------------------------------------------------------

@@ -287,3 +287,27 @@ class TestEntryPoint:
             [sys.executable, "-m", "bagdb.cli", "--help"], capture_output=True
         )
         assert proc.returncode == 0
+
+
+GOLDEN = FIXTURES / "golden"
+U64_MAX = str(2**64 - 1)
+
+
+class TestGoldenOutput:
+    """stdout recorded under tests/fixtures/golden by the engine as it was
+    before rule programs were compiled for the mc backend; it must not
+    change by a byte."""
+
+    @pytest.mark.parametrize("seed", ["7", U64_MAX])
+    @pytest.mark.parametrize("town", ["town", "town20"])
+    @pytest.mark.parametrize("command", ["estimate", "generate"])
+    def test_stdout_is_byte_identical(self, capsys, command, town, seed):
+        argv = [command, "--db", str(FIXTURES / f"{town}.jsonl"), "--program", RULES, "--seed", seed]
+        if command == "estimate":
+            argv += ["--query", ALARMS, "--stat", "tuple-prob", "--samples", "500"]
+        else:
+            argv += ["--backend", "mc", "--samples", "50"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        name = f"{command}-{town}-seed{'max' if seed == U64_MAX else seed}.json"
+        assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

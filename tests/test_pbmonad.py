@@ -26,6 +26,7 @@ from bagdb.pbmonad import (
     add_remove,
     distr_exact,
     distr_sample,
+    indexed_matches,
     parse_rules,
     pb_bind,
     pb_unit_bag,
@@ -36,8 +37,9 @@ from bagdb.pbmonad import (
     run_rule_program,
     validate_program,
 )
-from bagdb.prob import Bernoulli, Dirac, ExactDist, Normal, Seed, dirac, exact_of
-from bagdb.values import BagV, Bool, Int, Real, Str, Tagged, Tuple
+from bagdb.pbmonad import _dist_sampler, _make_head, _resolve
+from bagdb.prob import Bernoulli, Dirac, ExactDist, Normal, Seed, dirac, draw_from, exact_of
+from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple
 
 from strategies import exact_dists
 
@@ -479,3 +481,231 @@ class TestRunMC:
         prog = parse_rules(BURGLARY)
         with pytest.raises(EngineTypeError):
             run_rule_program(prog, town(), "mc")
+
+
+# ---------------------------------------------------------------------------
+# The compiled mc sampler against the uncompiled loop
+
+
+def reference_world(prog, base, seed, i):
+    """World i as the mc backend built it before rule programs were
+    compiled: each rule matched against the whole world by rule_matches, a
+    fresh Seed chain per draw, and one uplus per rule."""
+    w = base
+    for k, rule in enumerate(prog.rules):
+        heads = []
+        for j, env in enumerate(rule_matches(rule, w)):
+            parts = []
+            for t in rule.head_terms:
+                if isinstance(t, DistT):
+                    rng = seed.child(k).child(i).child(j).rng()
+                    parts.append(draw_from(_dist_sampler(t, env), rng))
+                else:
+                    parts.append(_resolve(t, env))
+            heads.append(_make_head(rule.head_tag, parts))
+        w = w.uplus(Bag.of(heads))
+    return w
+
+
+def outcome(fn, *args):
+    """A result, or the type and message of the engine error it raised."""
+    try:
+        return fn(*args)
+    except EngineTypeError as e:
+        return type(e), str(e)
+
+
+# Int(1) next to Real(1.0) and 0.0 next to -0.0: equal numbers that the
+# matcher must keep apart, as rule_matches does.
+POOL = [Int(0), Int(1), Real(1.0), Real(0.5), Real(0.0), Real(-0.0), Real(1.5), Str("s")]
+VARS = ["x", "y", "z"]
+TAGS = ["a", "b", "c", "d"]
+
+pool_values = st.sampled_from(POOL)
+# mostly Int(1) and Real(1.0), so that joins on a shared variable often succeed
+join_values = st.sampled_from(POOL[1:3] * 3 + POOL[4:6])
+payloads = st.one_of(
+    pool_values,
+    st.just(UNIT),
+    st.lists(pool_values, max_size=3).map(lambda xs: Tuple(tuple(xs))),
+)
+
+
+def payload_of(arity):
+    if arity == 1:
+        return join_values
+    return st.lists(join_values, min_size=arity, max_size=arity).map(lambda xs: Tuple(tuple(xs)))
+
+
+# Choices are listed most-wanted first: hypothesis leans towards the first
+# element of sampled_from, and towards small integers.
+@st.composite
+def rule_of(draw, head_tag, body_tags, arity):
+    atoms = []
+    n_atoms = draw(st.sampled_from([2, 3, 1, 2, 0])) if body_tags else 0
+    for tag in [draw(st.sampled_from(body_tags)) for _ in range(n_atoms)]:
+        n = arity[tag] if draw(st.sampled_from([True] * 4 + [False])) else draw(st.integers(0, 3))
+        terms = st.sampled_from([True, True, False]).flatmap(
+            lambda var: st.sampled_from(VARS).map(VarT) if var else join_values.map(ConstT))
+        atoms.append(Atom(tag, tuple(draw(st.lists(terms, min_size=n, max_size=n)))))
+    bound = sorted({a.name for atom in atoms for a in atom.args if isinstance(a, VarT)})
+    numbers = st.sampled_from([v for v in POOL if isinstance(v, (Int, Real))]).map(ConstT)
+    usable = st.one_of(st.sampled_from(bound).map(VarT), pool_values.map(ConstT)) \
+        if bound else pool_values.map(ConstT)
+    param = st.one_of(st.sampled_from(bound).map(VarT), numbers) if bound else numbers
+    guards = draw(st.lists(
+        st.tuples(st.sampled_from(["=", "!=", "<", "<=", ">", ">="]), usable, usable)
+        .map(lambda g: Guard(*g)), max_size=2))
+    n = arity[head_tag] if draw(st.sampled_from([True] * 4 + [False])) else draw(st.integers(0, 3))
+    terms = draw(st.lists(usable, min_size=n, max_size=n))
+    dist = draw(st.one_of(
+        st.none(),
+        st.tuples(param).map(lambda p: DistT("bernoulli", p)),
+        st.just(DistT("poisson", (ConstT(Real(1.5)),))),
+        st.just(DistT("normal", (ConstT(Real(0.0)), ConstT(Real(1.0))))),
+    ))
+    if dist is not None and terms:
+        terms[draw(st.integers(0, len(terms) - 1))] = dist
+    elif dist is not None:
+        terms.append(dist)
+    return Rule(head_tag, tuple(terms), tuple(atoms), tuple(guards))
+
+
+@st.composite
+def programs_and_bags(draw):
+    """A program and an input bag.  Each tag has an arity that most rows
+    and atoms keep (a few do not, to exercise the arity check).  The
+    program is acyclic by construction: a rule reads only tags ranked
+    below its head tag, so it may read a tag that only a later rule
+    produces."""
+    ranked = draw(st.permutations(TAGS))
+    arity = {t: draw(st.integers(1, 2)) for t in TAGS}
+    rows = [Tagged(t, draw(payload_of(arity[t])))
+            for t in TAGS for _ in range(draw(st.sampled_from([3, 4, 2, 1, 0])))]
+    rows += [Tagged(t, v) for t, v in draw(st.lists(st.tuples(st.sampled_from(TAGS), payloads), max_size=2))]
+    rows += draw(st.lists(pool_values, max_size=2))  # untagged rows pass through
+    prog = []
+    for _ in range(draw(st.sampled_from([3, 4, 2, 1]))):
+        r = draw(st.integers(0, len(ranked) - 1))
+        prog.append(draw(rule_of(ranked[r], ranked[:r], arity)))
+    return RuleProgram(tuple(prog)), Bag.of(rows)
+
+
+mc_seeds = st.builds(
+    Seed,
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(0, 2**64 - 1), max_size=2).map(tuple),
+)
+
+
+class TestCompiledSampler:
+    @settings(max_examples=150)
+    @given(programs_and_bags(), mc_seeds)
+    def test_world_equals_reference_loop(self, prog_base, seed):
+        prog, base = prog_base
+        sampler = run_rule_program(prog, base, "mc", seed=seed)
+        for i in (0, 1, 2, 7):  # later worlds reuse what the first one cached
+            assert outcome(sampler.world, i) == outcome(reference_world, prog, base, seed, i)
+
+    @settings(max_examples=150)
+    @given(programs_and_bags())
+    def test_indexed_matcher_keeps_order(self, prog_base):
+        prog, base = prog_base
+        for rule in prog.rules:
+            assert outcome(indexed_matches, rule, base) == outcome(rule_matches, rule, base)
+
+    def test_int_does_not_match_real(self):
+        rule = parse_rules("out(x) <- pair(x, 1)").rules[0]
+        bag = Bag.of([Tagged("pair", Tuple((Str("a"), Real(1.0)))),
+                      Tagged("pair", Tuple((Str("b"), Int(1))))])
+        assert [e["x"] for e in indexed_matches(rule, bag)] == [Str("b")]
+
+    def test_join_order_follows_earlier_atoms(self):
+        rule = parse_rules("out(x, y) <- a(x, k), b(k, y)").rules[0]
+        rows = [Tagged("a", Tuple((Int(n), Int(n % 2)))) for n in range(4)]
+        rows += [Tagged("b", Tuple((Int(k), Str(s)))) for k in (0, 1) for s in "pq"]
+        rows += [Tagged("b", Tuple((Int(1),)))]  # wrong arity: skipped
+        bag = Bag.of(rows)
+        got = indexed_matches(rule, bag)
+        assert got == rule_matches(rule, bag)
+        assert [(e["x"].value, e["y"].value) for e in got] == [
+            (0, "p"), (0, "q"), (1, "p"), (1, "q"), (2, "p"), (2, "q"), (3, "p"), (3, "q")]
+
+    def test_repeated_variable_within_atom(self):
+        rule = parse_rules("out(x) <- a(x), b(x, x)").rules[0]
+        bag = Bag.of([Tagged("a", Int(1)), Tagged("a", Int(2)),
+                      Tagged("b", Tuple((Int(1), Int(2)))), Tagged("b", Tuple((Int(2), Int(2))))])
+        assert indexed_matches(rule, bag) == rule_matches(rule, bag) == [{"x": Int(2)}]
+
+    @pytest.mark.parametrize("program", [
+        # static: the bad parameter comes from the input rows
+        "flip(x, bernoulli(r)) <- src(x, r)",
+        # dynamic: the bad parameter comes from an earlier rule's heads
+        "mid(x, r) <- src(x, r)\nflip(x, bernoulli(r)) <- mid(x, r)",
+        "flip(x, bernoulli(x)) <- src(x, r)",
+    ])
+    def test_bad_parameter_raises_as_before(self, program):
+        prog = parse_rules(program)
+        base = Bag.of([Tagged("src", Tuple((Str("h"), Real(0.5)))),
+                       Tagged("src", Tuple((Str("k"), Real(1.5))))])
+        sampler = run_rule_program(prog, base, "mc", seed=Seed(5))
+        for i in range(3):
+            want = outcome(reference_world, prog, base, Seed(5), i)
+            assert want[0] is EngineTypeError
+            assert outcome(sampler.world, i) == want
+
+    def test_bad_guard_raises_as_before(self):
+        for head_tag, body in (("out", "src"), ("late", "out")):
+            prog = RuleProgram((
+                Rule("out", (VarT("x"),), (Atom("src", (VarT("x"),)),), ()),
+                Rule(head_tag, (VarT("x"),), (Atom(body, (VarT("x"),)),),
+                     (Guard("~", VarT("x"), ConstT(Int(1))),)),
+            ))
+            base = Bag.of([Tagged("src", Int(1))])
+            sampler = run_rule_program(prog, base, "mc", seed=Seed(5))
+            for i in range(3):
+                assert outcome(sampler.world, i) == (EngineTypeError, "unknown comparison '~'")
+                assert outcome(reference_world, prog, base, Seed(5), i) == outcome(sampler.world, i)
+
+    def test_world_index_past_64_bits(self):
+        base = Bag.of([Tagged("src", Tuple((Str("h"), Real(1.5))))])
+        too_big = 2**64
+        seed = Seed(5)
+        # no draw: no seed is derived, so the index is fine
+        for program in ("copy(x) <- src(x, r)", "flip(x, bernoulli(0.5)) <- nothing(x)"):
+            prog = parse_rules(program)
+            sampler = run_rule_program(prog, base, "mc", seed=seed)
+            assert sampler.world(too_big) == reference_world(prog, base, seed, too_big)
+        # a draw: the seed derivation fails first, before the bad parameter
+        prog = parse_rules("flip(x, bernoulli(r)) <- src(x, r)")
+        sampler = run_rule_program(prog, base, "mc", seed=seed)
+        want = outcome(reference_world, prog, base, seed, too_big)
+        assert want == (EngineTypeError, "seed path entries must be unsigned 64-bit integers")
+        assert outcome(sampler.world, too_big) == want
+        assert outcome(sampler.world, 0) == outcome(reference_world, prog, base, seed, 0)
+
+    def test_continuous_draws_stay_identical(self):
+        prog = parse_rules("noise(x, normal(0.0, 1.0)) <- src(x)\ncount(x, poisson(2.0)) <- src(x)")
+        base = Bag.of([Tagged("src", Int(n)) for n in range(3)])
+        sampler = run_rule_program(prog, base, "mc", seed=Seed(8, (3,)))
+        for i in range(60):  # past the per-match head memo's capacity
+            assert sampler.world(i) == reference_world(prog, base, Seed(8, (3,)), i)
+
+    def test_later_rules_see_heads_in_bag_order(self):
+        # mid's heads come in match order (b before a) and must be merged
+        # with the input's mid row in canonical order: flip's match
+        # ordinals, and so its draws, follow that order
+        prog = parse_rules("mid(y) <- src(x, y)\nflip(y, bernoulli(0.5)) <- mid(y)")
+        base = Bag.of([Tagged("src", Tuple((Int(1), Str("c")))), Tagged("src", Tuple((Int(2), Str("a")))),
+                       Tagged("mid", Str("b"))])
+        sampler = run_rule_program(prog, base, "mc", seed=Seed(12))
+        for i in range(25):
+            assert sampler.world(i) == reference_world(prog, base, Seed(12), i)
+
+    def test_burglary_worlds_unchanged(self):
+        prog = parse_rules(BURGLARY)
+        houses = tuple(f"H{n}" for n in range(6))
+        for seed in (Seed(0), Seed(2**64 - 1), Seed(11, (4, 2))):
+            sampler = run_rule_program(prog, town(houses), "mc", seed=seed)
+            for i in range(25):
+                assert sampler.world(i) == reference_world(prog, town(houses), seed, i)

@@ -27,6 +27,7 @@ from bagdb.prob import (
     Seed,
     WEIGHT_EPS,
     bind_exact,
+    child_rng,
     dirac,
     draw_from,
     exact_of,
@@ -79,6 +80,19 @@ class TestSeed:
         a = s.child(i).rng().random()
         b = s.child(i + 1).rng().random()
         assert a != b
+
+    @given(seeds, st.lists(st.integers(0, 2**64 - 1), max_size=3), st.integers(0, 2**64 - 1))
+    def test_child_rng_is_the_child_stream(self, master, path, j):
+        s = Seed(master, tuple(path))
+        prefix = s.hasher()
+        a, b = child_rng(prefix, j), s.child(j).rng()
+        assert [a.random() for _ in range(8)] == [b.random() for _ in range(8)]
+        assert prefix.digest() == s.hasher().digest()  # the prefix is not consumed
+
+    def test_child_rng_index_bounds(self):
+        for bad in (-1, 2**64):
+            with pytest.raises(EngineTypeError):
+                child_rng(Seed(1).hasher(), bad)
 
 
 class TestExactDist:
