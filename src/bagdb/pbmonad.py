@@ -8,19 +8,21 @@ bag, deterministic under the seed contract).  The distributive law turns
 a collection of independent per-element distributions into one
 distribution over bags; everything else is built from it.
 
-The mc backend compiles a rule program once per sampler.  A rule whose
-body reads no tag that an earlier rule produces matches the same facts in
-every world, so its matches, guards and per-match distributions are
-worked out once, at the first world that reaches it.  Every other rule
-joins its atoms through hash indexes whose buckets keep bag order, so the
-matches, and with them the match ordinals that address the draws, come
-out as ``rule_matches`` lists them.  The cost of a world is then linear in
-the size of the database rather than a product of atom sizes.
+Both backends compile a rule program once.  A rule whose body reads no
+tag that an earlier rule produces matches the same facts in every world,
+so its matches, guards and per-match distributions are worked out once.
+Every other rule joins its atoms through hash indexes whose buckets keep
+bag order, so the matches, and with them the match ordinals that address
+the draws, come out as ``rule_matches`` lists them.  The exact backend
+applies a rule to a world as the Kleisli extension through the
+distributive law, in product form: every choice of one head option per
+match, added to the world, with the product of their weights.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product as iproduct
+from math import prod
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -51,22 +53,26 @@ from .values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple, Value
 
 DEFAULT_WORLD_LIMIT = 10**6
 
+# The distributive law's input: for each element, its (value, weight) options.
+Options = Sequence[Sequence[tuple[Value, float]]]
+
 
 # ---------------------------------------------------------------------------
 # Distributive law
 
 
-def distr_acc(p: ExactDist, acc: ExactDist) -> ExactDist:
-    """One fold step: pair every outcome of p with every accumulated bag
-    (double strength), then push through add."""
-    out: dict[Value, float] = {}
-    for x, wx in p.entries:
-        for bv, wb in acc.entries:
-            if not isinstance(bv, BagV):
-                raise EngineTypeError("distr accumulator must hold bags")
-            key = BagV(bv.bag.add(x))
-            out[key] = out.get(key, 0.0) + wx * wb
-    return ExactDist.from_weights(out)
+def _distr_into(out: dict[Value, float], options: Options, base: Bag, weight: float) -> None:
+    """The distributive law in product form: every choice of one option
+    per element, in lexicographic order, is added to ``base`` and weighs
+    ``weight * w1 * w2 * ...`` (multiplied left to right), summed into
+    ``out`` under the resulting bag."""
+    elements = base.elements
+    for combo in iproduct(*options):
+        p = weight
+        for _, w in combo:
+            p *= w
+        key = BagV(Bag.of([*elements, *[x for x, _ in combo]]))
+        out[key] = out.get(key, 0.0) + p
 
 
 def distr_exact(dists: Iterable[ExactDist]) -> ExactDist:
@@ -74,9 +80,18 @@ def distr_exact(dists: Iterable[ExactDist]) -> ExactDist:
     distributions, collected into bags.  Distributions are supplied as a
     sequence because they are not themselves data values; callers that
     start from a bag enumerate it in canonical order."""
+    out: dict[Value, float] = {}
+    _distr_into(out, [p.entries for p in dists], EMPTY, 1.0)
+    return ExactDist.from_weights(out)
+
+
+def distr_by_fold(dists: Iterable[ExactDist]) -> ExactDist:
+    """``distr_exact`` written as a fold: each step pairs every outcome of
+    one distribution with every accumulated bag and adds it.  Slower;
+    kept because tests cross-check the two routes."""
     acc = ExactDist.dirac(BagV(EMPTY))
     for p in reversed(list(dists)):
-        acc = distr_acc(p, acc)
+        acc = p.bind(lambda x: acc.map(lambda bv: BagV(bv.bag.add(x))))  # type: ignore[union-attr]
     return acc
 
 
@@ -361,56 +376,6 @@ def _make_head(tag: str, parts: Sequence[Value]) -> Value:
     return Tagged(tag, Tuple(tuple(parts)))
 
 
-def _head_options_exact(rule: Rule, env: dict[str, Value]) -> list[tuple[Value, float]]:
-    """Possible head values of one match with their probabilities."""
-    slots: list[Optional[Value]] = []
-    dist: Optional[DistT] = None
-    dist_pos = -1
-    for idx, t in enumerate(rule.head_terms):
-        if isinstance(t, DistT):
-            dist = t
-            dist_pos = idx
-            slots.append(None)
-        else:
-            slots.append(_resolve(t, env))
-    if dist is None:
-        return [(_make_head(rule.head_tag, slots), 1.0)]  # type: ignore[arg-type]
-    outcome = exact_of(_dist_sampler(dist, env))  # NotFiniteError for continuous heads
-    options = []
-    for z, w in outcome.entries:
-        parts = list(slots)
-        parts[dist_pos] = z
-        options.append((_make_head(rule.head_tag, parts), w))  # type: ignore[arg-type]
-    return options
-
-
-def _apply_rule_exact(rule: Rule, dist: ExactDist, max_worlds: int) -> ExactDist:
-    out: dict[Value, float] = {}
-    processed = 0
-    for world_bv, pw in dist.entries:
-        if not isinstance(world_bv, BagV):
-            raise EngineTypeError("rule programs run over distributions of bags")
-        envs = rule_matches(rule, world_bv.bag)
-        options = [_head_options_exact(rule, env) for env in envs]
-        combos = 1
-        for o in options:
-            combos *= len(o)
-        processed += combos
-        if processed > max_worlds:
-            raise ResourceLimitError(
-                f"exact enumeration exceeds {max_worlds} worlds; rerun with the mc backend"
-            )
-        for combo in iproduct(*options):
-            p = pw
-            heads = []
-            for h, w in combo:
-                heads.append(h)
-                p *= w
-            key = BagV(world_bv.bag.uplus(Bag.of(heads)))
-            out[key] = out.get(key, 0.0) + p
-    return ExactDist.from_weights(out)
-
-
 def run_rule_program(
     prog: RuleProgram,
     b: Bag,
@@ -423,8 +388,8 @@ def run_rule_program(
     validate_program(prog)
     if backend == "exact":
         dist = pb_unit_bag(b)
-        for rule in prog.rules:
-            dist = _apply_rule_exact(rule, dist, max_worlds)
+        for plan in _CompiledProgram(prog, b, seed).plans:
+            dist = _apply_rule_exact(plan, dist, max_worlds)
         return dist
     if backend == "mc":
         if seed is None:
@@ -434,7 +399,7 @@ def run_rule_program(
 
 
 # ---------------------------------------------------------------------------
-# Compiled rule programs (mc backend)
+# Compiled rule programs (both backends)
 
 _KEY = attrgetter("key")
 
@@ -508,7 +473,7 @@ class _AtomPlan:
 
 
 class _RulePlan:
-    """One rule compiled for the mc backend.
+    """One rule compiled for either backend.
 
     The rule is static when no earlier rule produces any of its body tags:
     it then sees the input rows in every world, so its matches, their
@@ -558,6 +523,17 @@ class _RulePlan:
                  for n, t in enumerate(self.rule.head_terms)]
         return _make_head(self.rule.head_tag, parts)  # type: ignore[arg-type]
 
+    def options(self, rows: Mapping[str, Sequence[Value]]) -> Options:
+        """The possible heads of each match with their probabilities, in
+        match order.  For each match the parameter check comes before the
+        ``NotFiniteError`` of a continuous head."""
+        envs = self.matches(rows)
+        if self.dist < 0:
+            return [[(self.head(env), 1.0)] for env in envs]
+        dist = self.rule.head_terms[self.dist]
+        return [[(self.head(env, z), w) for z, w in exact_of(_dist_sampler(dist, env)).entries]  # type: ignore[arg-type]
+                for env in envs]
+
     def fire(self, rows: Mapping[str, Sequence[Value]], seed: Seed, i: int) -> list[Value]:
         """The heads this rule appends in world i, in match order.  The
         draw of match j uses the stream of seed/(rule, i, j)."""
@@ -595,13 +571,37 @@ class _RulePlan:
         return out
 
 
-class _CompiledProgram:
-    """A rule program compiled once for the mc backend; ``world(i)`` runs
-    it for world i.  Rows are kept per tag, and a rule's heads are merged
-    into their tag's rows only when a later rule reads that tag; the world
-    bag is built once, at the end."""
+def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> ExactDist:
+    """One rule over every world: each world's per-match head options go
+    through the distributive law and are added to the world.  A static
+    rule's options are the same in every world, so they are computed for
+    the first.  Every world is counted against ``max_worlds`` before any
+    is enumerated, so the rule that trips the limit enumerates nothing."""
+    todo: list[tuple[Bag, float, Options]] = []
+    processed = 0
+    for world_bv, pw in dist.entries:
+        if not (plan.static and todo):  # else the first world's options still hold
+            options = plan.options(_group_by_tag(world_bv.bag))  # type: ignore[union-attr]
+        processed += prod(map(len, options))
+        if processed > max_worlds:
+            raise ResourceLimitError(
+                f"exact enumeration exceeds {max_worlds} worlds; rerun with the mc backend"
+            )
+        todo.append((world_bv.bag, pw, options))  # type: ignore[union-attr]
+    out: dict[Value, float] = {}
+    for world, pw, options in todo:
+        _distr_into(out, options, world, pw)
+    return ExactDist.from_weights(out)
 
-    def __init__(self, prog: RuleProgram, b: Bag, seed: Seed):
+
+class _CompiledProgram:
+    """A rule program compiled once: the exact backend steps through its
+    plans, and ``world(i)`` samples mc world i.  In a sampled world rows
+    are kept per tag, and a rule's heads are merged into their tag's rows
+    only when a later rule reads that tag; the world bag is built once, at
+    the end."""
+
+    def __init__(self, prog: RuleProgram, b: Bag, seed: Optional[Seed]):
         self.base = b
         self.seed = seed
         self.groups = _group_by_tag(b)

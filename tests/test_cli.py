@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, and reproducibility."""
+import hashlib
 import json
 import math
 import subprocess
@@ -136,6 +137,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "generate", "--db", TOWN, "--program", str(r))
         assert code == 5
         assert "mc" in err
+
+    def test_not_finite_before_a_later_bad_parameter(self, tmp_path, capsys):
+        # match 0 has finite parameters and raises NotFiniteError before
+        # match 1's negative stddev is looked at
+        t = tmp_path / "src.jsonl"
+        t.write_text('{"tag": "src", "value": ["a", 1.0]}\n{"tag": "src", "value": ["b", -1.0]}\n')
+        r = tmp_path / "cont.rules"
+        r.write_text("noise(x, normal(0.0, s)) <- src(x, s)\n")
+        code, _, err = run(capsys, "generate", "--db", str(t), "--program", str(r))
+        assert code == 5
+        assert err == "bagdb: normal has uncountable support; use the mc backend (hint: use --backend mc)\n"
 
 
 class TestGenerate:
@@ -294,9 +306,9 @@ U64_MAX = str(2**64 - 1)
 
 
 class TestGoldenOutput:
-    """stdout recorded under tests/fixtures/golden by the engine as it was
-    before rule programs were compiled for the mc backend; it must not
-    change by a byte."""
+    """stdout recorded under tests/fixtures/golden (or pinned by sha256) by
+    the engine as it was before rule programs were compiled, for the mc
+    and then for the exact backend; it must not change by a byte."""
 
     @pytest.mark.parametrize("seed", ["7", U64_MAX])
     @pytest.mark.parametrize("town", ["town", "town20"])
@@ -311,3 +323,16 @@ class TestGoldenOutput:
         assert code == 0, err
         name = f"{command}-{town}-seed{'max' if seed == U64_MAX else seed}.json"
         assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+    def test_exact_stdout_is_byte_identical(self, capsys):
+        code, out, err = run(capsys, "generate", "--db", TOWN, "--program", RULES, "--backend", "exact")
+        assert code == 0, err
+        assert out.encode("utf-8") == (GOLDEN / "generate-exact-town.json").read_bytes()
+
+    def test_exact_stdout_four_houses(self, capsys):
+        # the 624 KB output is pinned by its sha256 instead of committed
+        code, out, err = run(capsys, "generate", "--db", str(FIXTURES / "town4.jsonl"),
+                             "--program", RULES, "--backend", "exact")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "ca64e8bfe38c16def23d6045d839f1eba03150be42bb62ab1803e93fc38c3e70")

@@ -1,6 +1,7 @@
 """Distributions over bags: the interchange operator, the combined monad,
 bag-level generators, and generative rule programs."""
 import math
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from bagdb.bags import EMPTY, Bag
 from bagdb.errors import (
+    EngineError,
     EngineTypeError,
     NotFiniteError,
     ProgramError,
@@ -24,6 +26,7 @@ from bagdb.pbmonad import (
     VarT,
     add_noise,
     add_remove,
+    distr_by_fold,
     distr_exact,
     distr_sample,
     indexed_matches,
@@ -81,6 +84,11 @@ class TestDistr:
     @given(exact_dists(), exact_dists())
     def test_order_irrelevant(self, d1, d2):
         assert distr_exact([d1, d2]).close_to(distr_exact([d2, d1]))
+
+    # few outcomes, so that different choices often give the same bag
+    @given(st.lists(exact_dists(st.sampled_from([Int(0), Int(1), Int(2)])), max_size=4))
+    def test_product_form_equals_fold(self, ds):
+        assert distr_exact(ds).close_to(distr_by_fold(ds))
 
     def test_distr_sample_deterministic(self):
         samplers = [Bernoulli(0.5), Bernoulli(0.5), Dirac(Int(9))]
@@ -441,6 +449,49 @@ class TestRunExact:
         with pytest.raises(NotFiniteError):
             run_rule_program(prog, Bag.of([Tagged("src", Int(1))]), "exact")
 
+    def test_world_limit_boundary(self):
+        # 10 independent flips make exactly 2**10 worlds
+        facts = Bag.of([Tagged("src", Int(i)) for i in range(10)])
+        prog = parse_rules("flip(x, bernoulli(0.5)) <- src(x)")
+        assert len(run_rule_program(prog, facts, "exact", max_worlds=1024).entries) == 1024
+        with pytest.raises(ResourceLimitError) as e:
+            run_rule_program(prog, facts, "exact", max_worlds=1023)
+        assert str(e.value) == "exact enumeration exceeds 1023 worlds; rerun with the mc backend"
+
+    def test_limit_trips_before_enumerating(self, monkeypatch):
+        # the coin makes two worlds of 2**10 flips each: the second world
+        # trips the limit, and the first is not enumerated before that
+        import bagdb.pbmonad as pbmonad
+
+        calls = []
+        enumerate_law = pbmonad._distr_into
+        monkeypatch.setattr(pbmonad, "_distr_into", lambda *a: calls.append(1) or enumerate_law(*a))
+        facts = Bag.of([Tagged("src", Int(i)) for i in range(10)])
+        prog = parse_rules("coin(bernoulli(0.5)) <-\nflip(x, bernoulli(0.5)) <- src(x)")
+        with pytest.raises(ResourceLimitError, match="exceeds 2000 worlds"):
+            run_rule_program(prog, facts, "exact", max_worlds=2000)
+        assert len(calls) == 1  # the coin rule's one world
+
+    def test_not_finite_before_a_later_bad_parameter(self):
+        # match 0 raises NotFiniteError before match 1's stddev is checked
+        prog = parse_rules("noise(x, normal(0.0, s)) <- src(x, s)")
+        base = Bag.of([Tagged("src", Tuple((Str("a"), Real(1.0)))),
+                       Tagged("src", Tuple((Str("b"), Real(-1.0))))])
+        want = (NotFiniteError, "normal has uncountable support; use the mc backend")
+        assert exact_outcome(run_rule_program, prog, base, "exact") == want
+        assert exact_outcome(reference_exact, prog, base) == want
+
+    def test_runs_without_rule_matches(self, monkeypatch):
+        # the exact backend matches through the compiled plan
+        import bagdb.pbmonad as pbmonad
+
+        def unused(rule, bag):
+            raise AssertionError("rule_matches called")
+
+        monkeypatch.setattr(pbmonad, "rule_matches", unused)
+        dist = run_rule_program(parse_rules(BURGLARY), town(), "exact")
+        assert alarm_prob(dist, "H1") == pytest.approx(1 - (1 - 0.1 * 0.6) * (1 - 0.3 * 0.9))
+
 
 class TestRunMC:
     def test_deterministic_given_seed(self):
@@ -531,22 +582,26 @@ payloads = st.one_of(
 )
 
 
-def payload_of(arity):
+def payload_of(arity, values=join_values):
     if arity == 1:
-        return join_values
-    return st.lists(join_values, min_size=arity, max_size=arity).map(lambda xs: Tuple(tuple(xs)))
+        return values
+    return st.lists(values, min_size=arity, max_size=arity).map(lambda xs: Tuple(tuple(xs)))
+
+
+DRAW_KINDS = (None, "bernoulli", "poisson", "normal")  # None: a head without a draw
 
 
 # Choices are listed most-wanted first: hypothesis leans towards the first
 # element of sampled_from, and towards small integers.
 @st.composite
-def rule_of(draw, head_tag, body_tags, arity):
+def rule_of(draw, head_tag, body_tags, arity,
+            values=join_values, kinds=DRAW_KINDS, atom_counts=(2, 3, 1, 2, 0)):
     atoms = []
-    n_atoms = draw(st.sampled_from([2, 3, 1, 2, 0])) if body_tags else 0
+    n_atoms = draw(st.sampled_from(atom_counts)) if body_tags else 0
     for tag in [draw(st.sampled_from(body_tags)) for _ in range(n_atoms)]:
         n = arity[tag] if draw(st.sampled_from([True] * 4 + [False])) else draw(st.integers(0, 3))
         terms = st.sampled_from([True, True, False]).flatmap(
-            lambda var: st.sampled_from(VARS).map(VarT) if var else join_values.map(ConstT))
+            lambda var: st.sampled_from(VARS).map(VarT) if var else values.map(ConstT))
         atoms.append(Atom(tag, tuple(draw(st.lists(terms, min_size=n, max_size=n)))))
     bound = sorted({a.name for atom in atoms for a in atom.args if isinstance(a, VarT)})
     numbers = st.sampled_from([v for v in POOL if isinstance(v, (Int, Real))]).map(ConstT)
@@ -558,12 +613,12 @@ def rule_of(draw, head_tag, body_tags, arity):
         .map(lambda g: Guard(*g)), max_size=2))
     n = arity[head_tag] if draw(st.sampled_from([True] * 4 + [False])) else draw(st.integers(0, 3))
     terms = draw(st.lists(usable, min_size=n, max_size=n))
-    dist = draw(st.one_of(
-        st.none(),
-        st.tuples(param).map(lambda p: DistT("bernoulli", p)),
-        st.just(DistT("poisson", (ConstT(Real(1.5)),))),
-        st.just(DistT("normal", (ConstT(Real(0.0)), ConstT(Real(1.0))))),
-    ))
+    draws = {
+        "bernoulli": st.tuples(param).map(lambda p: DistT("bernoulli", p)),
+        "poisson": st.just(DistT("poisson", (ConstT(Real(1.5)),))),
+        "normal": st.just(DistT("normal", (ConstT(Real(0.0)), ConstT(Real(1.0))))),
+    }
+    dist = draw(st.one_of(*[st.none() if k is None else draws[k] for k in kinds]))
     if dist is not None and terms:
         terms[draw(st.integers(0, len(terms) - 1))] = dist
     elif dist is not None:
@@ -572,22 +627,27 @@ def rule_of(draw, head_tag, body_tags, arity):
 
 
 @st.composite
-def programs_and_bags(draw):
+def programs_and_bags(draw, values=join_values, kinds=DRAW_KINDS, atom_counts=(2, 3, 1, 2, 0),
+                      min_rank=0):
     """A program and an input bag.  Each tag has an arity that most rows
     and atoms keep (a few do not, to exercise the arity check).  The
     program is acyclic by construction: a rule reads only tags ranked
     below its head tag, so it may read a tag that only a later rule
-    produces."""
+    produces.  ``values`` fills the rows and the constants in atoms,
+    ``kinds`` are the distributions a head may draw from (most wanted
+    first), ``atom_counts`` the body sizes to choose from, and a head tag
+    ranks at least ``min_rank``, so ``min_rank=1`` leaves no rule without
+    a body."""
     ranked = draw(st.permutations(TAGS))
     arity = {t: draw(st.integers(1, 2)) for t in TAGS}
-    rows = [Tagged(t, draw(payload_of(arity[t])))
+    rows = [Tagged(t, draw(payload_of(arity[t], values)))
             for t in TAGS for _ in range(draw(st.sampled_from([3, 4, 2, 1, 0])))]
     rows += [Tagged(t, v) for t, v in draw(st.lists(st.tuples(st.sampled_from(TAGS), payloads), max_size=2))]
     rows += draw(st.lists(pool_values, max_size=2))  # untagged rows pass through
     prog = []
     for _ in range(draw(st.sampled_from([3, 4, 2, 1]))):
-        r = draw(st.integers(0, len(ranked) - 1))
-        prog.append(draw(rule_of(ranked[r], ranked[:r], arity)))
+        r = draw(st.integers(min_rank, len(ranked) - 1))
+        prog.append(draw(rule_of(ranked[r], ranked[:r], arity, values, kinds, atom_counts)))
     return RuleProgram(tuple(prog)), Bag.of(rows)
 
 
@@ -709,3 +769,97 @@ class TestCompiledSampler:
             sampler = run_rule_program(prog, town(houses), "mc", seed=seed)
             for i in range(25):
                 assert sampler.world(i) == reference_world(prog, town(houses), seed, i)
+
+
+# ---------------------------------------------------------------------------
+# The exact backend on the compiled plan against the uncompiled loop
+
+
+def reference_head_options(rule, env):
+    """Possible head values of one match with their probabilities."""
+    parts = [None if isinstance(t, DistT) else _resolve(t, env) for t in rule.head_terms]
+    dist = next((n for n, t in enumerate(rule.head_terms) if isinstance(t, DistT)), None)
+    if dist is None:
+        return [(_make_head(rule.head_tag, parts), 1.0)]
+    options = []
+    for z, w in exact_of(_dist_sampler(rule.head_terms[dist], env)).entries:
+        parts[dist] = z
+        options.append((_make_head(rule.head_tag, parts), w))
+    return options
+
+
+def reference_exact(prog, base, max_worlds=10**6):
+    """The exact backend as it was before it ran on the compiled plan:
+    rule_matches against every world, the head options of each match, and
+    one uplus per combination, with the world limit checked per world
+    before that world is enumerated."""
+    validate_program(prog)
+    dist = pb_unit_bag(base)
+    for rule in prog.rules:
+        out = {}
+        processed = 0
+        for world_bv, pw in dist.entries:
+            options = [reference_head_options(rule, env) for env in rule_matches(rule, world_bv.bag)]
+            processed += math.prod(len(o) for o in options)
+            if processed > max_worlds:
+                raise ResourceLimitError(
+                    f"exact enumeration exceeds {max_worlds} worlds; rerun with the mc backend")
+            for combo in iproduct(*options):
+                p = pw
+                heads = []
+                for h, w in combo:
+                    heads.append(h)
+                    p *= w
+                key = BagV(world_bv.bag.uplus(Bag.of(heads)))
+                out[key] = out.get(key, 0.0) + p
+        dist = ExactDist.from_weights(out)
+    return dist
+
+
+def exact_outcome(fn, *args, **kwargs):
+    """A distribution as (support, weights), or the type and message of
+    the engine error it raised."""
+    try:
+        d = fn(*args, **kwargs)
+    except EngineError as e:
+        return type(e), str(e)
+    return [v for v, _ in d.entries], [w.hex() for _, w in d.entries]
+
+
+# Few distinct values, mostly probabilities: data-driven bernoulli
+# parameters split worlds, rows join, and equal rows give equal heads.
+prob_values = st.sampled_from([Real(0.3)] * 3 + [Real(0.7), Int(1)])
+
+EXACT_LIMIT = 300  # keeps the reference loop fast; both routes get it
+
+
+class TestCompiledExact:
+    @settings(max_examples=300)
+    @given(programs_and_bags(prob_values, ("bernoulli", None), (1, 2, 1), min_rank=1))
+    def test_exact_equals_reference_loop(self, prog_base):
+        prog, base = prog_base
+        assert exact_outcome(run_rule_program, prog, base, "exact", max_worlds=EXACT_LIMIT) == \
+            exact_outcome(reference_exact, prog, base, EXACT_LIMIT)
+
+    @settings(max_examples=100)
+    @given(programs_and_bags())
+    def test_exact_equals_reference_loop_any_draw(self, prog_base):
+        # normal and poisson heads: NotFiniteError, raised at the same match
+        prog, base = prog_base
+        assert exact_outcome(run_rule_program, prog, base, "exact", max_worlds=EXACT_LIMIT) == \
+            exact_outcome(reference_exact, prog, base, EXACT_LIMIT)
+
+    def test_colliding_heads(self):
+        # duplicate input rows give equal heads: their worlds merge
+        prog = parse_rules("flip(x, bernoulli(r)) <- src(x, r)\nout(x) <- flip(x, 1)")
+        row = Tagged("src", Tuple((Str("h"), Real(0.3))))
+        base = Bag.of([row, row, Tagged("src", Tuple((Str("k"), Real(0.7))))])
+        got = exact_outcome(run_rule_program, prog, base, "exact")
+        assert got == exact_outcome(reference_exact, prog, base)
+        assert len(got[0]) == 6  # 0, 1 or 2 heads for h, times 2 for k
+
+    @pytest.mark.parametrize("houses", [2, 4, 5])
+    def test_burglary_weights_bit_identical(self, houses):
+        base = town(tuple(f"H{n}" for n in range(houses)))
+        prog = parse_rules(BURGLARY)
+        assert exact_outcome(run_rule_program, prog, base, "exact") == exact_outcome(reference_exact, prog, base)
