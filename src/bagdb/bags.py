@@ -29,6 +29,14 @@ class Bag:
     def of(cls, items: Iterable[Value]) -> "Bag":
         return cls(tuple(sorted(items, key=lambda v: v.key)))
 
+    @classmethod
+    def presorted(cls, elements: tuple[Value, ...], key: tuple) -> "Bag":
+        """A Bag of elements already in canonical order, given with its
+        ``key`` (the elements' keys in that order), which is kept."""
+        bag = cls(elements)
+        bag.__dict__["key"] = key  # where cached_property would store it
+        return bag
+
     @cached_property
     def key(self) -> tuple:
         return tuple(e.key for e in self.elements)

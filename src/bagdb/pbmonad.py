@@ -17,13 +17,22 @@ the draws, come out as ``rule_matches`` lists them.  The exact backend
 applies a rule to a world as the Kleisli extension through the
 distributive law, in product form: every choice of one head option per
 match, added to the world, with the product of their weights.
+
+The exact rule step is incremental.  A world's rows of one tag are one
+run of its sorted elements, found by bisection.  A rule's head options
+depend only on the rows it reads whose tag an earlier rule produces, so
+within one step they are computed once per distinct set of those rows
+and shared by the worlds that have it.  Each choice's heads are inserted
+into the sorted world where ``Bag.of`` would put them, and the new bag's
+key is spliced from the world's, so no world is re-sorted.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import product as iproduct
 from math import prod
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .algebra import Cmp, Const, eval_expr, tuple_parts
@@ -56,6 +65,8 @@ DEFAULT_WORLD_LIMIT = 10**6
 # The distributive law's input: for each element, its (value, weight) options.
 Options = Sequence[Sequence[tuple[Value, float]]]
 
+_BY_KEY = itemgetter(1)  # an option placed by _distr_into: (insertion point, key, value, weight)
+
 
 # ---------------------------------------------------------------------------
 # Distributive law
@@ -65,14 +76,28 @@ def _distr_into(out: dict[Value, float], options: Options, base: Bag, weight: fl
     """The distributive law in product form: every choice of one option
     per element, in lexicographic order, is added to ``base`` and weighs
     ``weight * w1 * w2 * ...`` (multiplied left to right), summed into
-    ``out`` under the resulting bag."""
-    elements = base.elements
-    for combo in iproduct(*options):
+    ``out`` under the resulting bag.  A choice's values are inserted into
+    the sorted base after the elements equal to them, where ``Bag.of``'s
+    stable sort puts them, and the bag's key is spliced from the base's."""
+    elements, keys = base.elements, base.key
+    placed = [[(bisect_right(keys, x.key), x.key, x, w) for x, w in opts] for opts in options]
+    for combo in iproduct(*placed):
         p = weight
-        for _, w in combo:
+        for _, _, _, w in combo:
             p *= w
-        key = BagV(Bag.of([*elements, *[x for x, _ in combo]]))
-        out[key] = out.get(key, 0.0) + p
+        elems: list[Value] = []
+        ks: list[tuple] = []
+        start = 0
+        for pos, k, x, _ in sorted(combo, key=_BY_KEY):
+            elems += elements[start:pos]
+            elems.append(x)
+            ks += keys[start:pos]
+            ks.append(k)
+            start = pos
+        elems += elements[start:]
+        ks += keys[start:]
+        bv = BagV(Bag.presorted(tuple(elems), tuple(ks)))
+        out[bv] = out.get(bv, 0.0) + p
 
 
 def distr_exact(dists: Iterable[ExactDist]) -> ExactDist:
@@ -417,6 +442,17 @@ def _group_by_tag(rows: Iterable[Value]) -> dict[str, list[Value]]:
     return groups
 
 
+_TAG_PREFIX = itemgetter(slice(0, 2))
+
+
+def _tag_span(bag: Bag, tag: str) -> slice:
+    """Where a bag's rows of one tag lie in its elements: every Tagged key
+    is ``(6, tag, payload key)``, so they form one run, in bag order."""
+    keys = bag.key
+    lo = bisect_left(keys, (6, tag), key=_TAG_PREFIX)
+    return slice(lo, bisect_right(keys, (6, tag), lo, key=_TAG_PREFIX))
+
+
 class _AtomPlan:
     """How one body atom joins against the tagged rows of its tag.
 
@@ -491,6 +527,8 @@ class _RulePlan:
         self.names = tuple(slot_of)  # variables in env slot order
         self.varying = [a.tag in produced_before for a in rule.atoms]
         self.static = not any(self.varying)
+        self.tags = tuple(dict.fromkeys(a.tag for a in rule.atoms))
+        self.varying_tags = tuple(t for t in self.tags if t in produced_before)
         self.fixed_index: list[Optional[dict]] = [None] * len(self.atoms)
         self.dist = next((n for n, t in enumerate(rule.head_terms) if isinstance(t, DistT)), -1)
         # static rules only, filled lazily
@@ -573,21 +611,28 @@ class _RulePlan:
 
 def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> ExactDist:
     """One rule over every world: each world's per-match head options go
-    through the distributive law and are added to the world.  A static
-    rule's options are the same in every world, so they are computed for
-    the first.  Every world is counted against ``max_worlds`` before any
+    through the distributive law and are added to the world.  The options
+    depend only on the rows the rule reads whose tag an earlier rule
+    produces (its other rows are the input's in every world), so they are
+    computed once per distinct set of those rows, and once in all for a
+    static rule.  Every world is counted against ``max_worlds`` before any
     is enumerated, so the rule that trips the limit enumerates nothing."""
+    memo: dict[tuple, Options] = {}
     todo: list[tuple[Bag, float, Options]] = []
     processed = 0
     for world_bv, pw in dist.entries:
-        if not (plan.static and todo):  # else the first world's options still hold
-            options = plan.options(_group_by_tag(world_bv.bag))  # type: ignore[union-attr]
+        world: Bag = world_bv.bag  # type: ignore[union-attr]
+        reads = tuple([world.key[_tag_span(world, tag)] for tag in plan.varying_tags])
+        options = memo.get(reads)
+        if options is None:
+            rows = {tag: world.elements[_tag_span(world, tag)] for tag in plan.tags}
+            options = memo[reads] = plan.options(rows)
         processed += prod(map(len, options))
         if processed > max_worlds:
             raise ResourceLimitError(
                 f"exact enumeration exceeds {max_worlds} worlds; rerun with the mc backend"
             )
-        todo.append((world_bv.bag, pw, options))  # type: ignore[union-attr]
+        todo.append((world, pw, options))
     out: dict[Value, float] = {}
     for world, pw, options in todo:
         _distr_into(out, options, world, pw)

@@ -174,6 +174,9 @@ class Tagged(Value):
         return f"Tagged({self.tag!r}, {self.value!r})"
 
 
+_Bag: Any = None  # bags.Bag, once the first BagV is built
+
+
 @dataclass(frozen=True, eq=False)
 class BagV(Value):
     """A bag as a first-class value (rows of nested relations, group results)."""
@@ -181,13 +184,14 @@ class BagV(Value):
     bag: Any  # a bags.Bag; typed loosely to avoid a circular import
 
     def __post_init__(self):
-        from .bags import Bag  # deferred: bags.py imports this module
-
-        if not isinstance(self.bag, Bag):
+        global _Bag
+        if _Bag is None:  # bound on first use: bags.py imports this module
+            from .bags import Bag as _Bag
+        if not isinstance(self.bag, _Bag):
             raise EngineTypeError("BagV expects a Bag")
 
     def _key(self) -> tuple:
-        return (7, tuple(e.key for e in self.bag.elements))
+        return (7, self.bag.key)
 
     def __repr__(self) -> str:
         return f"BagV({list(self.bag.elements)!r})"

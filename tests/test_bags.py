@@ -52,6 +52,12 @@ class TestCanonicalForm:
         b = ints(1, 2)
         assert b.remove(Int(9)) is b
 
+    @given(st.lists(values, max_size=6))
+    def test_presorted_keeps_the_given_key(self, xs):
+        b = Bag.of(xs)
+        c = Bag.presorted(b.elements, tuple(e.key for e in b.elements))
+        assert c == b and c.key == b.key and hash(c) == hash(b)
+
     @given(small_bags_st, small_ints)
     def test_add_then_remove_round_trips(self, b, x):
         assert b.add(x).remove(x) == b

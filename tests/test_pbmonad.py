@@ -1,7 +1,9 @@
 """Distributions over bags: the interchange operator, the combined monad,
 bag-level generators, and generative rule programs."""
 import math
+from collections import Counter
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,9 +42,9 @@ from bagdb.pbmonad import (
     run_rule_program,
     validate_program,
 )
-from bagdb.pbmonad import _dist_sampler, _make_head, _resolve
+from bagdb.pbmonad import _RulePlan, _dist_sampler, _distr_into, _group_by_tag, _make_head, _resolve, _tag_span
 from bagdb.prob import Bernoulli, Dirac, ExactDist, Normal, Seed, dirac, draw_from, exact_of
-from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple
+from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple, deserialize
 
 from strategies import exact_dists
 
@@ -628,7 +630,7 @@ def rule_of(draw, head_tag, body_tags, arity,
 
 @st.composite
 def programs_and_bags(draw, values=join_values, kinds=DRAW_KINDS, atom_counts=(2, 3, 1, 2, 0),
-                      min_rank=0):
+                      min_rank=0, split=False):
     """A program and an input bag.  Each tag has an arity that most rows
     and atoms keep (a few do not, to exercise the arity check).  The
     program is acyclic by construction: a rule reads only tags ranked
@@ -637,9 +639,19 @@ def programs_and_bags(draw, values=join_values, kinds=DRAW_KINDS, atom_counts=(2
     ``kinds`` are the distributions a head may draw from (most wanted
     first), ``atom_counts`` the body sizes to choose from, and a head tag
     ranks at least ``min_rank``, so ``min_rank=1`` leaves no rule without
-    a body."""
+    a body.
+
+    With ``split`` the program starts with two static rules, one per coin
+    tag (ranked second and third, arity 1), that each flip a coin with p
+    in (0, 1) for both of two ``"coin"`` rows of the lowest-ranked tag,
+    and it ends with a rule that reads both coin tags: 9 worlds leave the
+    coins, and the last rule's options differ between worlds that differ
+    in either coin."""
     ranked = draw(st.permutations(TAGS))
     arity = {t: draw(st.integers(1, 2)) for t in TAGS}
+    if split:
+        src, coins, reader = ranked[0], ranked[1:3], ranked[3]
+        arity.update(dict.fromkeys(coins, 1))  # the coin heads' arity, so later atoms read them
     rows = [Tagged(t, draw(payload_of(arity[t], values)))
             for t in TAGS for _ in range(draw(st.sampled_from([3, 4, 2, 1, 0])))]
     rows += [Tagged(t, v) for t, v in draw(st.lists(st.tuples(st.sampled_from(TAGS), payloads), max_size=2))]
@@ -648,7 +660,18 @@ def programs_and_bags(draw, values=join_values, kinds=DRAW_KINDS, atom_counts=(2
     for _ in range(draw(st.sampled_from([3, 4, 2, 1]))):
         r = draw(st.integers(min_rank, len(ranked) - 1))
         prog.append(draw(rule_of(ranked[r], ranked[:r], arity, values, kinds, atom_counts)))
+    if split:
+        rows += [Tagged(src, Str("coin"))] * 2  # no other row holds this string
+        flips = [Rule(coin, (DistT("bernoulli", (ConstT(draw(st.sampled_from(COIN_P))),)),),
+                      (Atom(src, (ConstT(Str("coin")),)),), ())
+                 for coin in coins]
+        both = Rule(reader, (VarT("x"), VarT("y")),
+                    (Atom(coins[0], (VarT("x"),)), Atom(coins[1], (VarT("y"),))), ())
+        prog = flips + prog + [both]
     return RuleProgram(tuple(prog)), Bag.of(rows)
+
+
+COIN_P = [Real(0.3), Real(0.5), Real(0.7)]
 
 
 mc_seeds = st.builds(
@@ -834,8 +857,9 @@ EXACT_LIMIT = 300  # keeps the reference loop fast; both routes get it
 
 
 class TestCompiledExact:
+    # two coins split every program into 9 worlds before its own rules run
     @settings(max_examples=300)
-    @given(programs_and_bags(prob_values, ("bernoulli", None), (1, 2, 1), min_rank=1))
+    @given(programs_and_bags(prob_values, ("bernoulli", None), (1, 2, 1), min_rank=1, split=True))
     def test_exact_equals_reference_loop(self, prog_base):
         prog, base = prog_base
         assert exact_outcome(run_rule_program, prog, base, "exact", max_worlds=EXACT_LIMIT) == \
@@ -863,3 +887,90 @@ class TestCompiledExact:
         base = town(tuple(f"H{n}" for n in range(houses)))
         prog = parse_rules(BURGLARY)
         assert exact_outcome(run_rule_program, prog, base, "exact") == exact_outcome(reference_exact, prog, base)
+
+
+# ---------------------------------------------------------------------------
+# The incremental exact rule step: rows by tag, options memoised, heads inserted
+
+
+def town4():
+    """The 4-house town of the golden files: 706 worlds."""
+    text = (Path(__file__).parent / "fixtures" / "town4.jsonl").read_text(encoding="utf-8")
+    return Bag.of(deserialize(line) for line in text.splitlines() if line.strip())
+
+
+def count_options(monkeypatch):
+    """Count ``_RulePlan.options`` calls: the returned list gets the rule
+    index of each call."""
+    calls = []
+    options = _RulePlan.options
+    monkeypatch.setattr(_RulePlan, "options", lambda plan, rows: calls.append(plan.k) or options(plan, rows))
+    return calls
+
+
+# tags that are prefixes of one another, and rows of every other variant
+SPAN_TAGS = ["a", "a0", "a_", "ab"]
+span_rows = st.one_of(
+    st.tuples(st.sampled_from(SPAN_TAGS), payloads).map(lambda t: Tagged(*t)),
+    pool_values,
+    st.just(UNIT),
+    st.lists(pool_values, max_size=2).map(lambda xs: Tuple(tuple(xs))),
+    st.lists(pool_values, max_size=2).map(lambda xs: BagV(Bag.of(xs))),
+)
+span_worlds = st.lists(span_rows, max_size=12).map(Bag.of)
+
+
+class TestIncrementalExact:
+    @given(span_worlds, st.sampled_from(SPAN_TAGS + ["A", "a1", "aa", "b"]))
+    def test_tag_span_is_the_tags_rows(self, world, tag):
+        assert list(world.elements[_tag_span(world, tag)]) == _group_by_tag(world).get(tag, [])
+
+    @given(span_worlds, st.lists(st.lists(st.tuples(span_rows, st.sampled_from([0.5, 0.3, 1.0])),
+                                          min_size=1, max_size=2), max_size=3))
+    def test_insertion_equals_resorting(self, base, options):
+        # the same bags, element for element (an inserted value follows the
+        # base's equal elements, as the stable sort leaves it), with their
+        # keys, and bit-identical weights
+        got = {}
+        _distr_into(got, options, base, 0.7)
+        want = {}
+        for combo in iproduct(*options):
+            p = 0.7
+            for _, w in combo:
+                p *= w
+            bv = BagV(Bag.of([*base, *[x for x, _ in combo]]))
+            want[bv] = want.get(bv, 0.0) + p
+        assert [w.hex() for w in got.values()] == [w.hex() for w in want.values()]
+        for g, w in zip(got, want):
+            assert len(g.bag) == len(w.bag) and all(x is y for x, y in zip(g.bag, w.bag))
+            assert g.bag.key == tuple(e.key for e in w.bag)
+
+    def test_options_once_per_varying_rows(self, monkeypatch):
+        # static rules once; each later rule once per distinct set of the
+        # rows it reads that earlier rules add: 2, 16 and 690 of its 32, 272
+        # and 706 input worlds
+        calls = count_options(monkeypatch)
+        dist = run_rule_program(parse_rules(BURGLARY), town4(), "exact")
+        assert len(dist.entries) == 706
+        assert Counter(calls) == {0: 1, 1: 1, 2: 2, 3: 16, 4: 690}
+
+    @pytest.mark.parametrize("limit", [300, 628, 636])
+    def test_limit_trips_at_the_same_world(self, monkeypatch, limit):
+        # rule 3 (trigger <- burglary) trips the limit at world t of its 272;
+        # options are computed for the distinct burglary rows up to world t
+        # and for none after it.  At 628 world 186 trips and the next world
+        # would start a new row set; at 636 world 187, the one that starts it.
+        prog, base = parse_rules(BURGLARY), town4()
+        rule = prog.rules[3]
+        before = reference_exact(RuleProgram(prog.rules[:3]), base)
+        total, seen = 0, set()
+        for world, _ in before.entries:
+            seen.add(tuple(v for v in world.bag if isinstance(v, Tagged) and v.tag == "burglary"))
+            total += 2 ** len(rule_matches(rule, world.bag))
+            if total > limit:
+                break
+        calls = count_options(monkeypatch)
+        got = exact_outcome(run_rule_program, prog, base, "exact", max_worlds=limit)
+        assert got == exact_outcome(reference_exact, prog, base, limit)
+        assert got[0] is ResourceLimitError
+        assert calls.count(3) == len(seen)

@@ -115,6 +115,10 @@ class TestOrder:
         b = BagV(Bag.of([Int(1), Int(3)]))
         assert compare(a, b) == -1
 
+    @given(st.lists(values, max_size=6).map(Bag.of))
+    def test_bag_value_key_is_element_keys(self, b):
+        assert BagV(b).key == (7, tuple(e.key for e in b))
+
     @given(values, values)
     def test_compare_antisymmetric(self, a, b):
         assert compare(a, b) == -compare(b, a)
