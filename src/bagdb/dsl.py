@@ -834,6 +834,7 @@ def check(q: Query, catalog: Mapping[str, Optional[Schema]]) -> Schema:
                 ps = expr_schema(node.pred, elem)
                 if ps is not None and not isinstance(ps, BoolT):
                     raise EngineTypeError("select predicate must be boolean")
+                return BagT(_narrow(node.pred, elem))
             return s
         if isinstance(node, (DUnion, UnionQ)):
             e1 = _elem(go_opt(node.q1), "dunion")
@@ -899,6 +900,29 @@ def _parts(s: Schema) -> tuple[Schema, ...]:
     return s.items if isinstance(s, TupleT) else (s,)
 
 
+def _narrow(pred: Expr, row: Schema) -> Schema:
+    """The row schema of the rows a select with predicate ``pred`` keeps:
+    each conjunct ``istag(row, t)`` or ``istag(.i, t)`` leaves only the
+    variant ``t`` of that sum type, so a later ``payload(_, t)`` is safe."""
+    if isinstance(pred, And):
+        return _narrow(pred.right, _narrow(pred.left, row))
+    if not isinstance(pred, IsTag):
+        return row
+
+    def only(s: Schema) -> Schema:
+        if isinstance(s, TaggedT) and s.get(pred.tag) is not None:
+            return TaggedT(((pred.tag, s.get(pred.tag)),))
+        return s
+
+    if isinstance(pred.inner, RowRef):
+        return only(row)
+    if isinstance(pred.inner, Field) and isinstance(row, TupleT):
+        i = pred.inner.index - 1
+        if 0 <= i < len(row.items):
+            return TupleT(row.items[:i] + (only(row.items[i]),) + row.items[i + 1 :])
+    return row
+
+
 def expr_schema(e: Expr, row: RowSchema) -> Optional[Schema]:
     """Schema of an expression over rows of the given schema; None when it
     cannot be determined (only happens over provably empty inputs)."""
@@ -950,6 +974,11 @@ def expr_schema(e: Expr, row: RowSchema) -> Optional[Schema]:
         payload = s.get(e.tag)
         if payload is None:
             raise EngineTypeError(f"tag {e.tag!r} is not a variant of {s!r}")
+        if len(s.variants) > 1:
+            # a row of another variant would fail at run time
+            raise EngineTypeError(
+                f"payload {e.tag!r} of {s!r} needs a select on istag(_, {e.tag}) first"
+            )
         return payload
     if isinstance(e, MkTuple):
         items = [expr_schema(x, row) for x in e.items]

@@ -371,6 +371,17 @@ class TestCheck:
         with pytest.raises(EngineTypeError):
             check(q, CATALOG)
 
+    def test_payload_of_sum_needs_istag_select(self):
+        # a row tagged b would make payload(row, a) fail at run time
+        with pytest.raises(EngineTypeError):
+            check(parse("table t2 |> map (payload(row, a))"), CATALOG)
+        q = parse("table t2 |> select (istag(row, a)) |> map (payload(row, a))")
+        assert check(q, CATALOG) == BagT(IntT())
+        q = parse(
+            "table t2 |> map ((1, row)) |> select (istag(.2, b)) |> map (payload(.2, b))"
+        )
+        assert check(q, CATALOG) == BagT(StrT())
+
     def test_match_schema(self):
         q = parse("table t2 |> match a as (n)")
         assert check(q, CATALOG) == BagT(IntT())
