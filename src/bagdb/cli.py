@@ -4,7 +4,8 @@ Three subcommands: ``query`` evaluates a deterministic query over JSONL
 tables, ``generate`` runs a generative rule program and emits worlds
 (exact weights or Monte-Carlo samples), ``estimate`` pushes a query
 through sampled worlds and reports a statistic.  All output is
-deterministic given inputs, seed and flags.  ``--workers`` is validated
+deterministic given inputs, seed and flags, and all-or-nothing: it is
+written only after the last step that can fail.  ``--workers`` is validated
 but worlds are generated sequentially, so it cannot change results.
 
 Exit codes: 0 ok, 1 usage, 2 parse error, 3 type/schema error,
@@ -17,7 +18,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .algebra import eval_query
 from .bags import EMPTY, Bag
@@ -43,6 +44,7 @@ from .values import (
     Value,
     deserialize,
     infer_schema,
+    json_text,
     to_json,
     typecheck,
     unify_schema,
@@ -122,21 +124,13 @@ def cmd_generate(args) -> int:
     if args.backend == "exact":
         dist = run_rule_program(prog, base, "exact")
         assert isinstance(dist, ExactDist)
-        payload = {
-            "backend": "exact",
-            "worlds": [{"weight": w, "world": to_json(v)} for v, w in dist.entries],
-        }
+        payload = _exact_payload(dist.entries)
     else:
         seed = Seed(args.seed)
         sampler = run_rule_program(prog, base, "mc", seed=seed)
         assert isinstance(sampler, PBSampler)
-        worlds = sampler.worlds(args.samples, workers=args.workers)
-        payload = {
-            "backend": "mc",
-            "samples": args.samples,
-            "seed": args.seed,
-            "worlds": [to_json(BagV(w)) for w in worlds],
-        }
+        worlds = (sampler.world(i) for i in range(args.samples))
+        payload = _mc_payload(worlds, base, args.samples, args.seed)
     _emit(args.output, payload)
     return 0
 
@@ -149,13 +143,13 @@ def cmd_estimate(args) -> int:
     seed = Seed(args.seed)
     sampler = run_rule_program(prog, _merged_input(catalog), "mc", seed=seed)
     assert isinstance(sampler, PBSampler)
-    worlds = sampler.worlds(args.samples, workers=args.workers)
     results: list[Value] = []
-    for w in worlds:
+    for i in range(args.samples):
+        w = sampler.world(i)
         try:
             results.append(eval_query(ast, {WORLD_TABLE: w}))
         except EngineError as e:
-            raise WorldEvalError(BagV(w), e) from e
+            raise WorldEvalError(BagV(w), e, i) from e
     n = args.samples
     payload = {"stat": args.stat, "samples": n, "seed": args.seed}
     if args.stat == "tuple-prob":
@@ -213,12 +207,88 @@ def _stat_dist(results: list[Value], n: int) -> list[dict]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Output: the bytes of json.dumps(payload, sort_keys=True) + "\n", in pieces
+
+_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(..., sort_keys=True)
+
+
+class _Texts:
+    """A JSON array given by the texts of its items, which may be produced
+    while the output is written."""
+
+    def __init__(self, items: Iterable[str]):
+        self.items = items
+
+
+def _bag_text(b: Bag, memo: dict, keep: bool) -> str:
+    """Text of ``{"bag": [...]}`` for ``b``.  Element texts are looked up in
+    ``memo`` by object identity, as ``id -> (element, text)``: holding the
+    element keeps its id from being reused while the entry lives.  A new
+    element's entry is added to ``memo`` only when ``keep``."""
+    get = memo.get
+    parts = []
+    for e in b.elements:
+        hit = get(id(e))
+        if hit is None:
+            hit = (e, json_text(e))
+            if keep:
+                memo[id(e)] = hit
+        parts.append(hit[1])
+    return '{"bag": [' + ", ".join(parts) + "]}"
+
+
+def _exact_payload(entries) -> dict:
+    """Output of ``generate --backend exact``; each world is encoded as it is
+    written.  Nearly every element is the same object in many worlds (the
+    input rows, heads shared through the options memo), so each distinct
+    element is encoded once."""
+    memo: dict = {}
+    worlds = ('{"weight": ' + _ENCODER.encode(w) + ', "world": ' + _bag_text(v.bag, memo, keep=True) + "}"
+              for v, w in entries)
+    return {"backend": "exact", "worlds": _Texts(worlds)}
+
+
+def _mc_payload(worlds: Iterable[Bag], rows: Iterable[Value], samples: int, seed: int) -> dict:
+    """Output of ``generate --backend mc``.  Each world is encoded as it
+    arrives and then let go; the texts are kept, because a later world may
+    still raise.  Only the texts of ``rows``, the input rows that every
+    world shares, are kept from one world to the next."""
+    memo = {id(e): (e, json_text(e)) for e in rows}
+    texts = [_bag_text(w, memo, keep=False) for w in worlds]
+    return {"backend": "mc", "samples": samples, "seed": seed, "worlds": _Texts(texts)}
+
+
 def _emit(output: str, payload) -> None:
-    text = json.dumps(payload, sort_keys=True)
-    if output == "-":
-        sys.stdout.write(text + "\n")
+    """Write ``json.dumps(payload, sort_keys=True) + "\n"`` to ``output``
+    ("-" is stdout).  ``payload`` is a JSON value, or a dict whose values may
+    be ``_Texts``.  Everything but the ``_Texts`` items is encoded before the
+    output is opened; those items must not raise."""
+    if isinstance(payload, dict):
+        pieces: list = []
+        for k in sorted(payload):
+            v = payload[k]
+            pieces += [", " if pieces else "{", _ENCODER.encode(k), ": ",
+                       v if isinstance(v, _Texts) else _ENCODER.encode(v)]
+        pieces.append("}\n")
     else:
-        Path(output).write_text(text + "\n", encoding="utf-8")
+        pieces = [_ENCODER.encode(payload) + "\n"]
+    if output == "-":
+        _write(sys.stdout, pieces)
+    else:
+        with open(output, "w", encoding="utf-8") as f:
+            _write(f, pieces)
+
+
+def _write(f, pieces: list) -> None:
+    for p in pieces:
+        if isinstance(p, _Texts):
+            f.write("[")
+            for j, t in enumerate(p.items):
+                f.write(", " + t if j else t)
+            f.write("]")
+        else:
+            f.write(p)
 
 
 # ---------------------------------------------------------------------------

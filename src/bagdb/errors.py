@@ -60,9 +60,34 @@ class ProgramError(EngineError):
 
 
 class WorldEvalError(EngineError):
-    """Query evaluation failed inside one possible world."""
+    """Query evaluation failed inside one possible world.
 
-    def __init__(self, world, cause: EngineError):
+    The message names the world by ``index`` (the sample index of an mc
+    world, the entry index of an exact one) and its row count, and shows
+    only the start of its repr; ``world`` holds the whole world.
+    """
+
+    def __init__(self, world, cause: EngineError, index: int):
         self.world = world
         self.cause = cause
-        super().__init__(f"query failed in world {world!r}: {cause}")
+        self.index = index
+        rows = world.bag.elements
+        super().__init__(
+            f"query failed in world {index} ({len(rows)} rows: {_preview(rows)}): {cause}")
+
+
+_PREVIEW_CHARS = 200
+
+
+def _preview(rows) -> str:
+    """repr of the first rows, cut at about _PREVIEW_CHARS characters."""
+    parts, size = [], 0
+    for row in rows:
+        if size > _PREVIEW_CHARS:
+            break
+        parts.append(repr(row))
+        size += len(parts[-1]) + 2
+    text = ", ".join(parts)
+    if len(parts) < len(rows) or len(text) > _PREVIEW_CHARS:
+        text = text[:_PREVIEW_CHARS] + " ..."
+    return f"[{text}]"

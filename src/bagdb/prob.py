@@ -311,13 +311,13 @@ def exact_of(e: SamplerExpr) -> ExactDist:
 def pushforward_exact(q: Query, d: ExactDist, table: str = "db") -> ExactDist:
     """Transport an exact distribution over database bags through a query."""
     out: dict[Value, float] = {}
-    for world, w in d.entries:
+    for i, (world, w) in enumerate(d.entries):
         if not isinstance(world, BagV):
             raise EngineTypeError("pushforward needs a distribution over bags")
         try:
             r = eval_query(q, {table: world.bag})
         except EngineError as e:
-            raise WorldEvalError(world, e) from e
+            raise WorldEvalError(world, e, i) from e
         out[r] = out.get(r, 0.0) + w
     return ExactDist.from_weights(out)
 
@@ -356,5 +356,5 @@ def pushforward_mc(
         try:
             results.append(eval_query(q, {table: world}))
         except EngineError as e:
-            raise WorldEvalError(BagV(world), e) from e
+            raise WorldEvalError(BagV(world), e, i) from e
     return results

@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Iterable, Mapping, Optional
 
 from .errors import EngineTypeError, ParseError, SchemaError
@@ -360,6 +361,29 @@ def to_json(v: Value) -> Any:
         return {"tag": v.tag, "value": to_json(v.value)}
     if isinstance(v, BagV):
         return {"bag": [to_json(e) for e in v.bag.elements]}
+    raise EngineTypeError(f"cannot serialize {v!r}")
+
+
+def json_text(v: Value) -> str:
+    """``json.dumps(to_json(v), sort_keys=True)``, written directly: the
+    same text without building the intermediate objects."""
+    if isinstance(v, Tagged):
+        return '{"tag": ' + _json_str(v.tag) + ', "value": ' + json_text(v.value) + "}"
+    if isinstance(v, Tuple):
+        return "[" + ", ".join([json_text(it) for it in v.items]) + "]"
+    if isinstance(v, Str):
+        return _json_str(v.value)
+    if isinstance(v, Int):
+        return repr(v.value)
+    if isinstance(v, Real):
+        x = v.value
+        return repr(x) if math.isfinite(x) else ("Infinity" if x > 0 else "-Infinity")
+    if isinstance(v, Bool):
+        return "true" if v.value else "false"
+    if isinstance(v, Unit):
+        return "null"
+    if isinstance(v, BagV):
+        return '{"bag": [' + ", ".join([json_text(e) for e in v.bag.elements]) + "]}"
     raise EngineTypeError(f"cannot serialize {v!r}")
 
 

@@ -2,6 +2,8 @@
 query trees for the property suites."""
 from __future__ import annotations
 
+import math
+
 from hypothesis import strategies as st
 
 from bagdb.bags import Bag
@@ -28,6 +30,27 @@ def _compounds(inner):
 
 
 values = st.recursive(scalars, _compounds, max_leaves=8)
+
+# scalars whose JSON text is easy to get wrong: -0.0, infinities,
+# subnormals, ints past 64 bits, quotes, backslashes, control and
+# non-ASCII characters
+json_edge_scalars = st.one_of(
+    st.one_of(
+        st.integers(),
+        st.sampled_from([2**63, 2**64 + 1, -(2**63) - 1, 10**30]),
+    ).map(Int),
+    st.one_of(
+        st.floats(allow_nan=False, width=64),
+        st.sampled_from([-0.0, math.inf, -math.inf, 5e-324, -2.5e-320, 1e16, 1e-7]),
+    ).map(Real),
+    st.booleans().map(Bool),
+    st.one_of(
+        st.text(max_size=6),
+        st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t\r\x08\x0c", "é漢😀", "\u2028\u2029", "a\"b\\c"]),
+    ).map(Str),
+    st.just(UNIT),
+)
+json_edge_values = st.recursive(json_edge_scalars, _compounds, max_leaves=8)
 
 
 def bags(elements=values, max_size=6):

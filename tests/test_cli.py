@@ -1,14 +1,36 @@
 """Command-line interface: subcommands, exit codes, and reproducibility."""
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from bagdb.cli import main
+from bagdb.algebra import eval_query
+from bagdb.bags import Bag
+from bagdb.cli import (
+    _emit,
+    _exact_payload,
+    _mc_payload,
+    _stat_dist,
+    _stat_mean,
+    _stat_tuple_prob,
+    load_table,
+    main,
+)
+from bagdb.dsl import parse
+from bagdb.errors import EngineError
+from bagdb.pbmonad import parse_rules, run_rule_program
+from bagdb.prob import Seed
+from bagdb.values import BagV, Int, Real, Str, Tagged, to_json
+
+from strategies import json_edge_values, seeds
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DB = str(FIXTURES / "db.jsonl")
@@ -324,6 +346,17 @@ class TestGoldenOutput:
         name = f"{command}-{town}-seed{'max' if seed == U64_MAX else seed}.json"
         assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
+    @pytest.mark.parametrize("town", ["town", "town20"])
+    @pytest.mark.parametrize("stat", ["mean", "dist"])
+    def test_estimate_stat_is_byte_identical(self, capsys, stat, town):
+        # recorded before the output writer streamed; mean counts alarms,
+        # dist tallies the bags of alarmed houses
+        query = FIXTURES / ("alarm_count.query" if stat == "mean" else "alarms.query")
+        code, out, err = run(capsys, "estimate", "--db", str(FIXTURES / f"{town}.jsonl"), "--program", RULES,
+                             "--query", str(query), "--stat", stat, "--samples", "500", "--seed", "7")
+        assert code == 0, err
+        assert out.encode("utf-8") == (GOLDEN / f"estimate-{stat}-{town}-seed7.json").read_bytes()
+
     def test_exact_stdout_is_byte_identical(self, capsys):
         code, out, err = run(capsys, "generate", "--db", TOWN, "--program", RULES, "--backend", "exact")
         assert code == 0, err
@@ -336,3 +369,166 @@ class TestGoldenOutput:
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "ca64e8bfe38c16def23d6045d839f1eba03150be42bb62ab1803e93fc38c3e70")
+
+
+class TestOutput:
+    """``--output FILE`` gets the bytes stdout gets, and output is
+    all-or-nothing: a run that fails after some worlds were generated and
+    encoded writes nothing to stdout and creates no file."""
+
+    CASES = {
+        "query": ["query", "--db", DB, "--query", BLOCKBUSTERS],
+        "exact": ["generate", "--db", TOWN, "--program", RULES, "--backend", "exact"],
+        "mc": ["generate", "--db", TOWN, "--program", RULES, "--backend", "mc", "--samples", "50", "--seed", "7"],
+        "estimate": ["estimate", "--db", TOWN, "--program", RULES, "--query", ALARMS,
+                     "--samples", "200", "--seed", "7"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_file_gets_the_stdout_bytes(self, tmp_path, capsys, case):
+        code, out, err = run(capsys, *self.CASES[case])
+        assert code == 0, err
+        target = tmp_path / "out.json"
+        code, rest, err = run(capsys, *self.CASES[case], "--output", str(target))
+        assert code == 0 and rest == "", err
+        assert target.read_bytes() == out.encode("utf-8")
+
+    def failed_run(self, tmp_path, capsys, *argv):
+        """Run argv to stdout and to a file; both must fail the same way
+        without writing anything.  Returns (exit code, stderr)."""
+        target = tmp_path / "out.json"
+        code, out, err = run(capsys, *argv)
+        assert out == ""
+        assert run(capsys, *argv, "--output", str(target)) == (code, "", err)
+        assert not target.exists()
+        return code, err
+
+    def test_mc_world_after_the_first_raises(self, tmp_path, capsys):
+        rules = tmp_path / "dyn.rules"
+        rules.write_text("level(x, normal(0.5, 0.3)) <- address(x, c)\n"
+                         "tripped(x, bernoulli(p)) <- level(x, p)\n")
+        sampler = run_rule_program(parse_rules(rules.read_text()), load_table(Path(TOWN))[1], "mc", seed=Seed(3))
+        for i in range(5):
+            sampler.world(i)  # encoded before world 5 raises
+        code, err = self.failed_run(tmp_path, capsys, "generate", "--db", TOWN, "--program", str(rules),
+                                    "--backend", "mc", "--samples", "50", "--seed", "3")
+        assert code == 3
+        assert err == "bagdb: bernoulli parameter -0.03678494652555164 outside [0, 1]\n"
+
+    def test_exact_world_limit(self, tmp_path, capsys):
+        db = tmp_path / "coins.jsonl"
+        db.write_text("".join(f'{{"tag": "coin", "value": {i}}}\n' for i in range(21)))
+        rules = tmp_path / "flip.rules"
+        rules.write_text("flip(x, bernoulli(0.5)) <- coin(x)\n")
+        code, err = self.failed_run(tmp_path, capsys, "generate", "--db", str(db), "--program", str(rules))
+        assert code == 4
+        assert err == ("bagdb: resource limit: exact enumeration exceeds 1000000 worlds; "
+                       "rerun with the mc backend\n")
+
+    def test_estimate_query_fails_in_a_later_world(self, tmp_path, capsys):
+        # 100 houses in 10 cities; the query adds a string and an int,
+        # which it reaches only in worlds with an earthquake
+        rows = [{"tag": "address", "value": [f"H{i:03d}", f"C{i % 10}"]} for i in range(100)]
+        rows += [{"tag": "crimechance", "value": [f"C{c}", 0.3]} for c in range(10)]
+        db = str(tmp_path / "town.jsonl")
+        Path(db).write_text("".join(json.dumps(r) + "\n" for r in rows))
+        q = tmp_path / "quake.query"
+        q.write_text("table world |> match earthquake as (c, q) |> select (.q = 1) |> map (.c + 1)\n")
+        code, err = self.failed_run(tmp_path, capsys, "estimate", "--db", db, "--program", RULES,
+                                    "--query", str(q), "--samples", "50", "--seed", "7", "--stat", "dist")
+        assert code == 3
+        sampler = run_rule_program(parse_rules(Path(RULES).read_text()), load_table(Path(db))[1], "mc",
+                                   seed=Seed(7))
+        ast = parse(q.read_text())
+        for i in range(50):
+            world = sampler.world(i)
+            try:
+                eval_query(ast, {"world": world})
+            except EngineError as e:
+                cause = e
+                break
+        assert i > 0
+        assert err.startswith(f"bagdb: query failed in world {i} ({len(world)} rows: [Tagged(")
+        assert err.endswith(f" ...]): {cause}\n")
+        assert len(err.encode("utf-8")) < 1024
+
+
+class TestStreamedOutput:
+    """The writer prints exactly ``json.dumps(payload, sort_keys=True) +
+    "\\n"`` for each payload the CLI writes."""
+
+    @staticmethod
+    def emitted(payload) -> str:
+        real, sys.stdout = sys.stdout, io.StringIO()
+        try:
+            _emit("-", payload)
+            return sys.stdout.getvalue()
+        finally:
+            sys.stdout = real
+
+    @staticmethod
+    def dumped(payload) -> str:
+        return json.dumps(payload, sort_keys=True) + "\n"
+
+    @given(json_edge_values)
+    def test_query(self, v):
+        assert self.emitted(to_json(v)) == self.dumped(to_json(v))
+
+    @given(st.data())
+    def test_exact(self, data):
+        # worlds draw their elements from one pool, so the same object
+        # recurs within and across worlds, as in the exact backend
+        pool = data.draw(st.lists(json_edge_values, max_size=6))
+        element = st.sampled_from(pool) | json_edge_values if pool else json_edge_values
+        world = st.lists(element, max_size=5).map(lambda xs: BagV(Bag.of(xs)))
+        weight = st.floats(allow_nan=False) | st.sampled_from([-0.0, math.inf, -math.inf, 5e-324])
+        entries = data.draw(st.lists(st.tuples(world, weight), max_size=5))
+        plain = {"backend": "exact", "worlds": [{"weight": w, "world": to_json(v)} for v, w in entries]}
+        assert self.emitted(_exact_payload(entries)) == self.dumped(plain)
+
+    @given(st.data())
+    def test_mc(self, data):
+        rows = data.draw(st.lists(json_edge_values, max_size=4))
+        element = st.sampled_from(rows) | json_edge_values if rows else json_edge_values
+        worlds = data.draw(st.lists(st.lists(element, max_size=5).map(Bag.of), max_size=5))
+        samples, seed = data.draw(st.integers(1, 10**4)), data.draw(seeds)
+        plain = {"backend": "mc", "samples": samples, "seed": seed, "worlds": [to_json(BagV(w)) for w in worlds]}
+        assert self.emitted(_mc_payload(iter(worlds), rows, samples, seed)) == self.dumped(plain)
+
+    def test_memo_is_keyed_by_identity(self):
+        # Int(-1) and Int(-2) hash alike in CPython
+        entries = [(BagV(Bag.of([Int(-1)])), 0.5), (BagV(Bag.of([Int(-2)])), 0.5)]
+        plain = {"backend": "exact", "worlds": [{"weight": w, "world": to_json(v)} for v, w in entries]}
+        assert self.emitted(_exact_payload(entries)) == self.dumped(plain)
+
+    def test_mc_lets_each_world_go(self):
+        # a world's own rows are freed once the world after it is encoded
+        # (the loop still holds a world while it asks for the next one);
+        # the input rows stay
+        rows = [Tagged("address", Str("H1"))]
+        refs: list[list] = []
+
+        def worlds():
+            for i in range(4):
+                assert all(r() is None for old in refs[:-1] for r in old)
+                fresh = [Tagged("alarm", Int(i)), Tagged("alarm", Int(i + 1))]
+                refs.append([weakref.ref(e) for e in fresh])
+                yield Bag.of(rows + fresh)
+
+        payload = _mc_payload(worlds(), rows, 4, 0)
+        assert all(r() is None for old in refs for r in old)
+        assert self.emitted(payload).count('{"tag": "address", "value": "H1"}') == 4
+
+    @given(st.lists(json_edge_values, min_size=1, max_size=6), st.sampled_from(["tuple-prob", "dist", "mean"]))
+    def test_estimate(self, results, stat):
+        n = len(results)
+        payload = {"stat": stat, "samples": n, "seed": 7}
+        if stat == "tuple-prob":
+            payload["results"] = _stat_tuple_prob(results, n)
+        elif stat == "dist":
+            payload["results"] = _stat_dist(results, n)
+        else:
+            numbers = [r for r in results if isinstance(r, (Int, Real)) and abs(r.value) < 1e300]
+            assume(numbers)
+            payload.update(_stat_mean(numbers))
+        assert self.emitted(payload) == self.dumped(payload)

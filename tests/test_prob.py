@@ -306,6 +306,26 @@ class TestPushforward:
         with pytest.raises(WorldEvalError):
             pushforward_exact(q, d)
 
+    def test_world_errors_name_the_index(self):
+        # sum fails on the 300-string world only: entry 1 of the exact
+        # distribution (Int rows sort first) and sample 3 of the mc one
+        q = Agg("sum", Table("db"))
+        big = Bag.of([Str(f"s{i:03d}") for i in range(300)])
+        d = ExactDist.from_weights({BagV(ints(1)): 0.5, BagV(big): 0.5})
+
+        class Sampler:
+            def world(self, i):
+                return big if i == 3 else ints(i)
+
+        for index, run in ((1, lambda: pushforward_exact(q, d)), (3, lambda: pushforward_mc(q, Sampler(), 5))):
+            with pytest.raises(WorldEvalError) as ei:
+                run()
+            e = ei.value
+            assert e.index == index and e.world == BagV(big)
+            assert str(e).startswith(f"query failed in world {index} (300 rows: [Str('s000'), Str('s001'), ")
+            assert str(e).endswith(f" ...]): {e.cause}")
+            assert len(str(e)) < 400
+
     def test_mc_pushforward_deterministic(self):
         q = Agg("size", Table("db"))
         gen = MapS(

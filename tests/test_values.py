@@ -1,4 +1,5 @@
 """Value order, schemas, and the JSON codec."""
+import json
 import math
 
 import pytest
@@ -28,13 +29,14 @@ from bagdb.values import (
     deserialize,
     from_json,
     infer_schema,
+    json_text,
     serialize,
     to_json,
     typecheck,
     unify_schema,
 )
 
-from strategies import values
+from strategies import json_edge_values, values
 
 
 class TestConstruction:
@@ -180,6 +182,14 @@ class TestJson:
 
     def test_real_infinity_serializes(self):
         assert deserialize(serialize(Real(math.inf))) == Real(math.inf)
+
+    @given(json_edge_values)
+    def test_json_text_is_json_dumps(self, v):
+        assert json_text(v) == json.dumps(to_json(v), sort_keys=True)
+
+    def test_json_text_rejects_non_values(self):
+        with pytest.raises(EngineTypeError):
+            json_text(3)
 
 
 class TestSchemas:
