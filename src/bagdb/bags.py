@@ -4,8 +4,9 @@ and unit/map/bind/flatten/strength.
 
 A Bag stores its elements as a tuple sorted in the canonical value order,
 so equal bags are equal tuples and every operation that returns a Bag
-returns a canonical one.  Construct through ``Bag.of`` unless the input is
-already sorted.
+returns a canonical one.  Construct through ``Bag.of``, and add elements
+to a bag through ``Bag.merged``, which places them without re-sorting it.
+Only this module builds a bag's ``key``.
 """
 from __future__ import annotations
 
@@ -13,12 +14,15 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import EngineTypeError
 from .values import BagV, Tuple, Value
 
 A = TypeVar("A")
+
+_KEY = attrgetter("key")
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,15 +31,7 @@ class Bag:
 
     @classmethod
     def of(cls, items: Iterable[Value]) -> "Bag":
-        return cls(tuple(sorted(items, key=lambda v: v.key)))
-
-    @classmethod
-    def presorted(cls, elements: tuple[Value, ...], key: tuple) -> "Bag":
-        """A Bag of elements already in canonical order, given with its
-        ``key`` (the elements' keys in that order), which is kept."""
-        bag = cls(elements)
-        bag.__dict__["key"] = key  # where cached_property would store it
-        return bag
+        return cls(tuple(sorted(items, key=_KEY)))
 
     @cached_property
     def key(self) -> tuple:
@@ -69,18 +65,43 @@ class Bag:
     def count(self, x: Value) -> int:
         """Multiplicity of ``x``."""
         k = x.key
-        lo = bisect_left(self.elements, k, key=lambda e: e.key)
-        hi = bisect_right(self.elements, k, key=lambda e: e.key)
-        return hi - lo
+        return bisect_right(self.key, k) - bisect_left(self.key, k)
+
+    def merged(self, items: Iterable[Value]) -> "Bag":
+        """``Bag.of([*self, *items])`` without re-sorting self: the items,
+        sorted by key, are spliced in after the elements equal to them, as
+        the stable sort would place them, and the new bag's key is spliced
+        from this one's."""
+        new = sorted(items, key=_KEY)
+        if not new:
+            return self
+        elements, keys = self.elements, self.key
+        n = len(keys)
+        elems: list[Value] = []
+        ks: list[tuple] = []
+        start = 0  # self's elements before it are placed
+        for x in new:
+            k = x.key
+            if start < n and not k < keys[start]:  # else x goes at start: no bisect
+                pos = bisect_right(keys, k, start + 1)
+                elems += elements[start:pos]
+                ks += keys[start:pos]
+                start = pos
+            elems.append(x)
+            ks.append(k)
+        elems += elements[start:]
+        ks += keys[start:]
+        bag = Bag(tuple(elems))
+        bag.__dict__["key"] = tuple(ks)  # where cached_property would store it
+        return bag
 
     def add(self, x: Value) -> "Bag":
         """Insert one copy of ``x``, keeping the canonical order."""
-        i = bisect_right(self.elements, x.key, key=lambda e: e.key)
-        return Bag(self.elements[:i] + (x,) + self.elements[i:])
+        return self.merged((x,))
 
     def remove(self, x: Value) -> "Bag":
         """Drop one copy of ``x`` if present, else return self unchanged."""
-        i = bisect_left(self.elements, x.key, key=lambda e: e.key)
+        i = bisect_left(self.key, x.key)
         if i < len(self.elements) and self.elements[i] == x:
             return Bag(self.elements[:i] + self.elements[i + 1:])
         return self
@@ -95,7 +116,7 @@ class Bag:
 
     def uplus(self, other: "Bag") -> "Bag":
         """Multiset sum; multiplicities add."""
-        return Bag.of(self.elements + other.elements)
+        return self.merged(other.elements)
 
     def map(self, f: Callable[[Value], Value]) -> "Bag":
         return Bag.of(f(x) for x in self.elements)

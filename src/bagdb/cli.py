@@ -35,7 +35,7 @@ from .errors import (
     WorldEvalError,
 )
 from .pbmonad import PBSampler, parse_rules, run_rule_program
-from .prob import ExactDist, Seed
+from .prob import ExactDist, Seed, pushforward
 from .values import (
     BagV,
     Int,
@@ -143,14 +143,8 @@ def cmd_estimate(args) -> int:
     seed = Seed(args.seed)
     sampler = run_rule_program(prog, _merged_input(catalog), "mc", seed=seed)
     assert isinstance(sampler, PBSampler)
-    results: list[Value] = []
-    for i in range(args.samples):
-        w = sampler.world(i)
-        try:
-            results.append(eval_query(ast, {WORLD_TABLE: w}))
-        except EngineError as e:
-            raise WorldEvalError(BagV(w), e, i) from e
     n = args.samples
+    results = pushforward(ast, (sampler.world(i) for i in range(n)), WORLD_TABLE)
     payload = {"stat": args.stat, "samples": n, "seed": args.seed}
     if args.stat == "tuple-prob":
         payload["results"] = _stat_tuple_prob(results, n)
@@ -166,20 +160,25 @@ def _ci3(phat: float, n: int) -> float:
     return 3.0 * math.sqrt(phat * (1.0 - phat) / n)
 
 
-def _stat_tuple_prob(results: list[Value], n: int) -> list[dict]:
+def _tally_rows(tally: dict[Value, int], n: int) -> list[dict]:
+    """One row per value in canonical order: its share of the n worlds."""
+    out = []
+    for v in sorted(tally, key=lambda v: v.key):
+        phat = tally[v] / n
+        out.append({"value": to_json(v), "p": phat, "ci3": _ci3(phat, n)})
+    return out
+
+
+def _stat_tuple_prob(results: Iterable[Value], n: int) -> list[dict]:
     presence: dict[Value, int] = {}
     for r in results:
         distinct = set(r.bag.elements) if isinstance(r, BagV) else {r}
         for v in distinct:
             presence[v] = presence.get(v, 0) + 1
-    out = []
-    for v in sorted(presence, key=lambda v: v.key):
-        phat = presence[v] / n
-        out.append({"value": to_json(v), "p": phat, "ci3": _ci3(phat, n)})
-    return out
+    return _tally_rows(presence, n)
 
 
-def _stat_mean(results: list[Value]) -> dict:
+def _stat_mean(results: Iterable[Value]) -> dict:
     nums: list[float] = []
     for r in results:
         elems = r.bag.elements if isinstance(r, BagV) else (r,)
@@ -196,15 +195,11 @@ def _stat_mean(results: list[Value]) -> dict:
     return {"n": count, "mean": mean, "stddev": stddev, "ci3": 3.0 * stddev / math.sqrt(count)}
 
 
-def _stat_dist(results: list[Value], n: int) -> list[dict]:
+def _stat_dist(results: Iterable[Value], n: int) -> list[dict]:
     tally: dict[Value, int] = {}
     for r in results:
         tally[r] = tally.get(r, 0) + 1
-    out = []
-    for v in sorted(tally, key=lambda v: v.key):
-        phat = tally[v] / n
-        out.append({"value": to_json(v), "p": phat, "ci3": _ci3(phat, n)})
-    return out
+    return _tally_rows(tally, n)
 
 
 # ---------------------------------------------------------------------------

@@ -774,14 +774,15 @@ def _pp_expr(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # Schema checker
 
-RowSchema = Optional[Schema]  # None = row type unknown (provably empty bag)
+RowSchema = Optional[Schema]  # None = row type unknown (no rows observed)
 
 
 def check(q: Query, catalog: Mapping[str, Optional[Schema]]) -> Schema:
     """Compute the result schema of a query, or raise a type error.
 
     Catalog values may be row schemas or BagT table schemas; None marks a
-    table whose rows were never observed (empty input).
+    table whose rows were never observed: an empty input, or the world
+    table of ``estimate``, whose rows are only known once it is sampled.
     """
     rows: dict[str, RowSchema] = {}
     for name, s in catalog.items():
@@ -874,9 +875,7 @@ def check(q: Query, catalog: Mapping[str, Optional[Schema]]) -> Schema:
             if node.kind == "size":
                 return IntT()
             if node.kind == "the":
-                if elem is None:
-                    raise EngineTypeError("`the` on a provably empty bag")
-                return elem
+                return elem  # None: unknown; an empty bag fails when evaluated
             if node.kind == "sum":
                 if elem is None:
                     return IntT()
@@ -925,7 +924,7 @@ def _narrow(pred: Expr, row: Schema) -> Schema:
 
 def expr_schema(e: Expr, row: RowSchema) -> Optional[Schema]:
     """Schema of an expression over rows of the given schema; None when it
-    cannot be determined (only happens over provably empty inputs)."""
+    cannot be determined (only happens over rows never observed)."""
     if isinstance(e, Field):
         if row is None:
             return None

@@ -18,13 +18,13 @@ applies a rule to a world as the Kleisli extension through the
 distributive law, in product form: every choice of one head option per
 match, added to the world, with the product of their weights.
 
-The exact rule step is incremental.  A world's rows of one tag are one
-run of its sorted elements, found by bisection.  A rule's head options
-depend only on the rows it reads whose tag an earlier rule produces, so
-within one step they are computed once per distinct set of those rows
-and shared by the worlds that have it.  Each choice's heads are inserted
-into the sorted world where ``Bag.of`` would put them, and the new bag's
-key is spliced from the world's, so no world is re-sorted.
+Both backends step one canonical world bag through the same plans.  A
+world's rows of one tag are one run of its sorted elements, found by
+bisection, and a rule's heads are added to the world with ``Bag.merged``,
+so no world is re-sorted.  The exact rule step is incremental: a rule's
+head options depend only on the rows it reads whose tag an earlier rule
+produces, so within one step they are computed once per distinct set of
+those rows and shared by the worlds that have it.
 """
 from __future__ import annotations
 
@@ -32,8 +32,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import product as iproduct
 from math import prod
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebra import Cmp, Const, eval_expr, tuple_parts
 from .bags import EMPTY, Bag, unit
@@ -65,8 +65,6 @@ DEFAULT_WORLD_LIMIT = 10**6
 # The distributive law's input: for each element, its (value, weight) options.
 Options = Sequence[Sequence[tuple[Value, float]]]
 
-_BY_KEY = itemgetter(1)  # an option placed by _distr_into: (insertion point, key, value, weight)
-
 
 # ---------------------------------------------------------------------------
 # Distributive law
@@ -76,27 +74,12 @@ def _distr_into(out: dict[Value, float], options: Options, base: Bag, weight: fl
     """The distributive law in product form: every choice of one option
     per element, in lexicographic order, is added to ``base`` and weighs
     ``weight * w1 * w2 * ...`` (multiplied left to right), summed into
-    ``out`` under the resulting bag.  A choice's values are inserted into
-    the sorted base after the elements equal to them, where ``Bag.of``'s
-    stable sort puts them, and the bag's key is spliced from the base's."""
-    elements, keys = base.elements, base.key
-    placed = [[(bisect_right(keys, x.key), x.key, x, w) for x, w in opts] for opts in options]
-    for combo in iproduct(*placed):
+    ``out`` under the resulting bag, ``base.merged`` of the values."""
+    for combo in iproduct(*options):
         p = weight
-        for _, _, _, w in combo:
+        for _, w in combo:
             p *= w
-        elems: list[Value] = []
-        ks: list[tuple] = []
-        start = 0
-        for pos, k, x, _ in sorted(combo, key=_BY_KEY):
-            elems += elements[start:pos]
-            elems.append(x)
-            ks += keys[start:pos]
-            ks.append(k)
-            start = pos
-        elems += elements[start:]
-        ks += keys[start:]
-        bv = BagV(Bag.presorted(tuple(elems), tuple(ks)))
+        bv = BagV(base.merged([x for x, _ in combo]))
         out[bv] = out.get(bv, 0.0) + p
 
 
@@ -426,20 +409,9 @@ def run_rule_program(
 # ---------------------------------------------------------------------------
 # Compiled rule programs (both backends)
 
-_KEY = attrgetter("key")
-
 # Heads memoised per match of a static rule, at most: bernoulli draws need
 # two, a continuous draw never repeats and must not grow the memo forever.
 _HEAD_MEMO_CAP = 32
-
-
-def _group_by_tag(rows: Iterable[Value]) -> dict[str, list[Value]]:
-    """Tagged rows per tag, in the order given (bag order for a Bag)."""
-    groups: dict[str, list[Value]] = {}
-    for v in rows:
-        if isinstance(v, Tagged):
-            groups.setdefault(v.tag, []).append(v)
-    return groups
 
 
 _TAG_PREFIX = itemgetter(slice(0, 2))
@@ -518,17 +490,15 @@ class _RulePlan:
     rule whose tag no earlier rule produces keep their index likewise.
     """
 
-    def __init__(self, k: int, rule: Rule, produced_before: set[str], feeds_later: bool):
+    def __init__(self, k: int, rule: Rule, produced_before: set[str]):
         self.k = k
         self.rule = rule
-        self.feeds_later = feeds_later  # a later rule reads the head tag
         slot_of: dict[str, int] = {}
         self.atoms = [_AtomPlan(a, slot_of) for a in rule.atoms]
         self.names = tuple(slot_of)  # variables in env slot order
         self.varying = [a.tag in produced_before for a in rule.atoms]
         self.static = not any(self.varying)
-        self.tags = tuple(dict.fromkeys(a.tag for a in rule.atoms))
-        self.varying_tags = tuple(t for t in self.tags if t in produced_before)
+        self.varying_tags = tuple(dict.fromkeys(a.tag for a in rule.atoms if a.tag in produced_before))
         self.fixed_index: list[Optional[dict]] = [None] * len(self.atoms)
         self.dist = next((n for n, t in enumerate(rule.head_terms) if isinstance(t, DistT)), -1)
         # static rules only, filled lazily
@@ -537,13 +507,14 @@ class _RulePlan:
         self.memos: list[dict[Value, Value]] = []
         self.heads: Optional[list[Value]] = None
 
-    def matches(self, rows: Mapping[str, Sequence[Value]]) -> list[dict[str, Value]]:
-        """``rule_matches`` against a world given as its tagged rows per tag."""
+    def matches(self, world: Bag) -> list[dict[str, Value]]:
+        """``rule_matches`` against a canonical world.  An atom whose index
+        is not kept reads its tag's run of the world, ``_tag_span``."""
         envs: list[tuple[Value, ...]] = [()]
         for n, ap in enumerate(self.atoms):
             index = None if self.varying[n] else self.fixed_index[n]
             if index is None:
-                index = ap.index(rows.get(ap.tag, ()))
+                index = ap.index(world.elements[_tag_span(world, ap.tag)])
                 if not self.varying[n]:
                     self.fixed_index[n] = index
             nxt = []
@@ -561,22 +532,22 @@ class _RulePlan:
                  for n, t in enumerate(self.rule.head_terms)]
         return _make_head(self.rule.head_tag, parts)  # type: ignore[arg-type]
 
-    def options(self, rows: Mapping[str, Sequence[Value]]) -> Options:
+    def options(self, world: Bag) -> Options:
         """The possible heads of each match with their probabilities, in
         match order.  For each match the parameter check comes before the
         ``NotFiniteError`` of a continuous head."""
-        envs = self.matches(rows)
+        envs = self.matches(world)
         if self.dist < 0:
             return [[(self.head(env), 1.0)] for env in envs]
         dist = self.rule.head_terms[self.dist]
         return [[(self.head(env, z), w) for z, w in exact_of(_dist_sampler(dist, env)).entries]  # type: ignore[arg-type]
                 for env in envs]
 
-    def fire(self, rows: Mapping[str, Sequence[Value]], seed: Seed, i: int) -> list[Value]:
-        """The heads this rule appends in world i, in match order.  The
-        draw of match j uses the stream of seed/(rule, i, j)."""
+    def fire(self, world: Bag, seed: Seed, i: int) -> list[Value]:
+        """The heads this rule adds to world i, in match order.  The draw
+        of match j uses the stream of seed/(rule, i, j)."""
         if not self.static:
-            envs = self.matches(rows)
+            envs = self.matches(world)
             if self.dist < 0 or not envs:
                 return [self.head(env) for env in envs]
             prefix = seed.child(self.k).child(i).hasher()  # raises for i >= 2**64
@@ -586,7 +557,7 @@ class _RulePlan:
                 for j, env in enumerate(envs)
             ]
         if self.envs is None:
-            self.envs = self.matches(rows)
+            self.envs = self.matches(world)
         envs = self.envs
         if self.dist < 0 or not envs:
             if self.heads is None:
@@ -625,8 +596,7 @@ def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> Exac
         reads = tuple([world.key[_tag_span(world, tag)] for tag in plan.varying_tags])
         options = memo.get(reads)
         if options is None:
-            rows = {tag: world.elements[_tag_span(world, tag)] for tag in plan.tags}
-            options = memo[reads] = plan.options(rows)
+            options = memo[reads] = plan.options(world)
         processed += prod(map(len, options))
         if processed > max_worlds:
             raise ResourceLimitError(
@@ -640,40 +610,30 @@ def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> Exac
 
 
 class _CompiledProgram:
-    """A rule program compiled once: the exact backend steps through its
-    plans, and ``world(i)`` samples mc world i.  In a sampled world rows
-    are kept per tag, and a rule's heads are merged into their tag's rows
-    only when a later rule reads that tag; the world bag is built once, at
-    the end."""
+    """A rule program compiled once: the exact backend steps every world
+    through its plans, and ``world(i)`` samples mc world i by stepping the
+    input bag through them, adding each rule's heads with ``Bag.merged``."""
 
     def __init__(self, prog: RuleProgram, b: Bag, seed: Optional[Seed]):
         self.base = b
         self.seed = seed
-        self.groups = _group_by_tag(b)
         self.plans: list[_RulePlan] = []
         produced: set[str] = set()
         for k, rule in enumerate(prog.rules):
-            read_later = {a.tag for r in prog.rules[k + 1:] for a in r.atoms}
-            self.plans.append(_RulePlan(k, rule, produced, rule.head_tag in read_later))
+            self.plans.append(_RulePlan(k, rule, produced))
             produced.add(rule.head_tag)
 
     def world(self, i: int) -> Bag:
-        rows = dict(self.groups)
-        heads: list[Value] = []
+        world = self.base
         for plan in self.plans:
-            new = plan.fire(rows, self.seed, i)
-            if new:
-                heads += new
-                if plan.feeds_later:
-                    tag = plan.rule.head_tag
-                    rows[tag] = sorted([*rows.get(tag, ()), *new], key=_KEY)
-        return Bag.of([*self.base, *heads])
+            world = world.merged(plan.fire(world, self.seed, i))
+        return world
 
 
 def indexed_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
     """``rule_matches`` computed the compiled way, through order-keeping
     hash indexes: the same envs in the same order."""
-    return _RulePlan(0, rule, set(), False).matches(_group_by_tag(bag))
+    return _RulePlan(0, rule, set()).matches(bag)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .algebra import Query, eval_query
+from . import algebra
+from .algebra import Query
 from .bags import Bag
 from .errors import (
     EngineError,
@@ -308,16 +309,29 @@ def exact_of(e: SamplerExpr) -> ExactDist:
 # Pushforward
 
 
+def pushforward(q: Query, worlds: Iterable[Bag], table: str = "db") -> Iterator[Value]:
+    """The query's result in each world, in order, computed as the world
+    arrives.  A failure in world i raises ``WorldEvalError`` naming i."""
+    for i, world in enumerate(worlds):
+        try:
+            # looked up per call, so that a wrapper installed on
+            # ``algebra.eval_query`` sees every world
+            yield algebra.eval_query(q, {table: world})
+        except EngineError as e:
+            raise WorldEvalError(BagV(world), e, i) from e
+
+
+def _world_bag(v: Value, message: str) -> Bag:
+    if not isinstance(v, BagV):
+        raise EngineTypeError(message)
+    return v.bag
+
+
 def pushforward_exact(q: Query, d: ExactDist, table: str = "db") -> ExactDist:
     """Transport an exact distribution over database bags through a query."""
+    worlds = (_world_bag(v, "pushforward needs a distribution over bags") for v, _ in d.entries)
     out: dict[Value, float] = {}
-    for i, (world, w) in enumerate(d.entries):
-        if not isinstance(world, BagV):
-            raise EngineTypeError("pushforward needs a distribution over bags")
-        try:
-            r = eval_query(q, {table: world.bag})
-        except EngineError as e:
-            raise WorldEvalError(world, e, i) from e
+    for r, (_, w) in zip(pushforward(q, worlds, table), d.entries):
         out[r] = out.get(r, 0.0) + w
     return ExactDist.from_weights(out)
 
@@ -340,21 +354,11 @@ def pushforward_mc(
             raise EngineTypeError("sampling a SamplerExpr needs a seed")
 
         def world_at(i: int) -> Bag:
-            v = sample(sampler, seed.child(i))
-            if not isinstance(v, BagV):
-                raise EngineTypeError("world sampler must produce bags")
-            return v.bag
+            return _world_bag(sample(sampler, seed.child(i)), "world sampler must produce bags")
 
     elif hasattr(sampler, "world"):
         world_at = sampler.world
     else:
         raise EngineTypeError("sampler must be a SamplerExpr or have a world(index) method")
 
-    results: list[Value] = []
-    for i in range(n):
-        world = world_at(i)
-        try:
-            results.append(eval_query(q, {table: world}))
-        except EngineError as e:
-            raise WorldEvalError(BagV(world), e, i) from e
-    return results
+    return list(pushforward(q, map(world_at, range(n)), table))

@@ -269,6 +269,27 @@ class TestEstimate:
         )[0]
         assert code == 3
 
+    def test_the_over_the_world_table(self, tmp_path, capsys):
+        # the world table's rows are unknown until it is sampled, not
+        # provably empty: `the` is the first row of each world, the H1
+        # address of town.jsonl
+        q = tmp_path / "first.query"
+        q.write_text("table world |> agg the\n")
+        code, out, err = run(capsys, "estimate", "--db", TOWN, "--program", RULES,
+                             "--query", str(q), "--samples", "20", "--seed", "3")
+        assert (code, err) == (0, "")
+        first = {"tag": "address", "value": ["H1", "C1"]}
+        assert json.loads(out)["results"] == [{"value": first, "p": 1.0, "ci3": 0.0}]
+
+    def test_the_over_an_empty_table_fails_when_run(self, tmp_path, capsys):
+        empty = tmp_path / "t.jsonl"
+        empty.write_text("")
+        q = tmp_path / "first.query"
+        q.write_text("table t |> agg the\n")
+        code, out, err = run(capsys, "query", "--db", str(empty), "--query", str(q))
+        assert (code, out) == (3, "")
+        assert err == "bagdb: `the` applied to an empty bag\n"
+
     def test_workers_stable(self, capsys):
         base = (
             "estimate", "--db", TOWN, "--program", RULES,
@@ -451,6 +472,27 @@ class TestOutput:
         assert err.startswith(f"bagdb: query failed in world {i} ({len(world)} rows: [Tagged(")
         assert err.endswith(f" ...]): {cause}\n")
         assert len(err.encode("utf-8")) < 1024
+
+    def test_mean_fails_at_the_first_non_numeric_world(self, tmp_path, capsys):
+        # the query of test_estimate_query_fails_in_a_later_world, plus the
+        # city names, which are not numbers: the mean statistic reads each
+        # result as its world is sampled, so it fails at world 0, before
+        # the world whose query raises
+        rows = [{"tag": "address", "value": [f"H{i:03d}", f"C{i % 10}"]} for i in range(100)]
+        rows += [{"tag": "crimechance", "value": [f"C{c}", 0.3]} for c in range(10)]
+        db = str(tmp_path / "town.jsonl")
+        Path(db).write_text("".join(json.dumps(r) + "\n" for r in rows))
+        q = tmp_path / "quake.query"
+        q.write_text("table world |> match earthquake as (c, q) |> select (.q = 1) |> map (.c + 1)"
+                     " |> dunion (table world |> match crimechance as (c, r) |> map (.c))\n")
+        code, err = self.failed_run(tmp_path, capsys, "estimate", "--db", db, "--program", RULES,
+                                    "--query", str(q), "--samples", "50", "--seed", "7", "--stat", "mean")
+        assert code == 3
+        assert err == "bagdb: mean statistic needs numeric results, got Str('C0')\n"
+        code, err = self.failed_run(tmp_path, capsys, "estimate", "--db", db, "--program", RULES,
+                                    "--query", str(q), "--samples", "50", "--seed", "7", "--stat", "dist")
+        assert code == 3
+        assert err.startswith("bagdb: query failed in world 4 ")
 
 
 class TestStreamedOutput:

@@ -42,7 +42,7 @@ from bagdb.pbmonad import (
     run_rule_program,
     validate_program,
 )
-from bagdb.pbmonad import _RulePlan, _dist_sampler, _distr_into, _group_by_tag, _make_head, _resolve, _tag_span
+from bagdb.pbmonad import _RulePlan, _dist_sampler, _distr_into, _make_head, _resolve, _tag_span
 from bagdb.prob import Bernoulli, Dirac, ExactDist, Normal, Seed, dirac, draw_from, exact_of
 from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple, deserialize
 
@@ -897,6 +897,16 @@ def town4():
     """The 4-house town of the golden files: 706 worlds."""
     text = (Path(__file__).parent / "fixtures" / "town4.jsonl").read_text(encoding="utf-8")
     return Bag.of(deserialize(line) for line in text.splitlines() if line.strip())
+
+
+def _group_by_tag(rows):
+    """Tagged rows per tag, in the order given: the reference for
+    ``_tag_span``."""
+    groups = {}
+    for v in rows:
+        if isinstance(v, Tagged):
+            groups.setdefault(v.tag, []).append(v)
+    return groups
 
 
 def count_options(monkeypatch):
