@@ -30,7 +30,7 @@ from .errors import (
     ResourceLimitError,
     UnknownTableError,
 )
-from .values import BagV, Bool, Int, Real, Tagged, Tuple, Value, compare
+from .values import BagV, Bool, Int, Real, Tagged, Tuple, Value, compare, tagged
 
 DEFAULT_POWERBAG_LIMIT = 1 << 20
 
@@ -205,16 +205,7 @@ def eval_expr(e: Expr, row: Value) -> Value:
     if isinstance(e, MkTuple):
         return Tuple(tuple(eval_expr(it, row) for it in e.items))
     if isinstance(e, MkTagged):
-        vals = tuple(eval_expr(a, row) for a in e.args)
-        if len(vals) == 0:
-            from .values import UNIT
-
-            payload: Value = UNIT
-        elif len(vals) == 1:
-            payload = vals[0]
-        else:
-            payload = Tuple(vals)
-        return Tagged(e.tag, payload)
+        return tagged(e.tag, [eval_expr(a, row) for a in e.args])
     raise EngineTypeError(f"unknown expression node {e!r}")
 
 

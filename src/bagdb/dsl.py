@@ -1,5 +1,14 @@
 """Textual query language: lexer, parser, pretty printer, schema checker.
 
+This module is also the grammar that queries and rule programs share.
+``tokenize`` reads both languages in one pass; ``#`` starts a comment
+only outside a string.  ``_Parser`` holds the token plumbing and the one
+literal grammar: ``scalar`` reads a number or ``inf``, either with an
+optional leading minus, a JSON string, ``true``, ``false`` or ``null``,
+and ``parse_literal`` adds tuples, bags and tagged values.  Expression
+constants, bag literals and the rule parser of ``pbmonad``, a subclass of
+``_Parser``, all read their constants through ``scalar``.
+
 The surface syntax is a pipeline: a source (``table name``, ``bag {...}``
 or ``empty``) followed by ``|>`` stages, one per algebra operator.  Two
 stages are sugar: ``match TAG as (a, b)`` keeps rows tagged TAG and binds
@@ -18,7 +27,8 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from json.decoder import scanstring
+from typing import Callable, Mapping, Optional, TypeVar
 
 from .algebra import (
     Agg,
@@ -76,6 +86,7 @@ from .values import (
     UnitT,
     Value,
     infer_schema,
+    tagged,
     unify_schema,
 )
 
@@ -109,21 +120,21 @@ _SYMBOLS = (
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # IDENT INT FLOAT STRING FIELDNUM FIELDNAME PIPE OP MINUS (), [] {} COMMA EOF
+    kind: str  # IDENT INT FLOAT STRING FIELDNUM FIELDNAME PIPE ARROW OP MINUS (), [] {} COMMA EOF
     value: object
     line: int
     col: int
+    end: int  # the column just after the token
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of a query or a rule program, ending in EOF.  Lines are
+    counted at each newline; ``#`` starts a comment to the end of its line
+    outside a string."""
     tokens: list[Token] = []
     i = 0
     line = 1
     col = 1
-
-    def err(msg: str) -> ParseError:
-        return ParseError(msg, line, col)
-
     n = len(text)
     while i < n:
         c = text[i]
@@ -140,104 +151,64 @@ def tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        start_line, start_col = line, col
         if c == '"':
-            s, consumed = _read_string(text, i, line, col)
-            tokens.append(Token("STRING", s, start_line, start_col))
-            i += consumed
-            col += consumed
-            continue
-        if c == ".":
+            kind = "STRING"
+            value, size = _read_string(text, i, line, col)
+        elif c == ".":
             m = _NUM_RE.match(text, i + 1)
-            if m and m.group(0) and not m.group(2) and not m.group(3):
-                tokens.append(Token("FIELDNUM", int(m.group(0)), start_line, start_col))
-                col = start_col + 1 + len(m.group(0))
-                i = m.end()
-                continue
-            m2 = _IDENT_RE.match(text, i + 1)
-            if m2:
-                tokens.append(Token("FIELDNAME", m2.group(0), start_line, start_col))
-                col += 1 + len(m2.group(0))
-                i = m2.end()
-                continue
-            raise err("expected a field number or name after '.'")
-        if c.isdigit():
+            if m and not m.group(2) and not m.group(3):
+                kind, value = "FIELDNUM", int(m.group(0))
+            else:
+                m = _IDENT_RE.match(text, i + 1)
+                if not m:
+                    raise ParseError("expected a field number or name after '.'", line, col)
+                kind, value = "FIELDNAME", m.group(0)
+            size = 1 + len(m.group(0))
+        elif c.isdigit():
             m = _NUM_RE.match(text, i)
             if not m:
-                raise err(f"bad number starting with {c!r}")
+                raise ParseError(f"bad number starting with {c!r}", line, col)
             lexeme = m.group(0)
-            after = m.end()
-            if after < n and (text[after].isalnum() or text[after] in "._"):
-                raise err(f"invalid number {lexeme + text[after]!r}")
+            size = len(lexeme)
+            if i + size < n and (text[i + size].isalnum() or text[i + size] in "._"):
+                raise ParseError(f"invalid number {lexeme + text[i + size]!r}", line, col)
             if m.group(2) or m.group(3):
-                tokens.append(Token("FLOAT", float(lexeme), start_line, start_col))
+                kind, value = "FLOAT", float(lexeme)
             else:
-                tokens.append(Token("INT", int(lexeme), start_line, start_col))
-            i = after
-            col += len(lexeme)
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(Token("IDENT", m.group(0), start_line, start_col))
-            i = m.end()
-            col += len(m.group(0))
-            continue
-        for sym, kind in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(kind, sym, start_line, start_col))
-                i += len(sym)
-                col += len(sym)
-                break
+                kind, value = "INT", int(lexeme)
         else:
-            raise err(f"unexpected character {c!r}")
-    tokens.append(Token("EOF", None, line, col))
+            m = _IDENT_RE.match(text, i)
+            if m:
+                kind, value = "IDENT", m.group(0)
+            else:
+                symbol = next((entry for entry in _SYMBOLS if text.startswith(entry[0], i)), None)
+                if symbol is None:
+                    raise ParseError(f"unexpected character {c!r}", line, col)
+                value, kind = symbol
+            size = len(value)  # type: ignore[arg-type]
+        tokens.append(Token(kind, value, line, col, col + size))
+        i += size
+        col += size
+    tokens.append(Token("EOF", None, line, col, col))
     return tokens
 
 
 def _read_string(text: str, i: int, line: int, col: int) -> tuple[str, int]:
-    """Read a double-quoted string with JSON escapes starting at text[i].
-    Returns (value, characters consumed)."""
-    out: list[str] = []
-    j = i + 1
-    n = len(text)
-    while j < n:
-        c = text[j]
-        if c == '"':
-            return "".join(out), j + 1 - i
-        if c == "\n":
-            break
-        if c == "\\":
-            if j + 1 >= n:
-                break
-            e = text[j + 1]
-            if e == "u":
-                if j + 6 > n:
-                    break
-                try:
-                    cp = int(text[j + 2 : j + 6], 16)
-                except ValueError:
-                    raise ParseError("bad \\u escape", line, col + (j - i)) from None
-                j += 6
-                # surrogate pair: a high half followed by \uDC00-\uDFFF
-                if 0xD800 <= cp <= 0xDBFF and text[j : j + 2] == "\\u":
-                    try:
-                        lo = int(text[j + 2 : j + 6], 16)
-                    except ValueError:
-                        lo = -1
-                    if 0xDC00 <= lo <= 0xDFFF:
-                        cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00)
-                        j += 6
-                out.append(chr(cp))
-                continue
-            mapped = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}.get(e)
-            if mapped is None:
-                raise ParseError(f"bad escape \\{e}", line, col + (j - i))
-            out.append(mapped)
-            j += 2
-            continue
-        out.append(c)
-        j += 1
-    raise ParseError("unterminated string", line, col)
+    """Read a double-quoted string with JSON escapes starting at text[i], at
+    column ``col``.  It must end on its line; raw tabs are legal.  Returns
+    (value, characters consumed).  The scan runs on the whole text and
+    fails if it crosses a newline, which reads as the rest of the line
+    would without copying that rest for every string."""
+    try:
+        value, end = scanstring(text, i + 1, False)
+    except json.JSONDecodeError as e:
+        # json's own message for this one ends "starting at"
+        if e.msg.startswith("Unterminated") or "\n" in text[i : e.pos]:
+            raise ParseError("unterminated string", line, col) from None
+        raise ParseError(e.msg, line, col + e.pos - i) from None
+    if "\n" in text[i:end]:
+        raise ParseError("unterminated string", line, col)
+    return value, end - i
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +222,23 @@ _STAGE_OPS = (
 
 Columns = Optional[list[Optional[str]]]
 
+_NAMED = {"true": Bool(True), "false": Bool(False), "null": UNIT}
+
+T = TypeVar("T")
+
 
 class _Parser:
+    """Token plumbing and the literal grammar, shared by the query parser
+    below and the rule-program parser of ``pbmonad``."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
 
     # -- token plumbing
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
@@ -285,6 +263,64 @@ class _Parser:
     def at_keyword(self, *words: str) -> bool:
         t = self.peek()
         return t.kind == "IDENT" and t.value in words
+
+    def items(self, item: Callable[[], T], close: str) -> list[T]:
+        """``item, ...`` up to the ``close`` token, which is consumed; the
+        list may be empty."""
+        out: list[T] = []
+        if self.peek().kind != close:
+            out.append(item())
+            while self.peek().kind == "COMMA":
+                self.next()
+                out.append(item())
+        self.expect(close)
+        return out
+
+    # -- literals
+
+    def scalar(self) -> Optional[Value]:
+        """A number or ``inf``, either with an optional leading minus, a
+        string, ``true``, ``false`` or ``null``.  At anything else it
+        returns None and consumes nothing."""
+        t = self.peek()
+        negate = t.kind == "MINUS"
+        if negate:
+            t = self.peek(1)
+        if t.kind == "INT":
+            v: Value = Int(-t.value if negate else t.value)  # type: ignore[operator,arg-type]
+        elif t.kind == "FLOAT":
+            v = Real(-t.value if negate else t.value)  # type: ignore[operator,arg-type]
+        elif t.kind == "IDENT" and t.value == "inf":
+            v = Real(-math.inf if negate else math.inf)
+        elif negate:
+            return None
+        elif t.kind == "STRING":
+            v = Str(t.value)  # type: ignore[arg-type]
+        elif t.kind == "IDENT" and t.value in _NAMED:
+            v = _NAMED[t.value]  # type: ignore[index]
+        else:
+            return None
+        self.pos += 2 if negate else 1
+        return v
+
+    def parse_literal(self) -> Value:
+        """A value inside ``bag {...}``: a scalar, a tuple ``(...)``, a bag
+        ``{...}`` or a tagged value ``tag(...)``."""
+        v = self.scalar()
+        if v is not None:
+            return v
+        t = self.peek()
+        if t.kind == "LPAREN":
+            self.next()
+            return Tuple(tuple(self.items(self.parse_literal, "RPAREN")))
+        if t.kind == "LBRACE":
+            self.next()
+            return BagV(Bag.of(self.items(self.parse_literal, "RBRACE")))
+        if t.kind == "IDENT":
+            self.next()
+            self.expect("LPAREN")
+            return tagged(str(t.value), self.items(self.parse_literal, "RPAREN"))
+        raise self.error("expected a literal")
 
     # -- query pipeline
 
@@ -489,33 +525,16 @@ class _Parser:
                 return e
 
     def parse_unary(self, cols: Columns) -> Expr:
-        t = self.peek()
-        if t.kind == "MINUS":
+        v = self.scalar()
+        if v is not None:
+            return Const(v)
+        if self.peek().kind == "MINUS":
             self.next()
-            nxt = self.peek()
-            if nxt.kind == "INT":
-                self.next()
-                return Const(Int(-nxt.value))  # type: ignore[operator]
-            if nxt.kind == "FLOAT":
-                self.next()
-                return Const(Real(-nxt.value))  # type: ignore[operator]
-            if nxt.kind == "IDENT" and nxt.value == "inf":
-                self.next()
-                return Const(Real(-math.inf))
             return Arith("-", Const(Int(0)), self.parse_unary(cols))
         return self.parse_atom(cols)
 
     def parse_atom(self, cols: Columns) -> Expr:
         t = self.peek()
-        if t.kind == "INT":
-            self.next()
-            return Const(Int(t.value))  # type: ignore[arg-type]
-        if t.kind == "FLOAT":
-            self.next()
-            return Const(Real(t.value))  # type: ignore[arg-type]
-        if t.kind == "STRING":
-            self.next()
-            return Const(Str(t.value))  # type: ignore[arg-type]
         if t.kind == "FIELDNUM":
             self.next()
             if t.value < 1:  # type: ignore[operator]
@@ -538,18 +557,6 @@ class _Parser:
             return first
         if t.kind == "IDENT":
             word = str(t.value)
-            if word == "true":
-                self.next()
-                return Const(Bool(True))
-            if word == "false":
-                self.next()
-                return Const(Bool(False))
-            if word == "null":
-                self.next()
-                return Const(UNIT)
-            if word == "inf":
-                self.next()
-                return Const(Real(math.inf))
             if word == "row":
                 self.next()
                 return RowRef()
@@ -564,91 +571,8 @@ class _Parser:
             # tagged construction: IDENT "(" args ")"
             self.next()
             self.expect("LPAREN")
-            args: list[Expr] = []
-            if self.peek().kind != "RPAREN":
-                args.append(self.parse_expr(cols))
-                while self.peek().kind == "COMMA":
-                    self.next()
-                    args.append(self.parse_expr(cols))
-            self.expect("RPAREN")
-            return MkTagged(word, tuple(args))
+            return MkTagged(word, tuple(self.items(lambda: self.parse_expr(cols), "RPAREN")))
         raise self.error("expected an expression")
-
-    # -- literals (inside bag {...} and nested values)
-
-    def parse_literal(self) -> Value:
-        t = self.peek()
-        if t.kind == "INT":
-            self.next()
-            return Int(t.value)  # type: ignore[arg-type]
-        if t.kind == "FLOAT":
-            self.next()
-            return Real(t.value)  # type: ignore[arg-type]
-        if t.kind == "MINUS":
-            self.next()
-            nxt = self.peek()
-            if nxt.kind == "INT":
-                self.next()
-                return Int(-nxt.value)  # type: ignore[operator]
-            if nxt.kind == "FLOAT":
-                self.next()
-                return Real(-nxt.value)  # type: ignore[operator]
-            if nxt.kind == "IDENT" and nxt.value == "inf":
-                self.next()
-                return Real(-math.inf)
-            raise self.error("expected a number after '-'")
-        if t.kind == "STRING":
-            self.next()
-            return Str(t.value)  # type: ignore[arg-type]
-        if t.kind == "LPAREN":
-            self.next()
-            items: list[Value] = []
-            if self.peek().kind != "RPAREN":
-                items.append(self.parse_literal())
-                while self.peek().kind == "COMMA":
-                    self.next()
-                    items.append(self.parse_literal())
-            self.expect("RPAREN")
-            return Tuple(tuple(items))
-        if t.kind == "LBRACE":
-            self.next()
-            elems: list[Value] = []
-            if self.peek().kind != "RBRACE":
-                elems.append(self.parse_literal())
-                while self.peek().kind == "COMMA":
-                    self.next()
-                    elems.append(self.parse_literal())
-            self.expect("RBRACE")
-            return BagV(Bag.of(elems))
-        if t.kind == "IDENT":
-            word = str(t.value)
-            if word == "true":
-                self.next()
-                return Bool(True)
-            if word == "false":
-                self.next()
-                return Bool(False)
-            if word == "null":
-                self.next()
-                return UNIT
-            if word == "inf":
-                self.next()
-                return Real(math.inf)
-            self.next()
-            self.expect("LPAREN")
-            args: list[Value] = []
-            if self.peek().kind != "RPAREN":
-                args.append(self.parse_literal())
-                while self.peek().kind == "COMMA":
-                    self.next()
-                    args.append(self.parse_literal())
-            self.expect("RPAREN")
-            if len(args) == 0:
-                return Tagged(word, UNIT)
-            if len(args) == 1:
-                return Tagged(word, args[0])
-            return Tagged(word, Tuple(tuple(args)))
-        raise self.error("expected a literal")
 
 
 def parse(text: str) -> Query:

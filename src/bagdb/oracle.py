@@ -18,7 +18,7 @@ from .bags import Bag
 from .errors import NotFiniteError, ProgramError
 from .pbmonad import ConstT, DistT, Rule, RuleProgram
 from .prob import ExactDist
-from .values import BagV, Int, Real, Tagged, Tuple, Value
+from .values import BagV, Int, Real, Tagged, Tuple, Unit, Value
 
 A = TypeVar("A")
 
@@ -67,6 +67,8 @@ def _all_matches(rule: Rule, world: Bag) -> list[dict[str, Value]]:
             if not (isinstance(row, Tagged) and row.tag == atom.tag):
                 continue
             fields = row.value.items if isinstance(row.value, Tuple) else (row.value,)
+            if not atom.args and isinstance(row.value, Unit):  # what a head with no terms writes
+                fields = ()
             if len(fields) != len(atom.args):
                 continue
             env2 = dict(env)

@@ -25,11 +25,17 @@ so no world is re-sorted.  The exact rule step is incremental: a rule's
 head options depend only on the rows it reads whose tag an earlier rule
 produces, so within one step they are computed once per distinct set of
 those rows and shared by the worlds that have it.
+
+An atom with no arguments matches the rows that a head with no terms
+writes, ``tag()`` with a Unit payload, as well as an empty tuple payload.
+The rule text format is read on ``dsl``'s front end: the whole program is
+tokenized once, a rule is the tokens of one line, and its terms use the
+query language's literal grammar.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product as iproduct
 from math import prod
 from operator import itemgetter
@@ -37,13 +43,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .algebra import Cmp, Const, eval_expr, tuple_parts
 from .bags import EMPTY, Bag, unit
-from .dsl import Token, tokenize
-from .errors import (
-    EngineTypeError,
-    ParseError,
-    ProgramError,
-    ResourceLimitError,
-)
+from .dsl import Token, _Parser, tokenize
+from .errors import EngineTypeError, ProgramError, ResourceLimitError
 from .prob import (
     Bernoulli,
     ExactDist,
@@ -58,7 +59,7 @@ from .prob import (
     poisson_draw,
     sample,
 )
-from .values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple, Value
+from .values import UNIT, BagV, Bool, Int, Real, Tagged, Tuple, Unit, Value, tagged
 
 DEFAULT_WORLD_LIMIT = 10**6
 
@@ -162,11 +163,8 @@ class PBSampler:
             raise EngineTypeError("sample indices are nonnegative")
         return self.world_fn(index)
 
-    def worlds(self, n: int, workers: int = 1) -> list[Bag]:
-        """First n worlds in index order.  ``workers`` is accepted for the
-        CLI's ``--workers`` and the worlds run sequentially: a thread pool
-        measured slower than this loop.  Every world is addressed by its
-        index, so no worker count could change the result."""
+    def worlds(self, n: int) -> list[Bag]:
+        """First n worlds in index order."""
         return [self.world_fn(i) for i in range(n)]
 
 
@@ -269,7 +267,7 @@ class RuleProgram:
 def validate_program(prog: RuleProgram) -> None:
     """Structural checks: variable binding, one draw per head, no recursion
     (no cycle in the tag dependency graph)."""
-    deps: dict[str, set[str]] = {}
+    deps: dict[str, dict[str, None]] = {}  # body tags in program order, so the message is reproducible
     for r in prog.rules:
         bound = {a.name for atom in r.atoms for a in atom.args if isinstance(a, VarT)}
         dists = [t for t in r.head_terms if isinstance(t, DistT)]
@@ -288,7 +286,7 @@ def validate_program(prog: RuleProgram) -> None:
             for side in (g.left, g.right):
                 if isinstance(side, VarT) and side.name not in bound:
                     raise ProgramError(f"guard variable {side.name!r} is not bound in the body")
-        deps.setdefault(r.head_tag, set()).update(atom.tag for atom in r.atoms)
+        deps.setdefault(r.head_tag, {}).update(dict.fromkeys(atom.tag for atom in r.atoms))
 
     # recursion = a cycle among head tags (self-loops included)
     state: dict[str, int] = {}
@@ -318,10 +316,11 @@ def rule_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
     envs: list[dict[str, Value]] = [{}]
     for atom in rule.atoms:
         rows = by_tag.get(atom.tag, [])
+        fields = tuple_parts if atom.args else _no_fields
         nxt: list[dict[str, Value]] = []
         for env in envs:
             for payload in rows:
-                parts = tuple_parts(payload)
+                parts = fields(payload)
                 if len(parts) != len(atom.args):
                     continue
                 env2 = dict(env)
@@ -342,6 +341,12 @@ def rule_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
                     nxt.append(env2)
         envs = nxt
     return [env for env in envs if all(_guard_holds(g, env) for g in rule.guards)]
+
+
+def _no_fields(payload: Value) -> tuple[Value, ...]:
+    """The fields of a payload as an atom with no arguments reads them: a
+    Unit payload, which a head with no terms writes, has none."""
+    return () if isinstance(payload, Unit) else tuple_parts(payload)
 
 
 def _guard_holds(g: Guard, env: dict[str, Value]) -> bool:
@@ -374,14 +379,6 @@ def _dist_sampler(d: DistT, env: dict[str, Value]) -> SamplerExpr:
     if d.kind == "normal":
         return Normal(params[0], params[1])
     return Poisson(params[0])
-
-
-def _make_head(tag: str, parts: Sequence[Value]) -> Value:
-    if len(parts) == 0:
-        return Tagged(tag, UNIT)
-    if len(parts) == 1:
-        return Tagged(tag, parts[0])
-    return Tagged(tag, Tuple(tuple(parts)))
 
 
 def run_rule_program(
@@ -429,7 +426,8 @@ class _AtomPlan:
     """How one body atom joins against the tagged rows of its tag.
 
     A row is accepted when its payload has the atom's arity, equals each
-    constant, and repeats a field wherever the atom repeats a variable.
+    constant, and repeats a field wherever the atom repeats a variable; an
+    atom with no arguments also accepts a Unit payload (``_no_fields``).
     Accepted rows go into buckets keyed by the fields of the variables
     that earlier atoms bound (the probe), in row order; an entry holds
     the values of the variables this atom binds first.  Fields compare by
@@ -439,6 +437,7 @@ class _AtomPlan:
     def __init__(self, atom: Atom, slot_of: dict[str, int]):
         self.tag = atom.tag
         self.arity = len(atom.args)
+        self.fields = tuple_parts if atom.args else _no_fields
         self.consts: list[tuple[int, tuple]] = []  # (field, key of the constant)
         self.same: list[tuple[int, int]] = []  # (field, earlier field of the same variable)
         self.probe: list[int] = []  # fields of variables bound by earlier atoms ...
@@ -460,10 +459,11 @@ class _AtomPlan:
                     self.binds.append(pos)
 
     def index(self, rows: Iterable[Value]) -> dict[tuple, list[tuple[Value, ...]]]:
-        arity, consts, same, probe, binds = self.arity, self.consts, self.same, self.probe, self.binds
+        arity, fields, consts, same, probe, binds = \
+            self.arity, self.fields, self.consts, self.same, self.probe, self.binds
         buckets: dict[tuple, list[tuple[Value, ...]]] = {}
         for row in rows:
-            parts = tuple_parts(row.value)  # type: ignore[attr-defined]
+            parts = fields(row.value)  # type: ignore[attr-defined]
             if len(parts) != arity:
                 continue
             if consts and any(parts[p].key != k for p, k in consts):
@@ -530,7 +530,7 @@ class _RulePlan:
     def head(self, env: dict[str, Value], drawn: Optional[Value] = None) -> Value:
         parts = [drawn if n == self.dist else _resolve(t, env)  # type: ignore[arg-type]
                  for n, t in enumerate(self.rule.head_terms)]
-        return _make_head(self.rule.head_tag, parts)  # type: ignore[arg-type]
+        return tagged(self.rule.head_tag, parts)  # type: ignore[arg-type]
 
     def options(self, world: Bag) -> Options:
         """The possible heads of each match with their probabilities, in
@@ -643,51 +643,30 @@ def indexed_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
 def parse_rules(text: str) -> RuleProgram:
     """One rule per line: ``head_tag(term, ...) <- atom, ..., guard, ...``.
     Terms are variables, literals, or bernoulli/normal/poisson draws with
-    variable or numeric parameters.  Blank lines and # comments skipped."""
+    variable or numeric parameters.  The text is tokenized once by
+    ``dsl.tokenize``, which skips blank lines and ``#`` comments; a rule
+    is the run of tokens on one line."""
+    tokens = tokenize(text)
     rules: list[Rule] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        toks = [replace(t, line=lineno) for t in tokenize(stripped)]
-        rules.append(_RuleParser(toks).parse_rule())
+    start = 0
+    while tokens[start].kind != "EOF":
+        end = start
+        while tokens[end].kind != "EOF" and tokens[end].line == tokens[start].line:
+            end += 1
+        last = tokens[end - 1]
+        eof = Token("EOF", None, last.line, last.end, last.end)
+        rules.append(_RuleParser(tokens[start:end] + [eof]).parse_rule())
+        start = end
     return RuleProgram(tuple(rules))
 
 
-class _RuleParser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def fail(self, msg: str, expected: tuple[str, ...] = ()) -> ParseError:
-        t = self.peek()
-        return ParseError(msg, t.line, t.col, expected)
-
-    def expect(self, kind: str, value: object = None, what: str = "") -> Token:
-        t = self.peek()
-        if t.kind != kind or (value is not None and t.value != value):
-            found = "end of line" if t.kind == "EOF" else repr(t.value)
-            raise self.fail(f"expected {what or kind}, found {found}")
-        return self.next()
+class _RuleParser(_Parser):
+    """One rule, on the query parser's plumbing and literal grammar."""
 
     def parse_rule(self) -> Rule:
         head_tag = str(self.expect("IDENT", what="a head tag").value)
         self.expect("LPAREN")
-        head_terms: list[Term] = []
-        if self.peek().kind != "RPAREN":
-            head_terms.append(self.parse_term())
-            while self.peek().kind == "COMMA":
-                self.next()
-                head_terms.append(self.parse_term())
-        self.expect("RPAREN")
+        head_terms = self.items(self.parse_term, "RPAREN")
         self.expect("ARROW", what="'<-'")
         atoms: list[Atom] = []
         guards: list[Guard] = []
@@ -704,19 +683,12 @@ class _RuleParser:
                 and self.peek().value not in ("true", "false", "null", "inf"):
             tag = str(self.next().value)
             self.next()  # (
-            args: list[SimpleTerm] = []
-            if self.peek().kind != "RPAREN":
-                args.append(self.parse_simple_term())
-                while self.peek().kind == "COMMA":
-                    self.next()
-                    args.append(self.parse_simple_term())
-            self.expect("RPAREN")
-            atoms.append(Atom(tag, tuple(args)))
+            atoms.append(Atom(tag, tuple(self.items(self.parse_simple_term, "RPAREN"))))
             return
         left = self.parse_simple_term()
         t = self.peek()
         if t.kind != "OP" or t.value not in ("=", "!=", "<", "<=", ">", ">="):
-            raise self.fail("expected a comparison operator in guard")
+            raise self.error("expected a comparison operator in guard")
         self.next()
         right = self.parse_simple_term()
         guards.append(Guard(str(t.value), left, right))
@@ -726,7 +698,7 @@ class _RuleParser:
         if t.kind == "IDENT" and self.peek(1).kind == "LPAREN":
             kind = str(t.value)
             if kind not in _DIST_ARITY:
-                raise self.fail(f"unknown distribution {kind!r}", tuple(_DIST_ARITY))
+                raise self.error(f"unknown distribution {kind!r}", tuple(_DIST_ARITY))
             self.next()
             self.next()  # (
             params: list[SimpleTerm] = [self.parse_simple_term()]
@@ -738,36 +710,11 @@ class _RuleParser:
         return self.parse_simple_term()
 
     def parse_simple_term(self) -> SimpleTerm:
+        v = self.scalar()
+        if v is not None:
+            return ConstT(v)
         t = self.peek()
-        if t.kind == "INT":
-            self.next()
-            return ConstT(Int(t.value))  # type: ignore[arg-type]
-        if t.kind == "FLOAT":
-            self.next()
-            return ConstT(Real(t.value))  # type: ignore[arg-type]
-        if t.kind == "MINUS":
-            self.next()
-            nxt = self.peek()
-            if nxt.kind == "INT":
-                self.next()
-                return ConstT(Int(-nxt.value))  # type: ignore[operator]
-            if nxt.kind == "FLOAT":
-                self.next()
-                return ConstT(Real(-nxt.value))  # type: ignore[operator]
-            raise self.fail("expected a number after '-'")
-        if t.kind == "STRING":
-            self.next()
-            return ConstT(Str(t.value))  # type: ignore[arg-type]
         if t.kind == "IDENT":
-            word = str(t.value)
             self.next()
-            if word == "true":
-                return ConstT(Bool(True))
-            if word == "false":
-                return ConstT(Bool(False))
-            if word == "null":
-                return ConstT(UNIT)
-            if word == "inf":
-                return ConstT(Real(float("inf")))
-            return VarT(word)
-        raise self.fail("expected a variable or literal")
+            return VarT(str(t.value))
+        raise self.error("expected a variable or literal")

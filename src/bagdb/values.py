@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import EngineTypeError, ParseError, SchemaError
 
@@ -173,6 +173,16 @@ class Tagged(Value):
 
     def __repr__(self) -> str:
         return f"Tagged({self.tag!r}, {self.value!r})"
+
+
+def tagged(tag: str, fields: Sequence[Value]) -> Tagged:
+    """The tagged row ``tag(f1, ...)``: no fields give a Unit payload, one
+    field is the payload itself, and more fields form a Tuple."""
+    if not fields:
+        return Tagged(tag, UNIT)
+    if len(fields) == 1:
+        return Tagged(tag, fields[0])
+    return Tagged(tag, Tuple(tuple(fields)))
 
 
 _Bag: Any = None  # bags.Bag, once the first BagV is built

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import weakref
@@ -342,6 +343,26 @@ class TestEntryPoint:
             [sys.executable, "-m", "bagdb.cli", "--help"], capture_output=True
         )
         assert proc.returncode == 0
+
+    def test_recursion_message_does_not_depend_on_hash_seed(self, tmp_path):
+        rules = tmp_path / "cycle.rules"
+        rules.write_text(
+            "crimechance(c, 0.3) <- address(x, c)\n"
+            "flag(c, bernoulli(r)) <- crimechance(c, r)\n"
+            "address(x, c) <- flag(c, 1), crimechance(c, r), address(x, c)\n"
+        )
+        outcomes = set()
+        for hash_seed in ("1", "2", "3"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bagdb.cli", "generate", "--db", TOWN, "--program", str(rules)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            )
+            outcomes.add((proc.returncode, proc.stderr))
+        assert len(outcomes) == 1
+        code, err = outcomes.pop()
+        assert code == 3 and "recursion detected" in err
 
 
 GOLDEN = FIXTURES / "golden"

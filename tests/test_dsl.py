@@ -93,6 +93,21 @@ class TestTokenizer:
         with pytest.raises(ParseError):
             tokenize('"oops')
 
+    def test_strings_end_on_their_line(self):
+        with pytest.raises(ParseError) as ei:
+            tokenize('x "a\nb"')
+        assert (ei.value.message, ei.value.line, ei.value.column) == ("unterminated string", 1, 3)
+        assert tokenize('"a\tb"')[0].value == "a\tb"  # a raw tab
+
+    @pytest.mark.parametrize("escape", ["\\u-001", "\\u+041", "\\u 041", "\\u0_41", "\\ud800\\u-001"])
+    def test_malformed_unicode_escape(self, escape):
+        # exactly four hex digits: no sign, space or underscore
+        with pytest.raises(ParseError):
+            tokenize(f'"{escape}"')
+
+    def test_surrogate_pairs(self):
+        assert tokenize('"\\ud83d\\ude00 \\ud83d\\u00e9"')[0].value == "\U0001f600 \ud83d\u00e9"
+
     def test_field_tokens(self):
         toks = tokenize(".3 .name")
         assert toks[0].kind == "FIELDNUM" and toks[0].value == 3
