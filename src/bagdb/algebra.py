@@ -7,12 +7,27 @@ group, group') is defined by composition of primitives so the two layers
 cannot drift apart.  ``*_by_fold`` variants restate some primitives as
 explicit folds; tests cross-check them against the fast versions.
 
-``eval_query`` runs a ``select`` directly over a ``product`` as a hash
-equijoin when the predicate starts with ``.i = .j``, one field from each
-side: its cost grows with the input plus the output instead of with the
-full product.  The equality matches numbers across Int and Real, as ``=``
-does.  Every other ``select`` over a ``product`` still builds the full
-product; ``q_select`` over ``q_product`` stays the reference for both.
+Each row expression is compiled once into nested closures
+(``compile_expr``); ``select`` and ``map`` run the compiled form, and
+``eval_expr(e, row)`` is ``compile_expr(e)(row)``.  A predicate built from
+comparisons, ``istag``, ``not``, ``and`` and ``or`` yields a Python bool
+per row, not a Bool value.  Rule guards compare through the same
+``cmp_holds``.
+
+``eval_query`` reads two shapes as one run of the sorted bag
+(``Bag.tag_run``): ``select istag(row, t)`` keeps the rows tagged ``t``,
+and ``match t as (...)``, the payloads of that select, is the run's
+payloads, already in key order.  It runs a ``select`` directly over a
+``product`` as a hash equijoin on the first conjunct that is ``.i = .j``,
+one field from each side, provided that no conjunct before it can raise:
+each is built from comparisons, ``istag``, ``not``, ``and``, ``or``,
+constants, the row and fields in range (``_cannot_raise``).  Its cost
+grows with the input plus the output instead of with the full product.
+The equality matches numbers across Int and Real, as ``=`` does.  Every
+other ``select`` over a ``product`` still builds the full product.  The
+tree-walking interpreter these replace, with ``eval_query`` running every
+operator as written, is kept as the test oracle in
+``tests/reference_algebra.py``.
 
 Rows are plain values.  A tuple row has fields 1..n; any other value is
 treated as a one-field row, so ``.1`` on a scalar row is the row itself.
@@ -20,8 +35,8 @@ treated as a one-field row, so ``.1`` on a scalar row is the row itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Mapping, Optional, Union
+from operator import add, eq, ge, gt, le, lt, mul, ne, sub
+from typing import Callable, Iterator, Mapping, Optional
 
 from .bags import EMPTY, Bag, counts, unit
 from .errors import (
@@ -30,7 +45,7 @@ from .errors import (
     ResourceLimitError,
     UnknownTableError,
 )
-from .values import BagV, Bool, Int, Real, Tagged, Tuple, Value, compare, tagged
+from .values import BagV, Bool, Int, Real, Tagged, Tuple, Value, tagged
 
 DEFAULT_POWERBAG_LIMIT = 1 << 20
 
@@ -126,93 +141,203 @@ class MkTagged(Expr):
     args: tuple[Expr, ...]
 
 
-def _numeric(v: Value) -> Optional[Union[int, float]]:
-    if isinstance(v, (Int, Real)):
-        return v.value
-    return None
+# ---------------------------------------------------------------------------
+# Compiled row expressions
+#
+# ``compile_expr`` turns an expression into nested closures once; the
+# closure is stored in the frozen node's ``__dict__``, outside its fields,
+# so the node's ``==``, hash and repr do not see it.  A node that always
+# yields a Bool (Cmp, IsTag, Not, And, Or, or a Const Bool) also has a
+# test form, ``row -> bool``, which ``select`` and the connectives run so
+# that no Bool is built per row.  Every closure raises what the tree walk
+# it replaces raised, with the same message, in the same order; unknown
+# nodes and operators raise when evaluated, not when compiled.
+
+Compiled = Callable[[Value], Value]
+RowTest = Callable[[Value], bool]
+
+_NUMBERS = (Int, Real)
+_TRUE, _FALSE = Bool(True), Bool(False)
+
+
+def _comparison(test: Callable[[object, object], bool]) -> Callable[[Value, Value], bool]:
+    def holds(a: Value, b: Value) -> bool:
+        if isinstance(a, _NUMBERS) and isinstance(b, _NUMBERS):
+            return test(a.value, b.value)  # numbers by magnitude across Int/Real
+        return test(a.key, b.key)  # everything else in the canonical order
+
+    return holds
+
+
+_COMPARISONS = dict(zip(CMP_OPS, map(_comparison, (eq, ne, lt, le, gt, ge))))
+_ARITHMETIC = dict(zip(ARITH_OPS, (add, sub, mul)))
+
+
+def cmp_holds(op: str, a: Value, b: Value) -> bool:
+    """Whether ``a op b`` holds.  Numbers compare by magnitude across Int
+    and Real; all other values in the canonical order of ``compare``.  The
+    compiled ``Cmp`` binds the same per-operator test once; rule guards
+    call this directly."""
+    holds = _COMPARISONS.get(op)
+    if holds is None:
+        raise EngineTypeError(f"unknown comparison {op!r}")
+    return holds(a, b)
 
 
 def eval_expr(e: Expr, row: Value) -> Value:
-    if isinstance(e, Field):
-        parts = tuple_parts(row)
-        if not (1 <= e.index <= len(parts)):
-            raise EngineTypeError(f"field .{e.index} out of range for a {len(parts)}-field row")
-        return parts[e.index - 1]
-    if isinstance(e, RowRef):
-        return row
+    return compile_expr(e)(row)
+
+
+def _memo(e: Expr) -> dict:
+    """Where ``e``'s compiled forms are kept: its ``__dict__``.  Anything
+    that is not a node compiles to a closure that raises, kept nowhere."""
+    return e.__dict__ if isinstance(e, Expr) else {}
+
+
+# Each level of an expression costs one Python frame while it is compiled,
+# as it did in the tree walk: the chains the parser builds without
+# parentheses (``not not ...``, ``a and b and ...``, ``1 + 2 + ...``)
+# recurse from ``compile_expr`` or ``_predicate`` straight into itself.
+
+
+def compile_expr(e: Expr) -> Compiled:
+    """The closure ``row -> Value`` that evaluates ``e``, built at most once
+    per node."""
+    memo = _memo(e)
+    fn = memo.get("_compiled")
+    if fn is not None:
+        return fn
     if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Arith):
-        a = eval_expr(e.left, row)
-        b = eval_expr(e.right, row)
-        x, y = _numeric(a), _numeric(b)
-        if x is None or y is None:
-            raise EngineTypeError(f"arithmetic {e.op} needs numbers, got {a!r} and {b!r}")
-        if e.op == "+":
-            r = x + y
-        elif e.op == "-":
-            r = x - y
-        elif e.op == "*":
-            r = x * y
+        v = e.value
+        fn = lambda row: v
+    elif (test := _predicate(e)) is not None:
+        fn = lambda row: _TRUE if test(row) else _FALSE
+    elif isinstance(e, Field):
+        fn = _field(e.index)
+    elif isinstance(e, RowRef):
+        fn = lambda row: row
+    elif isinstance(e, Arith):
+        fn = _arith(e.op, compile_expr(e.left), compile_expr(e.right))
+    elif isinstance(e, Payload):
+        fn = _payload(e.tag, compile_expr(e.inner))
+    elif isinstance(e, MkTuple):
+        items = tuple(map(compile_expr, e.items))
+        fn = lambda row: Tuple(tuple([f(row) for f in items]))
+    elif isinstance(e, MkTagged):
+        tag, args = e.tag, tuple(map(compile_expr, e.args))
+        fn = lambda row: tagged(tag, [f(row) for f in args])
+    else:
+        fn = _unknown(e)
+    memo["_compiled"] = fn
+    return fn
+
+
+def _predicate(e: Expr) -> Optional[RowTest]:
+    """The test form ``row -> bool`` of a node that always yields a Bool:
+    Cmp, IsTag, Not, And, Or or a Const Bool.  None for any other node."""
+    memo = _memo(e)
+    if "_test" in memo:
+        return memo["_test"]
+    test: Optional[RowTest] = None
+    if isinstance(e, Const):
+        if isinstance(e.value, Bool):
+            b = e.value.value
+            test = lambda row: b
+    elif isinstance(e, Cmp):
+        test = _cmp(e.op, compile_expr(e.left), compile_expr(e.right))
+    elif isinstance(e, (And, Or)):
+        what = f"{'and' if isinstance(e, And) else 'or'} needs a boolean"
+        first = _predicate(e.left) or _checked(e.left, what)
+        then = _predicate(e.right) or _checked(e.right, what)
+        if isinstance(e, And):
+            test = lambda row: first(row) and then(row)
         else:
-            raise EngineTypeError(f"unknown arithmetic operator {e.op!r}")
+            test = lambda row: first(row) or then(row)
+    elif isinstance(e, Not):
+        inner = _predicate(e.inner) or _checked(e.inner, "not needs a boolean")
+        test = lambda row: not inner(row)
+    elif isinstance(e, IsTag):
+        test = _istag(e.tag, None if isinstance(e.inner, RowRef) else compile_expr(e.inner))
+    memo["_test"] = test
+    return test
+
+
+def _checked(e: Expr, what: str) -> RowTest:
+    """``e`` as a test for a node that may yield any value: anything but a
+    Bool raises ``"{what}, got {value!r}"``."""
+    fn = compile_expr(e)
+
+    def checked(row: Value) -> bool:
+        v = fn(row)
+        if not isinstance(v, Bool):
+            raise EngineTypeError(f"{what}, got {v!r}")
+        return v.value
+
+    return checked
+
+
+def _cmp(op: str, left: Compiled, right: Compiled) -> RowTest:
+    holds = _COMPARISONS.get(op)
+    if holds is None:  # raises once both operands are evaluated
+        return lambda row: cmp_holds(op, left(row), right(row))
+    return lambda row: holds(left(row), right(row))
+
+
+def _istag(tag: str, inner: Optional[Compiled]) -> RowTest:
+    if inner is None:  # istag(row, t)
+        return lambda row: isinstance(row, Tagged) and row.tag == tag
+
+    def istag(row: Value) -> bool:
+        v = inner(row)
+        return isinstance(v, Tagged) and v.tag == tag
+
+    return istag
+
+
+def _field(index: int) -> Compiled:
+    k = index - 1
+
+    def field(row: Value) -> Value:
+        parts = row.items if isinstance(row, Tuple) else (row,)
+        if 0 <= k < len(parts):
+            return parts[k]
+        raise EngineTypeError(f"field .{index} out of range for a {len(parts)}-field row")
+
+    return field
+
+
+def _arith(op: str, left: Compiled, right: Compiled) -> Compiled:
+    f = _ARITHMETIC.get(op)
+
+    def arith(row: Value) -> Value:
+        a, b = left(row), right(row)
+        if not (isinstance(a, _NUMBERS) and isinstance(b, _NUMBERS)):
+            raise EngineTypeError(f"arithmetic {op} needs numbers, got {a!r} and {b!r}")
+        if f is None:
+            raise EngineTypeError(f"unknown arithmetic operator {op!r}")
+        r = f(a.value, b.value)
         if isinstance(a, Int) and isinstance(b, Int):
             return Int(r)
         return Real(float(r))
-    if isinstance(e, Cmp):
-        a = eval_expr(e.left, row)
-        b = eval_expr(e.right, row)
-        x, y = _numeric(a), _numeric(b)
-        if x is not None and y is not None:
-            # Numbers compare by magnitude across Int/Real.
-            c = (x > y) - (x < y)
-        else:
-            c = compare(a, b)
-        op = e.op
-        if op == "=":
-            return Bool(c == 0)
-        if op == "!=":
-            return Bool(c != 0)
-        if op == "<":
-            return Bool(c < 0)
-        if op == "<=":
-            return Bool(c <= 0)
-        if op == ">":
-            return Bool(c > 0)
-        if op == ">=":
-            return Bool(c >= 0)
-        raise EngineTypeError(f"unknown comparison {op!r}")
-    if isinstance(e, And):
-        a = _as_bool(eval_expr(e.left, row), "and")
-        if not a.value:
-            return Bool(False)
-        return _as_bool(eval_expr(e.right, row), "and")
-    if isinstance(e, Or):
-        a = _as_bool(eval_expr(e.left, row), "or")
-        if a.value:
-            return Bool(True)
-        return _as_bool(eval_expr(e.right, row), "or")
-    if isinstance(e, Not):
-        return Bool(not _as_bool(eval_expr(e.inner, row), "not").value)
-    if isinstance(e, IsTag):
-        v = eval_expr(e.inner, row)
-        return Bool(isinstance(v, Tagged) and v.tag == e.tag)
-    if isinstance(e, Payload):
-        v = eval_expr(e.inner, row)
-        if isinstance(v, Tagged) and v.tag == e.tag:
+
+    return arith
+
+
+def _payload(tag: str, inner: Compiled) -> Compiled:
+    def payload(row: Value) -> Value:
+        v = inner(row)
+        if isinstance(v, Tagged) and v.tag == tag:
             return v.value
-        raise EngineTypeError(f"payload expected tag {e.tag!r}, got {v!r}")
-    if isinstance(e, MkTuple):
-        return Tuple(tuple(eval_expr(it, row) for it in e.items))
-    if isinstance(e, MkTagged):
-        return tagged(e.tag, [eval_expr(a, row) for a in e.args])
-    raise EngineTypeError(f"unknown expression node {e!r}")
+        raise EngineTypeError(f"payload expected tag {tag!r}, got {v!r}")
+
+    return payload
 
 
-def _as_bool(v: Value, where: str) -> Bool:
-    if not isinstance(v, Bool):
-        raise EngineTypeError(f"{where} needs a boolean, got {v!r}")
-    return v
+def _unknown(e: object) -> Compiled:
+    def unknown(row: Value) -> Value:
+        raise EngineTypeError(f"unknown expression node {e!r}")
+
+    return unknown
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +462,7 @@ def q_flatten(b: Bag) -> Bag:
 
 
 def q_map(fn: Expr, b: Bag) -> Bag:
-    return b.map(lambda row: eval_expr(fn, row))
+    return b.map(compile_expr(fn))
 
 
 def q_product(b1: Bag, b2: Bag) -> Bag:
@@ -354,21 +479,20 @@ def q_product(b1: Bag, b2: Bag) -> Bag:
 
 
 def q_equijoin(pred: Expr, b1: Bag, b2: Bag) -> Bag:
-    """``q_select(pred, q_product(b1, b2))`` for a predicate whose leftmost
-    conjunct is ``.i = .j``.  When the two fields come one from each side,
-    only the pairs that satisfy the equality are built: every other pair
-    makes ``pred`` false before any later conjunct runs, so the result and
-    the errors are those of the full product."""
+    """``q_select(pred, q_product(b1, b2))``, building only the pairs that
+    satisfy the equality ``_join_fields`` finds in ``pred``, if any: every
+    other pair makes ``pred`` false without raising, so the result and the
+    errors are those of the full product."""
     _check_uniform_arity(b1, "product (left)")
     _check_uniform_arity(b2, "product (right)")
     if b1.is_empty or b2.is_empty:
         return EMPTY
-    fields = _leading_equality(pred)
     n1 = len(tuple_parts(b1.elements[0]))
     n2 = len(tuple_parts(b2.elements[0]))
-    if fields is None or not (1 <= fields[0] <= n1 < fields[1] <= n1 + n2):
+    fields = _join_fields(pred, n1, n2)
+    if fields is None:
         return q_select(pred, q_product(b1, b2))
-    i, j = fields[0] - 1, fields[1] - n1 - 1
+    i, j = fields
     index: dict[object, list[tuple[Value, ...]]] = {}
     for y in b2:
         py = tuple_parts(y)
@@ -381,20 +505,68 @@ def q_equijoin(pred: Expr, b1: Bag, b2: Bag) -> Bag:
     return q_select(pred, Bag.of(matched))
 
 
-def _leading_equality(pred: Expr) -> Optional[tuple[int, int]]:
-    """The two field indices, in ascending order, of ``.i = .j`` when it is
-    the conjunct ``pred`` evaluates first."""
-    while isinstance(pred, And):
-        pred = pred.left
-    if (
-        isinstance(pred, Cmp)
-        and pred.op == "="
-        and isinstance(pred.left, Field)
-        and isinstance(pred.right, Field)
-    ):
-        i, j = pred.left.index, pred.right.index
-        return (i, j) if i <= j else (j, i)
+def _join_fields(pred: Expr, n1: int, n2: int) -> Optional[tuple[int, int]]:
+    """For rows of ``n1`` fields joined with rows of ``n2``: the 0-based
+    field on each side of the first conjunct of ``pred`` that is ``.i = .j``
+    with one field from each side, provided that no conjunct evaluated
+    before it can raise (``_cannot_raise``).  Else None."""
+    for c in _conjuncts(pred):
+        if (
+            isinstance(c, Cmp)
+            and c.op == "="
+            and isinstance(c.left, Field)
+            and isinstance(c.right, Field)
+        ):
+            i, j = sorted((c.left.index, c.right.index))
+            if 1 <= i <= n1 < j <= n1 + n2:
+                return i - 1, j - n1 - 1
+        if not _cannot_raise(c, n1 + n2):
+            return None
     return None
+
+
+def _conjuncts(pred: Expr) -> Iterator[Expr]:
+    """The operands of the ``and`` tree at the top of ``pred``, in the
+    order it evaluates them."""
+    stack = [pred]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, And):
+            stack += (e.right, e.left)
+        else:
+            yield e
+
+
+def _cannot_raise(e: Expr, arity: int) -> bool:
+    """Whether ``e`` yields a Bool without raising on every row of ``arity``
+    fields, judged from its syntax alone: it is built from Cmp, IsTag, Not,
+    And and Or; the operands of Not, And and Or are such nodes or a Const
+    Bool; the leaves are Consts, the row, and fields in range."""
+    if isinstance(e, Const):
+        return isinstance(e.value, Bool)
+    if isinstance(e, Not):
+        return _cannot_raise(e.inner, arity)
+    if isinstance(e, (And, Or)):
+        return _cannot_raise(e.left, arity) and _cannot_raise(e.right, arity)
+    if isinstance(e, IsTag):
+        return _operand_cannot_raise(e.inner, arity)
+    if isinstance(e, Cmp):
+        return (
+            e.op in _COMPARISONS
+            and _operand_cannot_raise(e.left, arity)
+            and _operand_cannot_raise(e.right, arity)
+        )
+    return False
+
+
+def _operand_cannot_raise(e: Expr, arity: int) -> bool:
+    if isinstance(e, Const):
+        return isinstance(e.value, Value)
+    if isinstance(e, RowRef):
+        return True
+    if isinstance(e, Field):
+        return 1 <= e.index <= arity
+    return _cannot_raise(e, arity)
 
 
 def _join_key(v: Value) -> tuple:
@@ -431,14 +603,8 @@ def q_project(indices: tuple[int, ...], b: Bag) -> Bag:
 
 
 def q_select(pred: Expr, b: Bag) -> Bag:
-    out = []
-    for row in b:
-        keep = eval_expr(pred, row)
-        if not isinstance(keep, Bool):
-            raise EngineTypeError(f"select predicate must return a boolean, got {keep!r}")
-        if keep.value:
-            out.append(row)
-    return Bag(tuple(out))  # subsequence of a sorted tuple stays sorted
+    keep = _predicate(pred) or _checked(pred, "select predicate must return a boolean")
+    return Bag(tuple(filter(keep, b.elements)))  # subsequence of a sorted tuple stays sorted
 
 
 def q_dunion(b1: Bag, b2: Bag) -> Bag:
@@ -590,13 +756,19 @@ def eval_query(
         if isinstance(node, Flatten):
             return BagV(q_flatten(bag_of(node.q)))
         if isinstance(node, MapQ):
+            tag = _match_tag(node)
+            if tag is not None:
+                return BagV(bag_of(node.q.q).payload_run(tag))  # type: ignore[attr-defined]
             return BagV(q_map(node.fn, bag_of(node.q)))
         if isinstance(node, Product):
             return BagV(q_product(bag_of(node.q1), bag_of(node.q2)))
         if isinstance(node, Project):
             return BagV(q_project(node.indices, bag_of(node.q)))
         if isinstance(node, Select):
-            if isinstance(node.q, Product) and _leading_equality(node.pred) is not None:
+            tag = _row_tag(node.pred)
+            if tag is not None:
+                return BagV(bag_of(node.q).tag_run(tag))
+            if isinstance(node.q, Product):
                 return BagV(q_equijoin(node.pred, bag_of(node.q.q1), bag_of(node.q.q2)))
             return BagV(q_select(node.pred, bag_of(node.q)))
         if isinstance(node, DUnion):
@@ -635,3 +807,22 @@ def eval_query(
         return v.bag
 
     return go(q)
+
+
+def _row_tag(pred: Expr) -> Optional[str]:
+    """``t`` when ``pred`` is ``istag(row, t)``: a select by it keeps the
+    bag's run of rows tagged ``t``."""
+    if isinstance(pred, IsTag) and isinstance(pred.inner, RowRef) and isinstance(pred.tag, str):
+        return pred.tag
+    return None
+
+
+def _match_tag(node: MapQ) -> Optional[str]:
+    """``t`` when ``node`` is what ``match t as (...)`` parses to, the
+    payloads of a select by ``istag(row, t)``."""
+    fn, q = node.fn, node.q
+    if isinstance(fn, Payload) and isinstance(fn.inner, RowRef) and isinstance(q, Select):
+        tag = _row_tag(q.pred)
+        if tag is not None and tag == fn.tag:
+            return tag
+    return None

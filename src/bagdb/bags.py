@@ -6,7 +6,9 @@ A Bag stores its elements as a tuple sorted in the canonical value order,
 so equal bags are equal tuples and every operation that returns a Bag
 returns a canonical one.  Construct through ``Bag.of``, and add elements
 to a bag through ``Bag.merged``, which places them without re-sorting it.
-Only this module builds a bag's ``key``.
+Only this module builds a bag's ``key``, and only it and ``values`` know
+that every Tagged key starts with ``(6, tag)``: a bag's rows of one tag
+are one contiguous run of its elements (``tag_span``).
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import EngineTypeError
@@ -23,6 +25,7 @@ from .values import BagV, Tuple, Value
 A = TypeVar("A")
 
 _KEY = attrgetter("key")
+_TAG_PREFIX = itemgetter(slice(0, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +98,22 @@ class Bag:
         bag.__dict__["key"] = tuple(ks)  # where cached_property would store it
         return bag
 
+    def tag_run(self, tag: str) -> "Bag":
+        """The rows tagged ``tag``, in bag order: a slice of a sorted bag,
+        so already canonical."""
+        span = tag_span(self, tag)
+        bag = Bag(self.elements[span])
+        bag.__dict__["key"] = self.key[span]
+        return bag
+
+    def payload_run(self, tag: str) -> "Bag":
+        """The payloads of the rows tagged ``tag``.  Those rows' keys are
+        ``(6, tag, payload key)``, so the payloads come out in key order."""
+        span = tag_span(self, tag)
+        bag = Bag(tuple([row.value for row in self.elements[span]]))  # type: ignore[attr-defined]
+        bag.__dict__["key"] = tuple([k[2] for k in self.key[span]])
+        return bag
+
     def add(self, x: Value) -> "Bag":
         """Insert one copy of ``x``, keeping the canonical order."""
         return self.merged((x,))
@@ -141,6 +160,14 @@ class Bag:
 
 
 EMPTY = Bag(())
+
+
+def tag_span(bag: Bag, tag: str) -> slice:
+    """Where a bag's rows of one tag lie in its elements: every Tagged key
+    is ``(6, tag, payload key)``, so they form one run, in bag order."""
+    keys = bag.key
+    lo = bisect_left(keys, (6, tag), key=_TAG_PREFIX)
+    return slice(lo, bisect_right(keys, (6, tag), lo, key=_TAG_PREFIX))
 
 
 def unit(x: Value) -> Bag:

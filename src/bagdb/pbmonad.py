@@ -34,15 +34,13 @@ query language's literal grammar.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import prod
-from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .algebra import Cmp, Const, eval_expr, tuple_parts
-from .bags import EMPTY, Bag, unit
+from .algebra import cmp_holds, tuple_parts
+from .bags import EMPTY, Bag, tag_span, unit
 from .dsl import Token, _Parser, tokenize
 from .errors import EngineTypeError, ProgramError, ResourceLimitError
 from .prob import (
@@ -59,7 +57,7 @@ from .prob import (
     poisson_draw,
     sample,
 )
-from .values import UNIT, BagV, Bool, Int, Real, Tagged, Tuple, Unit, Value, tagged
+from .values import BagV, Int, Real, Tagged, Tuple, Unit, Value, tagged
 
 DEFAULT_WORLD_LIMIT = 10**6
 
@@ -352,8 +350,7 @@ def _no_fields(payload: Value) -> tuple[Value, ...]:
 def _guard_holds(g: Guard, env: dict[str, Value]) -> bool:
     lv = _resolve(g.left, env)
     rv = _resolve(g.right, env)
-    result = eval_expr(Cmp(g.op, Const(lv), Const(rv)), UNIT)
-    return isinstance(result, Bool) and result.value
+    return cmp_holds(g.op, lv, rv)
 
 
 def _resolve(t: SimpleTerm, env: dict[str, Value]) -> Value:
@@ -409,17 +406,6 @@ def run_rule_program(
 # Heads memoised per match of a static rule, at most: bernoulli draws need
 # two, a continuous draw never repeats and must not grow the memo forever.
 _HEAD_MEMO_CAP = 32
-
-
-_TAG_PREFIX = itemgetter(slice(0, 2))
-
-
-def _tag_span(bag: Bag, tag: str) -> slice:
-    """Where a bag's rows of one tag lie in its elements: every Tagged key
-    is ``(6, tag, payload key)``, so they form one run, in bag order."""
-    keys = bag.key
-    lo = bisect_left(keys, (6, tag), key=_TAG_PREFIX)
-    return slice(lo, bisect_right(keys, (6, tag), lo, key=_TAG_PREFIX))
 
 
 class _AtomPlan:
@@ -509,12 +495,12 @@ class _RulePlan:
 
     def matches(self, world: Bag) -> list[dict[str, Value]]:
         """``rule_matches`` against a canonical world.  An atom whose index
-        is not kept reads its tag's run of the world, ``_tag_span``."""
+        is not kept reads its tag's run of the world, ``tag_span``."""
         envs: list[tuple[Value, ...]] = [()]
         for n, ap in enumerate(self.atoms):
             index = None if self.varying[n] else self.fixed_index[n]
             if index is None:
-                index = ap.index(world.elements[_tag_span(world, ap.tag)])
+                index = ap.index(world.elements[tag_span(world, ap.tag)])
                 if not self.varying[n]:
                     self.fixed_index[n] = index
             nxt = []
@@ -593,7 +579,7 @@ def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> Exac
     processed = 0
     for world_bv, pw in dist.entries:
         world: Bag = world_bv.bag  # type: ignore[union-attr]
-        reads = tuple([world.key[_tag_span(world, tag)] for tag in plan.varying_tags])
+        reads = tuple([world.key[tag_span(world, tag)] for tag in plan.varying_tags])
         options = memo.get(reads)
         if options is None:
             options = memo[reads] = plan.options(world)

@@ -64,7 +64,7 @@ from bagdb.errors import (
 )
 from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple
 
-from strategies import small_bags_st, small_ints
+from strategies import conjunction, small_bags_st, small_ints
 
 
 def ints(*ns):
@@ -416,10 +416,11 @@ JOIN_FIELDS = [
 @st.composite
 def join_operands(draw, non_bool=False):
     """Two bags of tuple rows (2 or 3 fields a side, duplicates likely, either
-    side possibly empty) and a select predicate whose leftmost conjunct is an
-    equality between a field of each side, followed by 0-2 residual
-    conjuncts.  With ``non_bool``, a residual may be a bare field, which is
-    never a boolean and so raises on any row that reaches it."""
+    side possibly empty) and a select predicate with an equality between a
+    field of each side, after 0-2 conjuncts that cannot raise and before
+    0-2 residual conjuncts, in an ``and`` chain nested either way.  With
+    ``non_bool``, a residual may be a bare field, which is never a boolean
+    and so raises on any row that reaches it."""
     n1, n2 = draw(st.integers(2, 3)), draw(st.integers(2, 3))
     field = st.sampled_from(JOIN_FIELDS)
 
@@ -429,7 +430,7 @@ def join_operands(draw, non_bool=False):
 
     a, b = draw(side(n1)), draw(side(n2))
     i, j = draw(st.integers(1, n1)), draw(st.integers(n1 + 1, n1 + n2))
-    pred = Cmp("=", Field(i), Field(j)) if draw(st.booleans()) else Cmp("=", Field(j), Field(i))
+    eq = Cmp("=", Field(i), Field(j)) if draw(st.booleans()) else Cmp("=", Field(j), Field(i))
     any_field = st.integers(1, n1 + n2).map(Field)
     residual = st.one_of(
         st.builds(Cmp, st.sampled_from(["=", "!=", "<", ">="]), any_field, any_field),
@@ -438,9 +439,14 @@ def join_operands(draw, non_bool=False):
                   any_field, any_field),
         any_field if non_bool else st.nothing(),
     )
-    for c in draw(st.lists(residual, max_size=2)):
-        pred = And(pred, c)
-    return pred, a, b
+    leading = st.one_of(
+        residual.filter(lambda c: not isinstance(c, Field)),
+        st.builds(lambda f: IsTag(f, "a"), st.one_of(any_field, st.just(RowRef()))),
+        st.builds(lambda f, b: And(Cmp(">=", f, Const(Real(0.0))), Const(Bool(b))), any_field, st.booleans()),
+        st.just(Const(Bool(True))),
+    )
+    conjuncts = [*draw(st.lists(leading, max_size=2)), eq, *draw(st.lists(residual, max_size=2))]
+    return conjunction(conjuncts, draw(st.booleans())), a, b
 
 
 def outcome(fn):
@@ -480,6 +486,41 @@ class TestEquijoin:
         b = Bag.of([Tuple((Real(1.0), Str("p"))), Tuple((Int(3), Str("q")))])
         got = eval_query(Select(Cmp("=", Field(3), Field(2)), Product(Lit(a), Lit(b))), {})
         assert got == BagV(Bag.of([Tuple((Str("x"), Int(1), Real(1.0), Str("p")))]))
+
+    def test_non_leading_join_builds_no_product(self, monkeypatch):
+        import bagdb.algebra as algebra
+
+        def no_product(b1, b2):
+            raise AssertionError("full product built")
+
+        monkeypatch.setattr(algebra, "q_product", no_product)
+        a = Bag.of([Tuple((Str("x"), Int(1))), Tuple((Str("y"), Int(2)))])
+        b = Bag.of([Tuple((Real(1.0), Str("p"))), Tuple((Int(3), Str("q")))])
+        first = And(Not(IsTag(Field(4), "a")), Cmp(">=", Field(2), Const(Int(0))))
+        got = eval_query(Select(And(first, Cmp("=", Field(3), Field(2))), Product(Lit(a), Lit(b))), {})
+        assert got == BagV(Bag.of([Tuple((Str("x"), Int(1), Real(1.0), Str("p")))]))
+
+    @pytest.mark.parametrize("first", [
+        Cmp("<", Arith("+", Field(1), Const(Int(1))), Const(Int(5))),  # arithmetic on a string
+        Cmp("=", Field(9), Const(Int(1))),  # out of range
+        Cmp("=", Field(0), Const(Int(1))),  # out of range
+        Field(4),  # not a boolean
+        Payload(Field(1), "a"),
+        Or(Const(Bool(False)), Field(4)),  # `or` of a non-boolean
+        Not(And(Const(Bool(True)), Cmp("<", Field(1), Arith("*", Field(1), Field(2))))),
+    ])
+    def test_a_conjunct_that_can_raise_first_builds_the_product(self, monkeypatch, first):
+        import bagdb.algebra as algebra
+
+        built = []
+        product = algebra.q_product
+        monkeypatch.setattr(algebra, "q_product", lambda b1, b2: built.append(1) or product(b1, b2))
+        a = Bag.of([Tuple((Str("x"), Int(1))), Tuple((Int(2), Int(2)))])
+        b = Bag.of([Tuple((Real(1.0), Str("p"))), Tuple((Int(3), Str("q")))])
+        pred = And(first, Cmp("=", Field(3), Field(2)))
+        join, naive = both_routes(pred, a, b)
+        assert join == naive and join[0] is EngineTypeError
+        assert built
 
     def test_numbers_join_by_magnitude(self):
         a = Bag.of([Int(1), Real(-0.0), Int(2**53 + 1)])

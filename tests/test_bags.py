@@ -10,6 +10,7 @@ from bagdb.bags import (
     counts,
     free_extend,
     strength,
+    tag_span,
     unit,
     uplus_by_fold,
 )
@@ -204,3 +205,23 @@ class TestCounts:
     @given(small_bags_st)
     def test_counts_total(self, b):
         assert sum(n for _, n in counts(b)) == b.size
+
+
+# tags that are prefixes of one another, beside rows of every other rank
+run_rows = st.one_of(
+    st.builds(Tagged, st.sampled_from(["a", "a0", "a_", "ab"]), values),
+    values,
+)
+
+
+class TestTagRuns:
+    @given(st.lists(run_rows, max_size=10).map(Bag.of), st.sampled_from(["a", "a0", "ab", "b"]))
+    def test_runs_are_the_tags_rows_and_payloads(self, b, tag):
+        rows = [v for v in b if isinstance(v, Tagged) and v.tag == tag]
+        run = b.tag_run(tag)
+        assert list(run.elements) == rows and run.key == Bag(tuple(rows)).key
+        assert list(b.elements[tag_span(b, tag)]) == rows
+        payloads = b.payload_run(tag)
+        assert payloads == Bag.of(v.value for v in rows)
+        assert payloads.elements == Bag.of(v.value for v in rows).elements
+        assert payloads.key == tuple(v.value.key for v in rows)

@@ -3,7 +3,6 @@ import math
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bagdb.algebra import (
     Agg,
@@ -12,30 +11,20 @@ from bagdb.algebra import (
     Cmp,
     Const,
     Dedup,
-    Difference,
     DUnion,
     Field,
-    Flatten,
     Group,
     GroupPrime,
-    IntersectQ,
     IsTag,
     Lit,
     MapQ,
-    MkTagged,
-    MkTuple,
     Not,
-    Or,
     Payload,
-    PowerBag,
-    PowerSet,
     Product,
     Project,
     RowRef,
     Select,
-    Singleton,
     Table,
-    UnionQ,
     eval_query,
 )
 from bagdb.bags import EMPTY, Bag
@@ -63,7 +52,7 @@ from bagdb.values import (
     TupleT,
 )
 
-from strategies import values
+from strategies import queries
 
 
 def ints(*ns):
@@ -251,79 +240,6 @@ class TestParse:
 
 # ---------------------------------------------------------------------------
 # Round trip
-
-expr_scalars = st.one_of(
-    st.integers(min_value=-99, max_value=99).map(Int),
-    st.floats(allow_nan=False, allow_infinity=False, width=64).map(Real),
-    st.booleans().map(Bool),
-    st.text(max_size=4).map(Str),
-    st.just(UNIT),
-)
-
-
-def _expr_inner(inner):
-    tags = st.sampled_from(["a", "b", "c"])
-    return st.one_of(
-        st.tuples(st.sampled_from(["+", "-", "*"]), inner, inner).map(
-            lambda t: Arith(*t)
-        ),
-        st.tuples(st.sampled_from(["=", "!=", "<", "<=", ">", ">="]), inner, inner).map(
-            lambda t: Cmp(*t)
-        ),
-        st.tuples(inner, inner).map(lambda t: And(*t)),
-        st.tuples(inner, inner).map(lambda t: Or(*t)),
-        inner.map(Not),
-        st.tuples(inner, tags).map(lambda t: IsTag(*t)),
-        st.tuples(inner, tags).map(lambda t: Payload(*t)),
-        st.lists(inner, min_size=2, max_size=3).map(lambda xs: MkTuple(tuple(xs))),
-        st.tuples(tags, st.lists(inner, max_size=2)).map(
-            lambda t: MkTagged(t[0], tuple(t[1]))
-        ),
-    )
-
-
-exprs = st.recursive(
-    st.one_of(
-        expr_scalars.map(Const),
-        st.integers(min_value=1, max_value=3).map(Field),
-        st.just(RowRef()),
-    ),
-    _expr_inner,
-    max_leaves=6,
-)
-
-_sources = st.one_of(
-    st.sampled_from(["t1", "t2"]).map(Table),
-    st.lists(values, max_size=3).map(lambda xs: Lit(Bag.of(xs))),
-)
-
-
-def _query_inner(inner):
-    fields = st.lists(
-        st.integers(min_value=1, max_value=3), min_size=1, max_size=2
-    ).map(tuple)
-    return st.one_of(
-        st.tuples(exprs, inner).map(lambda t: MapQ(*t)),
-        st.tuples(exprs, inner).map(lambda t: Select(*t)),
-        st.tuples(fields, inner).map(lambda t: Project(*t)),
-        st.tuples(inner, inner).map(lambda t: Product(*t)),
-        st.tuples(inner, inner).map(lambda t: DUnion(*t)),
-        st.tuples(inner, inner).map(lambda t: Difference(*t)),
-        st.tuples(inner, inner).map(lambda t: UnionQ(*t)),
-        st.tuples(inner, inner).map(lambda t: IntersectQ(*t)),
-        inner.map(Dedup),
-        inner.map(PowerBag),
-        inner.map(PowerSet),
-        inner.map(Flatten),
-        inner.map(Singleton),
-        st.tuples(fields, fields, inner).map(lambda t: Group(*t)),
-        st.tuples(st.sampled_from(["size", "the", "sum"]), inner).map(
-            lambda t: Agg(*t)
-        ),
-    )
-
-
-queries = st.recursive(_sources, _query_inner, max_leaves=5)
 
 
 class TestRoundTrip:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bagdb.bags import EMPTY, Bag
+from bagdb.algebra import Cmp, Const
+from bagdb.bags import EMPTY, Bag, tag_span
 from bagdb.errors import (
     EngineError,
     EngineTypeError,
@@ -42,11 +43,12 @@ from bagdb.pbmonad import (
     run_rule_program,
     validate_program,
 )
-from bagdb.pbmonad import _RulePlan, _dist_sampler, _distr_into, _resolve, _tag_span
+from bagdb.pbmonad import _RulePlan, _dist_sampler, _distr_into, _guard_holds, _resolve
 from bagdb.prob import Bernoulli, Dirac, ExactDist, Normal, Seed, dirac, draw_from, exact_of
 from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple, deserialize, tagged
 
-from strategies import exact_dists
+import reference_algebra as ref
+from strategies import exact_dists, values
 
 
 def ints(*ns):
@@ -372,6 +374,29 @@ class TestValidation:
         # are recursion
         prog = parse_rules("a(x) <- b(x)\nb(x) <- src(x)")
         validate_program(prog)
+
+
+# numbers that compare by magnitude across Int and Real, and other values
+GUARD_VALUES = [Int(1), Real(1.0), Int(0), Real(0.0), Real(-0.0), Int(2**53 + 1), Real(2.0**53),
+                Real(-math.inf), Str(""), Str("a"), Tagged("a", Int(1)), Tagged("a", Real(1.0)),
+                BagV(Bag.of([Int(1)])), BagV(Bag.of([Real(1.0)]))]
+guard_values = st.one_of(st.sampled_from(GUARD_VALUES), values)
+CMP_OPS = ["=", "!=", "<", "<=", ">", ">="]
+
+
+def guard_agrees(op, a, b):
+    want = ref.eval_expr(Cmp(op, Const(a), Const(b)), UNIT)
+    return _guard_holds(Guard(op, ConstT(a), VarT("y")), {"y": b}) is want.value
+
+
+class TestGuards:
+    @given(st.sampled_from(CMP_OPS), guard_values, guard_values)
+    def test_guard_agrees_with_the_reference_comparison(self, op, a, b):
+        assert guard_agrees(op, a, b)
+
+    @pytest.mark.parametrize("op", CMP_OPS)
+    def test_guard_agrees_on_every_edge_pair(self, op):
+        assert all(guard_agrees(op, a, b) for a in GUARD_VALUES for b in GUARD_VALUES)
 
 
 class TestRuleMatching:
@@ -933,7 +958,7 @@ def town4():
 
 def _group_by_tag(rows):
     """Tagged rows per tag, in the order given: the reference for
-    ``_tag_span``."""
+    ``tag_span``."""
     groups = {}
     for v in rows:
         if isinstance(v, Tagged):
@@ -965,7 +990,7 @@ span_worlds = st.lists(span_rows, max_size=12).map(Bag.of)
 class TestIncrementalExact:
     @given(span_worlds, st.sampled_from(SPAN_TAGS + ["A", "a1", "aa", "b"]))
     def test_tag_span_is_the_tags_rows(self, world, tag):
-        assert list(world.elements[_tag_span(world, tag)]) == _group_by_tag(world).get(tag, [])
+        assert list(world.elements[tag_span(world, tag)]) == _group_by_tag(world).get(tag, [])
 
     @given(span_worlds, st.lists(st.lists(st.tuples(span_rows, st.sampled_from([0.5, 0.3, 1.0])),
                                           min_size=1, max_size=2), max_size=3))
