@@ -14,10 +14,10 @@ comparisons, ``istag``, ``not``, ``and`` and ``or`` yields a Python bool
 per row, not a Bool value.  Rule guards compare through the same
 ``cmp_holds``.
 
-``eval_query`` reads two shapes as one run of the sorted bag
-(``Bag.tag_run``): ``select istag(row, t)`` keeps the rows tagged ``t``,
-and ``match t as (...)``, the payloads of that select, is the run's
-payloads, already in key order.  It runs a ``select`` directly over a
+``eval_query`` reads ``match t as (...)``, the payloads of a
+``select istag(row, t)``, as the payloads of the sorted bag's one run of
+rows tagged ``t`` (``Bag.payload_run``), already in key order; the
+``select`` itself is not run.  It runs a ``select`` directly over a
 ``product`` as a hash equijoin on the first conjunct that is ``.i = .j``,
 one field from each side, provided that no conjunct before it can raise:
 each is built from comparisons, ``istag``, ``not``, ``and``, ``or``,
@@ -765,9 +765,6 @@ def eval_query(
         if isinstance(node, Project):
             return BagV(q_project(node.indices, bag_of(node.q)))
         if isinstance(node, Select):
-            tag = _row_tag(node.pred)
-            if tag is not None:
-                return BagV(bag_of(node.q).tag_run(tag))
             if isinstance(node.q, Product):
                 return BagV(q_equijoin(node.pred, bag_of(node.q.q1), bag_of(node.q.q2)))
             return BagV(q_select(node.pred, bag_of(node.q)))
@@ -810,8 +807,7 @@ def eval_query(
 
 
 def _row_tag(pred: Expr) -> Optional[str]:
-    """``t`` when ``pred`` is ``istag(row, t)``: a select by it keeps the
-    bag's run of rows tagged ``t``."""
+    """``t`` when ``pred`` is ``istag(row, t)``."""
     if isinstance(pred, IsTag) and isinstance(pred.inner, RowRef) and isinstance(pred.tag, str):
         return pred.tag
     return None

@@ -98,14 +98,6 @@ class Bag:
         bag.__dict__["key"] = tuple(ks)  # where cached_property would store it
         return bag
 
-    def tag_run(self, tag: str) -> "Bag":
-        """The rows tagged ``tag``, in bag order: a slice of a sorted bag,
-        so already canonical."""
-        span = tag_span(self, tag)
-        bag = Bag(self.elements[span])
-        bag.__dict__["key"] = self.key[span]
-        return bag
-
     def payload_run(self, tag: str) -> "Bag":
         """The payloads of the rows tagged ``tag``.  Those rows' keys are
         ``(6, tag, payload key)``, so the payloads come out in key order."""

@@ -218,8 +218,6 @@ class TestTagRuns:
     @given(st.lists(run_rows, max_size=10).map(Bag.of), st.sampled_from(["a", "a0", "ab", "b"]))
     def test_runs_are_the_tags_rows_and_payloads(self, b, tag):
         rows = [v for v in b if isinstance(v, Tagged) and v.tag == tag]
-        run = b.tag_run(tag)
-        assert list(run.elements) == rows and run.key == Bag(tuple(rows)).key
         assert list(b.elements[tag_span(b, tag)]) == rows
         payloads = b.payload_run(tag)
         assert payloads == Bag.of(v.value for v in rows)

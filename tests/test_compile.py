@@ -109,14 +109,6 @@ class TestTagRuns:
         Tagged("c", Int(0)), BagV(Bag.of([Int(1)])),
     ])
 
-    def test_select_by_tag_is_the_run(self, monkeypatch):
-        import bagdb.algebra as algebra
-
-        monkeypatch.setattr(algebra, "q_select", None)  # the run needs no select
-        for tag in ("a", "b", "c", "d"):
-            q = Select(IsTag(RowRef(), tag), Table("t"))
-            assert eval_query(q, {"t": self.ROWS}) == ref.eval_query(q, {"t": self.ROWS})
-
     def test_match_is_the_payloads_of_the_run(self, monkeypatch):
         import bagdb.algebra as algebra
 
