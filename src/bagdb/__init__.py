@@ -5,8 +5,8 @@ commutative-monoid interface, and a query algebra over structured values
 (`algebra`).  Probabilistic layer: finite exact distributions and seeded
 Monte-Carlo sampling (`prob`), distributions over bags with generative
 rule programs (`pbmonad`).  A textual query language (`dsl`) and a CLI
-(`cli`) sit on top; `oracle` holds slow independent re-implementations
-used for cross-checking.
+(`cli`) sit on top.  The slow independent re-implementations used for
+cross-checking live with the tests, in `tests/oracle.py`.
 """
 from .bags import EMPTY, Bag
 from .errors import (

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import EngineTypeError
-from .values import BagV, Tuple, Value
+from .values import BagV, Tuple, Value, stored
 
 A = TypeVar("A")
 
@@ -36,9 +35,7 @@ class Bag:
     def of(cls, items: Iterable[Value]) -> "Bag":
         return cls(tuple(sorted(items, key=_KEY)))
 
-    @cached_property
-    def key(self) -> tuple:
-        return tuple(e.key for e in self.elements)
+    key = stored(lambda self: tuple([e.key for e in self.elements]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bag):
@@ -95,7 +92,7 @@ class Bag:
         elems += elements[start:]
         ks += keys[start:]
         bag = Bag(tuple(elems))
-        bag.__dict__["key"] = tuple(ks)  # where cached_property would store it
+        bag.__dict__["key"] = tuple(ks)  # where Bag.key stores it
         return bag
 
     def payload_run(self, tag: str) -> "Bag":
@@ -103,7 +100,7 @@ class Bag:
         ``(6, tag, payload key)``, so the payloads come out in key order."""
         span = tag_span(self, tag)
         bag = Bag(tuple([row.value for row in self.elements[span]]))  # type: ignore[attr-defined]
-        bag.__dict__["key"] = tuple([k[2] for k in self.key[span]])
+        bag.__dict__["key"] = tuple([k[2] for k in self.key[span]])  # where Bag.key stores it
         return bag
 
     def add(self, x: Value) -> "Bag":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
@@ -83,6 +84,10 @@ def _rng_of(h: "hashlib._Hash") -> random.Random:
 # Exact finite-support distributions
 
 
+def _entry_key(entry: tuple[Value, float]) -> tuple:
+    return entry[0].key
+
+
 @dataclass(frozen=True)
 class ExactDist:
     """Finite-support distribution over values, canonical by construction."""
@@ -102,7 +107,7 @@ class ExactDist:
         total = math.fsum(acc.values())
         if abs(total - 1.0) > WEIGHT_EPS:
             raise NormalizationError(f"weights sum to {total!r}, not 1")
-        entries = tuple(sorted(acc.items(), key=lambda kv: kv[0].key))
+        entries = tuple(sorted(acc.items(), key=_entry_key))
         return cls(entries)
 
     @classmethod
@@ -114,9 +119,12 @@ class ExactDist:
         return tuple(v for v, _ in self.entries)
 
     def weight(self, x: Value) -> float:
-        for v, w in self.entries:
-            if v == x:
-                return w
+        """The weight of ``x``, found by bisection: the entries are sorted
+        by key, and keys are injective."""
+        entries = self.entries
+        i = bisect_left(entries, x.key, key=_entry_key)
+        if i < len(entries) and entries[i][0] == x:
+            return entries[i][1]
         return 0.0
 
     def map(self, g: Callable[[Value], Value]) -> "ExactDist":

@@ -5,7 +5,11 @@ order is what makes bags canonical: cross-variant comparisons go by a fixed
 variant rank (Int < Real < Bool < Str < Unit < Tuple < Tagged < BagV), and
 only same-variant values compare by content.  Each value exposes an
 injective ``key`` tuple so sorting and equality can use native tuple
-comparison instead of a comparator callback.
+comparison instead of a comparator callback.  The key is computed on first
+access and stored in the value's ``__dict__``, and so is ``hash(key)`` on
+the first ``hash``: a value is immutable, so neither can go stale.  The
+stored entries are not fields, so ``==``, order, ``repr`` and the codec
+never see them.
 """
 from __future__ import annotations
 
@@ -13,21 +17,39 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import EngineTypeError, ParseError, SchemaError
 
 _TAG_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+class stored:
+    """A non-data descriptor that computes an attribute on first access and
+    stores it in the instance ``__dict__``, which shadows the descriptor
+    from then on.  A cached property does the same, but on CPython 3.11 it
+    takes a class-wide lock at every first access.  Writing the
+    ``__dict__`` directly also works on frozen dataclasses."""
+
+    def __init__(self, compute: Callable[[Any], Any]):
+        self.compute = compute
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class Value:
     """Base class; comparison and hashing are shared via ``key``."""
 
-    @cached_property
-    def key(self) -> tuple:
-        return self._key()
+    key = stored(lambda self: self._key())
+    _hash = stored(lambda self: hash(self.key))
 
     def _key(self) -> tuple:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -54,7 +76,12 @@ class Value:
         return self.key >= other.key
 
     def __hash__(self) -> int:
-        return hash(self.key)
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # a str's hash depends on the interpreter's PYTHONHASHSEED, so the
+        # stored hash must not travel to another process
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 def compare(a: Value, b: Value) -> int:

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
-from .bags import Bag
-from .errors import NotFiniteError, ProgramError
-from .pbmonad import ConstT, DistT, Rule, RuleProgram
-from .prob import ExactDist
-from .values import BagV, Int, Real, Tagged, Tuple, Unit, Value
+from bagdb.bags import Bag
+from bagdb.errors import NotFiniteError, ProgramError
+from bagdb.pbmonad import ConstT, DistT, Rule, RuleProgram
+from bagdb.prob import ExactDist
+from bagdb.values import UNIT, BagV, Int, Real, Tagged, Tuple, Unit, Value
 
 A = TypeVar("A")
 
@@ -141,8 +141,6 @@ def _head_outcomes(rule: Rule, env: dict[str, Value]) -> list[tuple[Value, float
 
 
 def _mk(tag: str, parts: Sequence[Value]) -> Value:
-    from .values import UNIT
-
     if len(parts) == 0:
         return Tagged(tag, UNIT)
     if len(parts) == 1:

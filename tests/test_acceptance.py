@@ -31,7 +31,7 @@ from bagdb.algebra import (
 )
 from bagdb.bags import EMPTY, Bag, counts, unit
 from bagdb.dsl import parse
-from bagdb.oracle import StatGate, enum_worlds, gate, small_bags, tally
+from oracle import StatGate, enum_worlds, gate, small_bags, tally
 from bagdb.pbmonad import (
     add_noise,
     add_remove,

@@ -223,3 +223,25 @@ class TestTagRuns:
         assert payloads == Bag.of(v.value for v in rows)
         assert payloads.elements == Bag.of(v.value for v in rows).elements
         assert payloads.key == tuple(v.value.key for v in rows)
+
+
+class TestStoredKeys:
+    """Every way of building a bag leaves ``key`` equal to its elements'
+    keys, whether the key was computed or spliced in, so a bag value's
+    hash does not depend on how the bag was built."""
+
+    @given(
+        st.lists(run_rows, max_size=8),
+        st.lists(merge_values, max_size=4),
+        merge_values,
+        st.sampled_from(["a", "a0", "ab", "b"]),
+    )
+    def test_every_construction_keys_its_elements(self, xs, ys, x, tag):
+        b = Bag.of(xs)
+        built = [b, b.merged(ys), b.uplus(Bag.of(ys)), b.payload_run(tag), b.add(x), b.remove(x)]
+        if b:
+            built.append(b.remove(b.elements[len(b) // 2]))
+        for c in built:
+            assert c.key == tuple(e.key for e in c)
+            assert hash(BagV(c)) == hash(BagV(Bag.of(c.elements)))
+            assert BagV(c) == BagV(Bag.of(c.elements))

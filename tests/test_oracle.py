@@ -5,7 +5,7 @@ import pytest
 
 from bagdb.bags import Bag
 from bagdb.errors import NotFiniteError, ProgramError
-from bagdb.oracle import (
+from oracle import (
     GateReport,
     StatGate,
     binom,

@@ -401,7 +401,7 @@ class TestGuards:
 
 class TestRuleMatching:
     def test_atom_without_arguments_reads_a_head_without_terms(self):
-        from bagdb.oracle import enum_worlds
+        from oracle import enum_worlds
 
         prog = parse_rules("flag() <- a(x)\nseen(1) <- flag()")
         base = Bag.of([Tagged("a", Int(1))])

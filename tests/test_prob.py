@@ -41,7 +41,7 @@ from bagdb.prob import (
 )
 from bagdb.values import BagV, Int, Real, Str, Tuple
 
-from strategies import exact_dists, seeds, small_ints
+from strategies import exact_dists, seeds, small_ints, values
 
 
 def ints(*ns):
@@ -119,6 +119,13 @@ class TestExactDist:
         d = ExactDist.from_weights({Int(1): 0.3, Int(2): 0.7})
         assert d.weight(Int(1)) == 0.3
         assert d.weight(Int(9)) == 0.0
+
+    @given(exact_dists(values, max_support=6), values, st.data())
+    def test_weight_is_the_linear_scan(self, d, other, data):
+        # 1 and 1.0, or 0.0 and -0.0, are different points of the support
+        x = data.draw(st.sampled_from([other, *d.support]))
+        scan = next((w for v, w in d.entries if v == x), 0.0)
+        assert d.weight(x).hex() == scan.hex()
 
     def test_close_to(self):
         a = ExactDist.from_weights({Int(1): 0.5, Int(2): 0.5})

@@ -1,6 +1,11 @@
 """Value order, schemas, and the JSON codec."""
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -139,6 +144,57 @@ class TestOrder:
         xs = sorted([a, b, c], key=lambda v: v.key)
         assert compare(xs[0], xs[1]) <= 0 and compare(xs[1], xs[2]) <= 0
         assert compare(xs[0], xs[2]) <= 0
+
+
+class TestStoredKeyAndHash:
+    """A value stores its key on first access and ``hash(key)`` on the first
+    ``hash``.  ``replace(v)`` is a new object equal to ``v`` with nothing
+    stored on it yet."""
+
+    @given(values, st.booleans())
+    def test_hash_is_the_key_hash_whether_or_not_key_was_read(self, v, read_key_first):
+        a = replace(v)
+        assert "key" not in a.__dict__ and "_hash" not in a.__dict__
+        if read_key_first:
+            assert a.key == v.key
+        assert hash(a) == hash(a.key) == hash(v.key)
+        assert a.__dict__["_hash"] == hash(a) == hash(a._key())
+
+    @given(values)
+    def test_stored_key_is_a_fresh_key(self, v):
+        hash(v)
+        assert v.__dict__["key"] == v._key()
+
+    @given(json_edge_values, values)
+    def test_stored_entries_are_invisible(self, v, w):
+        a = replace(v)
+        shown = (repr(a), json_text(a), to_json(a), [f.name for f in fields(a)])
+        eq = (a == v, v == a, a != v, a == w, a != w, compare(a, w))
+        hash(a)
+        assert "key" in a.__dict__ and "_hash" in a.__dict__
+        assert (repr(a), json_text(a), to_json(a), [f.name for f in fields(a)]) == shown
+        assert (a == v, v == a, a != v, a == w, a != w, compare(a, w)) == eq
+        assert eq[:3] == (True, True, False)
+
+    def test_pickle_leaves_the_stored_hash_behind(self):
+        # a str's hash depends on PYTHONHASHSEED, so a hash stored in one
+        # interpreter is wrong in another
+        v = Tagged("a", Tuple((Str("x"), BagV(Bag.of([Str("y")])))))
+        for x in (v, v.value, *v.value.items):
+            hash(x)
+        data = pickle.dumps(v)
+        assert "_hash" not in pickle.loads(data).__dict__
+        check = (
+            "import pickle, sys\n"
+            "from bagdb.bags import Bag\n"
+            "from bagdb.values import BagV, Str, Tagged, Tuple\n"
+            "v = pickle.loads(sys.stdin.buffer.read())\n"
+            "ok = v in {Tagged('a', Tuple((Str('x'), BagV(Bag.of([Str('y')])))))}\n"
+            "sys.exit(not (ok and v.value.items[0] in {Str('x')}))\n"
+        )
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            subprocess.run([sys.executable, "-c", check], input=data, env=env, check=True)
 
 
 class TestJson:
