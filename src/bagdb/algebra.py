@@ -315,7 +315,10 @@ def _arith(op: str, left: Compiled, right: Compiled) -> Compiled:
             raise EngineTypeError(f"arithmetic {op} needs numbers, got {a!r} and {b!r}")
         if f is None:
             raise EngineTypeError(f"unknown arithmetic operator {op!r}")
-        r = f(a.value, b.value)
+        try:
+            r = f(a.value, b.value)
+        except OverflowError:  # an Int past the float range met a Real
+            raise EngineTypeError(f"arithmetic {op} needs numbers that fit a float, got {a!r} and {b!r}") from None
         if isinstance(a, Int) and isinstance(b, Int):
             return Int(r)
         return Real(float(r))

@@ -185,7 +185,10 @@ def _stat_mean(results: Iterable[Value]) -> dict:
         for el in elems:
             if not isinstance(el, (Int, Real)):
                 raise EngineTypeError(f"mean statistic needs numeric results, got {el!r}")
-            nums.append(float(el.value))
+            try:
+                nums.append(float(el.value))
+            except OverflowError:
+                raise EngineTypeError(f"mean statistic needs numbers that fit a float, got {el!r}") from None
     if not nums:
         raise EngineTypeError("mean statistic over no numeric data")
     count = len(nums)
@@ -236,7 +239,7 @@ def _bag_text(b: Bag, memo: dict, keep: bool) -> str:
 def _exact_payload(entries) -> dict:
     """Output of ``generate --backend exact``; each world is encoded as it is
     written.  Nearly every element is the same object in many worlds (the
-    input rows, heads shared through the options memo), so each distinct
+    input rows, and the heads that each rule plan's memo keeps one of per value), so each distinct
     element is encoded once."""
     memo: dict = {}
     worlds = ('{"weight": ' + _ENCODER.encode(w) + ', "world": ' + _bag_text(v.bag, memo, keep=True) + "}"

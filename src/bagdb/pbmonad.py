@@ -8,23 +8,22 @@ bag, deterministic under the seed contract).  The distributive law turns
 a collection of independent per-element distributions into one
 distribution over bags; everything else is built from it.
 
-Both backends compile a rule program once.  A rule whose body reads no
-tag that an earlier rule produces matches the same facts in every world,
-so its matches, guards and per-match distributions are worked out once.
-Every other rule joins its atoms through hash indexes whose buckets keep
-bag order, so the matches, and with them the match ordinals that address
-the draws, come out as ``rule_matches`` lists them.  The exact backend
-applies a rule to a world as the Kleisli extension through the
-distributive law, in product form: every choice of one head option per
-match, added to the world, with the product of their weights.
+Both backends compile a rule program once.  A rule joins its atoms
+through hash indexes whose buckets keep bag order, so the matches, and
+with them the match ordinals that address the draws, come out as
+``rule_matches`` lists them; an atom whose tag no earlier rule produces
+sees the input rows in every world and keeps its index.  A match's guard
+outcome, draw distribution and heads depend only on the values it binds,
+so each plan keeps them in one memo keyed by those values, shared by
+every world and by both backends; equal heads are then one object.  The
+exact backend applies a rule to a world as the Kleisli extension through
+the distributive law, in product form: every choice of one head option
+per match, added to the world, with the product of their weights.
 
 Both backends step one canonical world bag through the same plans.  A
 world's rows of one tag are one run of its sorted elements, found by
 bisection, and a rule's heads are added to the world with ``Bag.merged``,
-so no world is re-sorted.  The exact rule step is incremental: a rule's
-head options depend only on the rows it reads whose tag an earlier rule
-produces, so within one step they are computed once per distinct set of
-those rows and shared by the worlds that have it.
+so no world is re-sorted.
 
 An atom with no arguments matches the rows that a head with no terms
 writes, ``tag()`` with a Unit payload, as well as an empty tuple payload.
@@ -368,7 +367,10 @@ def _dist_sampler(d: DistT, env: dict[str, Value]) -> SamplerExpr:
         v = _resolve(p, env) if isinstance(p, VarT) else p.value
         if not isinstance(v, (Int, Real)):
             raise EngineTypeError(f"distribution parameter {v!r} is not numeric")
-        params.append(float(v.value))
+        try:
+            params.append(float(v.value))
+        except OverflowError:
+            raise EngineTypeError(f"distribution parameter {v!r} does not fit a float") from None
     if len(params) != _DIST_ARITY[d.kind]:
         raise ProgramError(f"{d.kind} takes {_DIST_ARITY[d.kind]} parameter(s), got {len(params)}")
     if d.kind == "bernoulli":
@@ -403,9 +405,11 @@ def run_rule_program(
 # ---------------------------------------------------------------------------
 # Compiled rule programs (both backends)
 
-# Heads memoised per match of a static rule, at most: bernoulli draws need
-# two, a continuous draw never repeats and must not grow the memo forever.
+# A plan's memo keeps at most this many heads per match (bernoulli draws
+# need two, a continuous draw never repeats) and matches (a rule that reads a
+# continuous head sees new ones in every world); when full it stores nothing.
 _HEAD_MEMO_CAP = 32
+_MATCH_MEMO_CAP = 4096
 
 
 class _AtomPlan:
@@ -466,15 +470,28 @@ class _AtomPlan:
         return buckets
 
 
-class _RulePlan:
-    """One rule compiled for either backend.
+class _Match:
+    """One match's memo entry: its named env, whether the rule's guards
+    hold, and, once computed, the sampler of its draw, its heads per drawn
+    value (key ``None`` without a draw) and its exact head options."""
 
-    The rule is static when no earlier rule produces any of its body tags:
-    it then sees the input rows in every world, so its matches, their
-    distributions and the heads for each drawn value are kept after the
-    first world that computes them without raising.  Atoms of a dynamic
-    rule whose tag no earlier rule produces keep their index likewise.
-    """
+    __slots__ = ("env", "ok", "sampler", "heads", "options")
+
+    def __init__(self, env: dict[str, Value], guards: Sequence[Guard]):
+        self.env = env
+        self.ok = all(_guard_holds(g, env) for g in guards)
+        self.sampler: Optional[SamplerExpr] = None
+        self.heads: dict[Optional[Value], Value] = {}
+        self.options: Optional[list[tuple[Value, float]]] = None
+
+
+class _RulePlan:
+    """One rule compiled for either backend.  Atoms whose tag no earlier
+    rule produces keep their index after the first world.  What a match
+    yields depends only on the values it binds, so ``memo`` maps their
+    keys, in env slot order, to the match's ``_Match``.  An entry, and each
+    field of it, is stored only once it is computed without raising, so
+    every world raises the uncompiled loop's errors, order and messages."""
 
     def __init__(self, k: int, rule: Rule, produced_before: set[str]):
         self.k = k
@@ -483,19 +500,14 @@ class _RulePlan:
         self.atoms = [_AtomPlan(a, slot_of) for a in rule.atoms]
         self.names = tuple(slot_of)  # variables in env slot order
         self.varying = [a.tag in produced_before for a in rule.atoms]
-        self.static = not any(self.varying)
-        self.varying_tags = tuple(dict.fromkeys(a.tag for a in rule.atoms if a.tag in produced_before))
         self.fixed_index: list[Optional[dict]] = [None] * len(self.atoms)
         self.dist = next((n for n, t in enumerate(rule.head_terms) if isinstance(t, DistT)), -1)
-        # static rules only, filled lazily
-        self.envs: Optional[list[dict[str, Value]]] = None
-        self.samplers: Optional[list[SamplerExpr]] = None
-        self.memos: list[dict[Value, Value]] = []
-        self.heads: Optional[list[Value]] = None
+        self.memo: dict[tuple, _Match] = {}
 
-    def matches(self, world: Bag) -> list[dict[str, Value]]:
-        """``rule_matches`` against a canonical world.  An atom whose index
-        is not kept reads its tag's run of the world, ``tag_span``."""
+    def matches(self, world: Bag) -> list[_Match]:
+        """The entries of the matches whose guards hold against a canonical
+        world, in ``rule_matches`` order.  An atom whose index is not kept
+        reads its tag's run of the world, ``tag_span``."""
         envs: list[tuple[Value, ...]] = [()]
         for n, ap in enumerate(self.atoms):
             index = None if self.varying[n] else self.fixed_index[n]
@@ -509,86 +521,72 @@ class _RulePlan:
                 if bucket:
                     nxt.extend([env + vals for vals in bucket])
             envs = nxt
-        named = [dict(zip(self.names, env)) for env in envs]
-        guards = self.rule.guards
-        return [env for env in named if all(_guard_holds(g, env) for g in guards)]
+        memo, guards, out = self.memo, self.rule.guards, []
+        for env in envs:
+            key = tuple([v.key for v in env])
+            m = memo.get(key)
+            if m is None:
+                m = _Match(dict(zip(self.names, env)), guards)
+                if len(memo) < _MATCH_MEMO_CAP:
+                    memo[key] = m
+            if m.ok:
+                out.append(m)
+        return out
 
-    def head(self, env: dict[str, Value], drawn: Optional[Value] = None) -> Value:
-        parts = [drawn if n == self.dist else _resolve(t, env)  # type: ignore[arg-type]
-                 for n, t in enumerate(self.rule.head_terms)]
-        return tagged(self.rule.head_tag, parts)  # type: ignore[arg-type]
+    def sampler(self, m: _Match) -> SamplerExpr:
+        if m.sampler is None:
+            m.sampler = _dist_sampler(self.rule.head_terms[self.dist], m.env)  # type: ignore[arg-type]
+        return m.sampler
+
+    def head(self, m: _Match, drawn: Optional[Value] = None) -> Value:
+        h = m.heads.get(drawn)
+        if h is None:
+            parts = [drawn if n == self.dist else _resolve(t, m.env)  # type: ignore[arg-type]
+                     for n, t in enumerate(self.rule.head_terms)]
+            h = tagged(self.rule.head_tag, parts)  # type: ignore[arg-type]
+            if len(m.heads) < _HEAD_MEMO_CAP:
+                m.heads[drawn] = h
+        return h
 
     def options(self, world: Bag) -> Options:
         """The possible heads of each match with their probabilities, in
         match order.  For each match the parameter check comes before the
         ``NotFiniteError`` of a continuous head."""
-        envs = self.matches(world)
-        if self.dist < 0:
-            return [[(self.head(env), 1.0)] for env in envs]
-        dist = self.rule.head_terms[self.dist]
-        return [[(self.head(env, z), w) for z, w in exact_of(_dist_sampler(dist, env)).entries]  # type: ignore[arg-type]
-                for env in envs]
+        out = []
+        for m in self.matches(world):
+            if m.options is None:
+                m.options = [(self.head(m), 1.0)] if self.dist < 0 else \
+                    [(self.head(m, z), w) for z, w in exact_of(self.sampler(m)).entries]
+            out.append(m.options)
+        return out
 
     def fire(self, world: Bag, seed: Seed, i: int) -> list[Value]:
         """The heads this rule adds to world i, in match order.  The draw
         of match j uses the stream of seed/(rule, i, j)."""
-        if not self.static:
-            envs = self.matches(world)
-            if self.dist < 0 or not envs:
-                return [self.head(env) for env in envs]
-            prefix = seed.child(self.k).child(i).hasher()  # raises for i >= 2**64
-            dist = self.rule.head_terms[self.dist]
-            return [
-                self.head(env, draw_from(_dist_sampler(dist, env), child_rng(prefix, j)))  # type: ignore[arg-type]
-                for j, env in enumerate(envs)
-            ]
-        if self.envs is None:
-            self.envs = self.matches(world)
-        envs = self.envs
-        if self.dist < 0 or not envs:
-            if self.heads is None:
-                self.heads = [self.head(env) for env in envs]
-            return self.heads
-        prefix = seed.child(self.k).child(i).hasher()  # a bad world index fails before a bad parameter
-        if self.samplers is None:
-            dist = self.rule.head_terms[self.dist]
-            self.samplers = [_dist_sampler(dist, env) for env in envs]  # type: ignore[arg-type]
-            self.memos = [{} for _ in envs]
-        out = []
-        for j, (sampler, memo) in enumerate(zip(self.samplers, self.memos)):
-            drawn = draw_from(sampler, child_rng(prefix, j))
-            h = memo.get(drawn)
-            if h is None:
-                h = self.head(envs[j], drawn)
-                if len(memo) < _HEAD_MEMO_CAP:
-                    memo[drawn] = h
-            out.append(h)
-        return out
+        matches = self.matches(world)
+        if self.dist < 0 or not matches:
+            return [self.head(m) for m in matches]
+        prefix = seed.child(self.k).child(i).hasher()  # raises for i >= 2**64, before a bad parameter
+        return [self.head(m, draw_from(self.sampler(m), child_rng(prefix, j)))
+                for j, m in enumerate(matches)]
 
 
 def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> ExactDist:
-    """One rule over every world: each world's per-match head options go
-    through the distributive law and are added to the world.  The options
-    depend only on the rows the rule reads whose tag an earlier rule
-    produces (its other rows are the input's in every world), so they are
-    computed once per distinct set of those rows, and once in all for a
-    static rule.  Every world is counted against ``max_worlds`` before any
-    is enumerated, so the rule that trips the limit enumerates nothing."""
-    memo: dict[tuple, Options] = {}
+    """One rule over every world: each world's per-match head options,
+    read through the plan's memo, go through the distributive law and are
+    added to the world.  Every world is counted against ``max_worlds``
+    before any is enumerated, so the rule that trips the limit enumerates
+    nothing."""
     todo: list[tuple[Bag, float, Options]] = []
     processed = 0
     for world_bv, pw in dist.entries:
-        world: Bag = world_bv.bag  # type: ignore[union-attr]
-        reads = tuple([world.key[tag_span(world, tag)] for tag in plan.varying_tags])
-        options = memo.get(reads)
-        if options is None:
-            options = memo[reads] = plan.options(world)
+        options = plan.options(world_bv.bag)  # type: ignore[union-attr]
         processed += prod(map(len, options))
         if processed > max_worlds:
             raise ResourceLimitError(
                 f"exact enumeration exceeds {max_worlds} worlds; rerun with the mc backend"
             )
-        todo.append((world, pw, options))
+        todo.append((world_bv.bag, pw, options))  # type: ignore[union-attr]
     out: dict[Value, float] = {}
     for world, pw, options in todo:
         _distr_into(out, options, world, pw)
@@ -619,7 +617,7 @@ class _CompiledProgram:
 def indexed_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
     """``rule_matches`` computed the compiled way, through order-keeping
     hash indexes: the same envs in the same order."""
-    return _RulePlan(0, rule, set()).matches(bag)
+    return [m.env for m in _RulePlan(0, rule, set()).matches(bag)]
 
 
 # ---------------------------------------------------------------------------

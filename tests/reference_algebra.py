@@ -90,14 +90,18 @@ def eval_expr(e: Expr, row: Value) -> Value:
         x, y = _numeric(a), _numeric(b)
         if x is None or y is None:
             raise EngineTypeError(f"arithmetic {e.op} needs numbers, got {a!r} and {b!r}")
-        if e.op == "+":
-            r = x + y
-        elif e.op == "-":
-            r = x - y
-        elif e.op == "*":
-            r = x * y
-        else:
-            raise EngineTypeError(f"unknown arithmetic operator {e.op!r}")
+        try:
+            if e.op == "+":
+                r = x + y
+            elif e.op == "-":
+                r = x - y
+            elif e.op == "*":
+                r = x * y
+            else:
+                raise EngineTypeError(f"unknown arithmetic operator {e.op!r}")
+        except OverflowError:  # an Int past the float range met a Real
+            raise EngineTypeError(
+                f"arithmetic {e.op} needs numbers that fit a float, got {a!r} and {b!r}") from None
         if isinstance(a, Int) and isinstance(b, Int):
             return Int(r)
         return Real(float(r))

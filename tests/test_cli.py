@@ -172,6 +172,23 @@ class TestExitCodes:
         assert code == 5
         assert err == "bagdb: normal has uncountable support; use the mc backend (hint: use --backend mc)\n"
 
+    @pytest.mark.parametrize("rules, query, command", [
+        ("c(x, poisson(r)) <- src(x, r)", None, ("generate", "--backend", "mc")),
+        (None, "table src |> match src as (h, r) |> map (.r + 1.5)", ("query",)),
+        ("c(x, r) <- src(x, r)", "table world |> match c as (h, r) |> map (.r)", ("estimate", "--stat", "mean")),
+    ], ids=["draw-parameter", "arithmetic", "mean"])
+    def test_int_too_large_for_a_float(self, tmp_path, capsys, rules, query, command):
+        t = tmp_path / "src.jsonl"
+        t.write_text('{"tag": "src", "value": ["h", %d]}\n' % 10**400)
+        argv = [*command, "--db", str(t)]
+        for flag, text in (("--program", rules), ("--query", query)):
+            if text is not None:
+                (tmp_path / flag[2:]).write_text(text + "\n")
+                argv += [flag, str(tmp_path / flag[2:])]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "fit a float" in err and "Traceback" not in err
+
 
 class TestGenerate:
     def test_exact_weights_sum_to_one(self, capsys):

@@ -1,10 +1,11 @@
 """Compiled row expressions, tag runs and the equijoin against the
 tree-walking interpreter kept in ``reference_algebra``."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from bagdb.algebra import (
     And,
+    Arith,
     Cmp,
     Const,
     Field,
@@ -21,7 +22,7 @@ from bagdb.algebra import (
 from bagdb.bags import Bag
 from bagdb.dsl import parse, pretty
 from bagdb.errors import EngineError, EngineTypeError
-from bagdb.values import BagV, Bool, Int, Str, Tagged, Tuple
+from bagdb.values import BagV, Bool, Int, Real, Str, Tagged, Tuple
 
 import reference_algebra as ref
 from strategies import envs, exprs, join_queries, queries, table_rows, values
@@ -44,6 +45,7 @@ class TestDifferential:
         assert outcome(lambda: eval_expr(e, row)) == want  # from the stored closure
 
     @given(exprs, values)
+    @example(Arith("*", Field(2), Const(Real(1.5))), Tuple((Str("h"), Int(10**400))))  # past the float range
     def test_expressions_agree_on_any_value(self, e, row):
         assert outcome(lambda: eval_expr(e, row)) == outcome(lambda: ref.eval_expr(e, row))
 

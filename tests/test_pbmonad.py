@@ -43,6 +43,7 @@ from bagdb.pbmonad import (
     run_rule_program,
     validate_program,
 )
+from bagdb import pbmonad
 from bagdb.pbmonad import _RulePlan, _dist_sampler, _distr_into, _guard_holds, _resolve
 from bagdb.prob import Bernoulli, Dirac, ExactDist, Normal, Seed, dirac, draw_from, exact_of
 from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple, deserialize, tagged
@@ -831,6 +832,23 @@ class TestCompiledSampler:
         for i in range(60):  # past the per-match head memo's capacity
             assert sampler.world(i) == reference_world(prog, base, Seed(8, (3,)), i)
 
+    def test_memo_stays_bounded(self, monkeypatch):
+        # high reads a normal head, so each world brings new matches: the
+        # plans' memos fill up and then store nothing new
+        monkeypatch.setattr(pbmonad, "_HEAD_MEMO_CAP", 3)
+        monkeypatch.setattr(pbmonad, "_MATCH_MEMO_CAP", 5)
+        prog = parse_rules("noise(x, normal(0.0, 1.0)) <- src(x)\nhigh(x, z) <- noise(x, z), z > 0.5")
+        base = Bag.of([Tagged("src", Int(n)) for n in range(2)])
+        sampler = run_rule_program(prog, base, "mc", seed=Seed(6))
+        plans = sampler.world_fn.__self__.plans
+        for i in range(12):
+            assert sampler.world(i) == reference_world(prog, base, Seed(6), i)
+            for plan in plans:
+                assert len(plan.memo) <= 5
+                assert all(len(m.heads) <= 3 for m in plan.memo.values())
+        assert len(plans[1].memo) == 5
+        assert max(len(m.heads) for m in plans[0].memo.values()) == 3
+
     def test_later_rules_see_heads_in_bag_order(self):
         # mid's heads come in match order (b before a) and must be merged
         # with the input's mid row in canonical order: flip's match
@@ -1012,27 +1030,34 @@ class TestIncrementalExact:
             assert len(g.bag) == len(w.bag) and all(x is y for x, y in zip(g.bag, w.bag))
             assert g.bag.key == tuple(e.key for e in w.bag)
 
-    def test_options_once_per_varying_rows(self, monkeypatch):
-        # static rules once; each later rule once per distinct set of the
-        # rows it reads that earlier rules add: 2, 16 and 690 of its 32, 272
-        # and 706 input worlds
-        calls = count_options(monkeypatch)
-        dist = run_rule_program(parse_rules(BURGLARY), town4(), "exact")
+    def test_equal_heads_are_shared(self):
+        # each rule's heads of one value are one object in all 706 worlds,
+        # which the CLI writer's identity memo encodes once; the two
+        # trigger rules keep a memo each, so each trigger value has two
+        prog = parse_rules(BURGLARY)
+        dist = run_rule_program(prog, town4(), "exact")
         assert len(dist.entries) == 706
-        assert Counter(calls) == {0: 1, 1: 1, 2: 2, 3: 16, 4: 690}
+        ids, keys = {}, {}
+        for world, _ in dist.entries:
+            for v in world.bag:
+                ids.setdefault(v.tag, set()).add(id(v))
+                keys.setdefault(v.tag, set()).add(v.key)
+        rules = Counter(r.head_tag for r in prog.rules)
+        assert rules["trigger"] == 2
+        for tag in ids:
+            assert len(ids[tag]) == len(keys[tag]) * max(rules[tag], 1), tag
 
     @pytest.mark.parametrize("limit", [300, 628, 636])
     def test_limit_trips_at_the_same_world(self, monkeypatch, limit):
         # rule 3 (trigger <- burglary) trips the limit at world t of its 272;
-        # options are computed for the distinct burglary rows up to world t
-        # and for none after it.  At 628 world 186 trips and the next world
-        # would start a new row set; at 636 world 187, the one that starts it.
+        # options are computed for every world up to and including world t
+        # and for none after it
         prog, base = parse_rules(BURGLARY), town4()
         rule = prog.rules[3]
         before = reference_exact(RuleProgram(prog.rules[:3]), base)
-        total, seen = 0, set()
+        total, reached = 0, 0
         for world, _ in before.entries:
-            seen.add(tuple(v for v in world.bag if isinstance(v, Tagged) and v.tag == "burglary"))
+            reached += 1
             total += 2 ** len(rule_matches(rule, world.bag))
             if total > limit:
                 break
@@ -1040,4 +1065,4 @@ class TestIncrementalExact:
         got = exact_outcome(run_rule_program, prog, base, "exact", max_worlds=limit)
         assert got == exact_outcome(reference_exact, prog, base, limit)
         assert got[0] is ResourceLimitError
-        assert calls.count(3) == len(seen)
+        assert calls.count(3) == reached < len(before.entries)
