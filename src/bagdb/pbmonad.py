@@ -12,10 +12,13 @@ Both backends compile a rule program once.  A rule joins its atoms
 through hash indexes whose buckets keep bag order, so the matches, and
 with them the match ordinals that address the draws, come out as
 ``rule_matches`` lists them; an atom whose tag no earlier rule produces
-sees the input rows in every world and keeps its index.  A match's guard
-outcome, draw distribution and heads depend only on the values it binds,
-so each plan keeps them in one memo keyed by those values, shared by
-every world and by both backends; equal heads are then one object.  The
+sees the input rows in every world and keeps its index, and a rule whose
+atoms all do keeps its match list.  An atom whose tag an earlier rule
+produces builds its index in every world from a capped cache of what it
+reads from each row.  A match's guard outcome, draw distribution and
+heads depend only on the values it binds, so each plan keeps them in one
+memo keyed by those values, shared by every world and by both backends;
+equal heads are then one object, also when two rules write them.  The
 exact backend applies a rule to a world as the Kleisli extension through
 the distributive law, in product form: every choice of one head option
 per match, added to the world, with the product of their weights.
@@ -33,6 +36,7 @@ query language's literal grammar.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import prod
@@ -408,8 +412,14 @@ def run_rule_program(
 # A plan's memo keeps at most this many heads per match (bernoulli draws
 # need two, a continuous draw never repeats) and matches (a rule that reads a
 # continuous head sees new ones in every world); when full it stores nothing.
+# A program's head table is capped the same way.  A varying atom's row
+# cache holds the distinct rows of one tag, a few dozen heads in a town; one
+# that would overflow is dropped, since rows that never repeat (continuous
+# heads) are what fills it.
 _HEAD_MEMO_CAP = 32
 _MATCH_MEMO_CAP = 4096
+_HEAD_TABLE_CAP = 4096
+_ROW_CACHE_CAP = 1024
 
 
 class _AtomPlan:
@@ -422,10 +432,20 @@ class _AtomPlan:
     that earlier atoms bound (the probe), in row order; an entry holds
     the values of the variables this atom binds first.  Fields compare by
     ``Value.key``, which is exactly the ``!=`` of ``rule_matches``.
+
+    An atom whose tag an earlier rule produces (``varying``) is indexed
+    anew in every world, from a cache that maps a row, by value, to its
+    entry: ``_REJECTED`` or the pair (probe key, bound values).  Its rows
+    are mostly heads that recur in every world, so an index is lookups.
+    The cache holds at most ``_ROW_CACHE_CAP`` rows and is dropped when a
+    row would overflow it: rows that never repeat, such as continuous
+    heads, then cost no lookups.
     """
 
-    def __init__(self, atom: Atom, slot_of: dict[str, int]):
+    def __init__(self, atom: Atom, slot_of: dict[str, int], varying: bool):
         self.tag = atom.tag
+        self.varying = varying
+        self.cache: Optional[dict[Value, object]] = {} if varying else None
         self.arity = len(atom.args)
         self.fields = tuple_parts if atom.args else _no_fields
         self.consts: list[tuple[int, tuple]] = []  # (field, key of the constant)
@@ -448,20 +468,32 @@ class _AtomPlan:
                     slot_of[arg.name] = len(slot_of)
                     self.binds.append(pos)
 
+    def entry(self, row: Value) -> object:
+        """``_REJECTED``, or the row's probe key and bound values."""
+        parts = self.fields(row.value)  # type: ignore[attr-defined]
+        if len(parts) != self.arity:
+            return _REJECTED
+        if self.consts and any(parts[p].key != k for p, k in self.consts):
+            return _REJECTED
+        if self.same and any(parts[p].key != parts[q].key for p, q in self.same):
+            return _REJECTED
+        return tuple([parts[p].key for p in self.probe]), tuple([parts[p] for p in self.binds])
+
     def index(self, rows: Iterable[Value]) -> dict[tuple, list[tuple[Value, ...]]]:
-        arity, fields, consts, same, probe, binds = \
-            self.arity, self.fields, self.consts, self.same, self.probe, self.binds
         buckets: dict[tuple, list[tuple[Value, ...]]] = {}
+        cache = self.cache
         for row in rows:
-            parts = fields(row.value)  # type: ignore[attr-defined]
-            if len(parts) != arity:
+            e = None if cache is None else cache.get(row)
+            if e is None:
+                e = self.entry(row)
+                if cache is not None:
+                    if len(cache) < _ROW_CACHE_CAP:
+                        cache[row] = e
+                    else:
+                        self.cache = cache = None
+            if e is _REJECTED:
                 continue
-            if consts and any(parts[p].key != k for p, k in consts):
-                continue
-            if same and any(parts[p].key != parts[q].key for p, q in same):
-                continue
-            key = tuple([parts[p].key for p in probe])
-            vals = tuple([parts[p] for p in binds])
+            key, vals = e  # type: ignore[misc]
             bucket = buckets.get(key)
             if bucket is None:
                 buckets[key] = [vals]
@@ -471,49 +503,65 @@ class _AtomPlan:
 
 
 class _Match:
-    """One match's memo entry: its named env, whether the rule's guards
-    hold, and, once computed, the sampler of its draw, its heads per drawn
-    value (key ``None`` without a draw) and its exact head options."""
+    """One accepted match's memo entry: its named env and, once computed,
+    the sampler of its draw, its heads per drawn value (key ``None``
+    without a draw) and its exact head options."""
 
-    __slots__ = ("env", "ok", "sampler", "heads", "options")
+    __slots__ = ("env", "sampler", "heads", "options")
 
-    def __init__(self, env: dict[str, Value], guards: Sequence[Guard]):
+    def __init__(self, env: Optional[dict[str, Value]]):
         self.env = env
-        self.ok = all(_guard_holds(g, env) for g in guards)
         self.sampler: Optional[SamplerExpr] = None
         self.heads: dict[Optional[Value], Value] = {}
         self.options: Optional[list[tuple[Value, float]]] = None
 
 
+# The entry of a row that an atom does not accept, in its row cache, and of
+# a match whose guards fail, in a memo: one shared marker with no env and
+# no heads.
+_REJECTED = _Match(None)
+
+
 class _RulePlan:
     """One rule compiled for either backend.  Atoms whose tag no earlier
-    rule produces keep their index after the first world.  What a match
-    yields depends only on the values it binds, so ``memo`` maps their
-    keys, in env slot order, to the match's ``_Match``.  An entry, and each
-    field of it, is stored only once it is computed without raising, so
-    every world raises the uncompiled loop's errors, order and messages."""
+    rule produces keep their index after the first world, and a rule all
+    of whose atoms read only input rows keeps the list that ``matches``
+    returns (``kept``), so later worlds skip the join and the memo.  What a
+    match yields depends only on the values it binds, so ``memo`` maps
+    their keys, in env slot order, to the match's ``_Match``, or to
+    ``_REJECTED`` when its guards fail.  When another rule writes the same
+    head tag, a new head is looked up in ``table``, the program's one table
+    of such heads, so a value that two rules write is one object.  An
+    entry, each field of it, and the kept list are stored only once
+    computed without raising, so every world raises the uncompiled loop's
+    errors, order and messages."""
 
-    def __init__(self, k: int, rule: Rule, produced_before: set[str]):
+    def __init__(self, k: int, rule: Rule, produced_before: set[str],
+                 table: Optional[dict[Value, Value]] = None):
         self.k = k
         self.rule = rule
         slot_of: dict[str, int] = {}
-        self.atoms = [_AtomPlan(a, slot_of) for a in rule.atoms]
+        self.atoms = [_AtomPlan(a, slot_of, a.tag in produced_before) for a in rule.atoms]
         self.names = tuple(slot_of)  # variables in env slot order
-        self.varying = [a.tag in produced_before for a in rule.atoms]
         self.fixed_index: list[Optional[dict]] = [None] * len(self.atoms)
         self.dist = next((n for n, t in enumerate(rule.head_terms) if isinstance(t, DistT)), -1)
         self.memo: dict[tuple, _Match] = {}
+        self.table = table
+        self.keeps = not any(ap.varying for ap in self.atoms)
+        self.kept: Optional[list[_Match]] = None
 
     def matches(self, world: Bag) -> list[_Match]:
         """The entries of the matches whose guards hold against a canonical
         world, in ``rule_matches`` order.  An atom whose index is not kept
         reads its tag's run of the world, ``tag_span``."""
+        if self.kept is not None:
+            return self.kept
         envs: list[tuple[Value, ...]] = [()]
         for n, ap in enumerate(self.atoms):
-            index = None if self.varying[n] else self.fixed_index[n]
+            index = self.fixed_index[n]
             if index is None:
                 index = ap.index(world.elements[tag_span(world, ap.tag)])
-                if not self.varying[n]:
+                if not ap.varying:
                     self.fixed_index[n] = index
             nxt = []
             for env in envs:  # the env loop stays outermost: earlier atoms vary slowest
@@ -526,11 +574,14 @@ class _RulePlan:
             key = tuple([v.key for v in env])
             m = memo.get(key)
             if m is None:
-                m = _Match(dict(zip(self.names, env)), guards)
+                named = dict(zip(self.names, env))
+                m = _Match(named) if all(_guard_holds(g, named) for g in guards) else _REJECTED
                 if len(memo) < _MATCH_MEMO_CAP:
                     memo[key] = m
-            if m.ok:
+            if m is not _REJECTED:
                 out.append(m)
+        if self.keeps:
+            self.kept = out
         return out
 
     def sampler(self, m: _Match) -> SamplerExpr:
@@ -544,6 +595,9 @@ class _RulePlan:
             parts = [drawn if n == self.dist else _resolve(t, m.env)  # type: ignore[arg-type]
                      for n, t in enumerate(self.rule.head_terms)]
             h = tagged(self.rule.head_tag, parts)  # type: ignore[arg-type]
+            table = self.table
+            if table is not None:
+                h = table.get(h, h) if len(table) >= _HEAD_TABLE_CAP else table.setdefault(h, h)
             if len(m.heads) < _HEAD_MEMO_CAP:
                 m.heads[drawn] = h
         return h
@@ -603,8 +657,10 @@ class _CompiledProgram:
         self.seed = seed
         self.plans: list[_RulePlan] = []
         produced: set[str] = set()
+        writers = Counter(r.head_tag for r in prog.rules)
+        table: dict[Value, Value] = {}  # heads of the tags that two or more rules write
         for k, rule in enumerate(prog.rules):
-            self.plans.append(_RulePlan(k, rule, produced))
+            self.plans.append(_RulePlan(k, rule, produced, table if writers[rule.head_tag] > 1 else None))
             produced.add(rule.head_tag)
 
     def world(self, i: int) -> Bag:

@@ -1,9 +1,11 @@
 """Distributions over bags: the interchange operator, the combined monad,
 bag-level generators, and generative rule programs."""
+import copy
 import math
 from collections import Counter
 from itertools import product as iproduct
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -739,7 +741,61 @@ mc_seeds = st.builds(
 )
 
 
+TWINS = {Int(1): Real(1.0), Real(1.0): Int(1), Real(0.0): Real(-0.0), Real(-0.0): Real(0.0)}
+
+
+def twin(v):
+    """``v`` with Int(1) and Real(1.0), and 0.0 and -0.0, swapped in every
+    field: equal numbers, but not equal values."""
+    if isinstance(v, Tagged):
+        return Tagged(v.tag, twin(v.value))
+    if isinstance(v, Tuple):
+        return Tuple(tuple(twin(x) for x in v.items))
+    return TWINS.get(v, v)
+
+
+@st.composite
+def plan_and_worlds(draw):
+    """A rule, the tags that earlier rules would produce (its varying
+    tags), and a few worlds.  Every world holds the same rows of the other
+    tags, some as equal but distinct objects.  The varying tags' rows come
+    from a small pool that holds each row's twin, and each world holds
+    each pool row up to twice, so rows recur across worlds, also as
+    distinct objects; some rows have the wrong arity."""
+    arity = {t: draw(st.integers(1, 2)) for t in TAGS}
+    rule = draw(rule_of(TAGS[0], TAGS, arity, kinds=(None,), atom_counts=(2, 3, 1)))
+    varying = draw(st.sets(st.sampled_from(TAGS)))
+    rows_of = lambda tags: st.sampled_from(tags).flatmap(
+        lambda t: st.one_of(payload_of(arity[t]), payloads).map(lambda p: Tagged(t, p)))
+    fixed = draw(st.lists(rows_of(sorted(set(TAGS) - varying)), max_size=6)) if len(varying) < len(TAGS) else []
+    pool = draw(st.lists(rows_of(sorted(varying)), max_size=4)) if varying else []
+    pool += [twin(r) for r in pool if twin(r) != r]
+    worlds = []
+    for _ in range(draw(st.integers(1, 5))):
+        picked = [r for r in pool for _ in range(draw(st.integers(0, 2)))]
+        rows = [copy.deepcopy(r) if draw(st.booleans()) else r for r in fixed + picked]
+        worlds.append(Bag.of(rows))
+    return rule, varying, worlds
+
+
+def plan_matches(plan, world):
+    return [m.env for m in plan.matches(world)]
+
+
 class TestCompiledSampler:
+    @pytest.mark.parametrize("cap", [None, 2])
+    @settings(max_examples=150)
+    @given(plan_and_worlds())
+    def test_plan_matches_every_world_as_rule_matches(self, cap, rule_varying_worlds):
+        # one plan steps through the worlds with its row caches, memo and
+        # kept list warm; with every cap at 2 the full-cache paths run too
+        rule, varying, worlds = rule_varying_worlds
+        caps = ("_ROW_CACHE_CAP", "_MATCH_MEMO_CAP", "_HEAD_MEMO_CAP", "_HEAD_TABLE_CAP")
+        with mock.patch.multiple(pbmonad, **{c: cap or getattr(pbmonad, c) for c in caps}):
+            plan = _RulePlan(0, rule, varying)
+            for world in worlds:
+                assert outcome(plan_matches, plan, world) == outcome(rule_matches, rule, world)
+
     @settings(max_examples=150)
     @given(programs_and_bags(), mc_seeds)
     def test_world_equals_reference_loop(self, prog_base, seed):
@@ -848,6 +904,78 @@ class TestCompiledSampler:
                 assert all(len(m.heads) <= 3 for m in plan.memo.values())
         assert len(plans[1].memo) == 5
         assert max(len(m.heads) for m in plans[0].memo.values()) == 3
+
+    def test_row_cache_and_head_table_stay_bounded(self, monkeypatch):
+        # high's atom reads two new noise heads per world: its row cache
+        # fills and is dropped; the two noise rules share a head table,
+        # which fills and then stores nothing new
+        monkeypatch.setattr(pbmonad, "_ROW_CACHE_CAP", 5)
+        monkeypatch.setattr(pbmonad, "_HEAD_TABLE_CAP", 3)
+        prog = parse_rules("noise(x, normal(0.0, 1.0)) <- src(x)\nnoise(x, normal(5.0, 1.0)) <- src(x)\n"
+                           "high(x, z) <- noise(x, z), z > 0.5")
+        base = Bag.of([Tagged("src", Int(n)) for n in range(2)])
+        sampler = run_rule_program(prog, base, "mc", seed=Seed(6))
+        plans = sampler.world_fn.__self__.plans
+        atom = plans[2].atoms[0]
+        sizes = []
+        for i in range(6):
+            assert sampler.world(i) == reference_world(prog, base, Seed(6), i)
+            sizes.append(None if atom.cache is None else len(atom.cache))
+            assert len(plans[0].table) <= 3 and plans[0].table is plans[1].table
+        assert sizes[0] == 4 and sizes[-1] is None  # four rows per world, at most 5 kept
+        assert len(plans[0].table) == 3
+        assert plans[2].table is None  # one rule writes high
+        assert all(ap.cache is None for ap in plans[0].atoms)  # src rows: a kept index, no cache
+
+    def test_burglary_row_caches_hold_each_row_once(self):
+        # each varying atom reads a tag that earlier rules have finished
+        # writing: its cache holds each distinct row of that tag once
+        prog = parse_rules(BURGLARY)
+        sampler = run_rule_program(prog, town(tuple(f"H{n}" for n in range(6))), "mc", seed=Seed(3))
+        rows = {}
+        for i in range(40):
+            for v in sampler.world(i):
+                rows.setdefault(v.tag, set()).add(v)
+        atoms = [ap for plan in sampler.world_fn.__self__.plans for ap in plan.atoms if ap.varying]
+        assert [ap.tag for ap in atoms] == ["earthquake", "burglary", "trigger"]
+        for ap in atoms:
+            assert ap.cache is not None and set(ap.cache) == rows[ap.tag]
+
+    def test_rejected_matches_hold_no_env(self):
+        # a match whose guards fail is the one shared marker in the memo,
+        # which holds no env, sampler, heads or options, whichever backend
+        # reads it
+        prog = parse_rules("flip(x, bernoulli(0.5)) <- src(x), x > 1\nout(x) <- flip(x, 1), x < 3")
+        base = Bag.of([Tagged("src", Int(n)) for n in range(5)])
+        sampler = run_rule_program(prog, base, "mc", seed=Seed(4))
+        for i in range(20):
+            assert sampler.world(i) == reference_world(prog, base, Seed(4), i)
+        assert exact_outcome(run_rule_program, prog, base, "exact") == exact_outcome(reference_exact, prog, base)
+        rejected = pbmonad._REJECTED
+        flip, out = [{key[0][1]: m for key, m in plan.memo.items()}  # x's key is (0, x)
+                     for plan in sampler.world_fn.__self__.plans]
+        assert sorted(flip) == [0, 1, 2, 3, 4] and sorted(out) == [2, 3, 4]
+        for memo, accepted in ((flip, {2, 3, 4}), (out, {2})):
+            for x, m in memo.items():
+                assert (m is rejected) == (x not in accepted)
+                if m is not rejected:
+                    assert m.env == {"x": Int(x)} and m.heads
+        assert rejected.env is None and not rejected.heads
+        assert rejected.sampler is None and rejected.options is None
+
+    def test_kept_list_past_the_memo_cap(self, monkeypatch):
+        # flip reads only input rows, and has more matches than the memo
+        # holds: its kept list still gives every world its matches
+        monkeypatch.setattr(pbmonad, "_MATCH_MEMO_CAP", 2)
+        prog = parse_rules("flip(x, bernoulli(0.5)) <- src(x, c), city(c)\nout(x) <- flip(x, 1)")
+        base = Bag.of([Tagged("src", Tuple((Int(n), Str("c")))) for n in range(5)]
+                      + [Tagged("city", Str("c"))])
+        sampler = run_rule_program(prog, base, "mc", seed=Seed(9))
+        plans = sampler.world_fn.__self__.plans
+        for i in range(21):
+            assert sampler.world(i) == reference_world(prog, base, Seed(9), i)
+        assert len(plans[0].kept) == 5 and len(plans[0].memo) == 2
+        assert plans[1].kept is None  # out reads flip, an earlier rule's heads
 
     def test_later_rules_see_heads_in_bag_order(self):
         # mid's heads come in match order (b before a) and must be merged
@@ -1031,9 +1159,9 @@ class TestIncrementalExact:
             assert g.bag.key == tuple(e.key for e in w.bag)
 
     def test_equal_heads_are_shared(self):
-        # each rule's heads of one value are one object in all 706 worlds,
-        # which the CLI writer's identity memo encodes once; the two
-        # trigger rules keep a memo each, so each trigger value has two
+        # heads of one value are one object in all 706 worlds, which the
+        # CLI writer's identity memo encodes once; that holds for trigger
+        # too, which two rules write, through the program's head table
         prog = parse_rules(BURGLARY)
         dist = run_rule_program(prog, town4(), "exact")
         assert len(dist.entries) == 706
@@ -1042,10 +1170,9 @@ class TestIncrementalExact:
             for v in world.bag:
                 ids.setdefault(v.tag, set()).add(id(v))
                 keys.setdefault(v.tag, set()).add(v.key)
-        rules = Counter(r.head_tag for r in prog.rules)
-        assert rules["trigger"] == 2
+        assert Counter(r.head_tag for r in prog.rules)["trigger"] == 2
         for tag in ids:
-            assert len(ids[tag]) == len(keys[tag]) * max(rules[tag], 1), tag
+            assert len(ids[tag]) == len(keys[tag]), tag
 
     @pytest.mark.parametrize("limit", [300, 628, 636])
     def test_limit_trips_at_the_same_world(self, monkeypatch, limit):
