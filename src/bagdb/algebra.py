@@ -730,7 +730,10 @@ def agg_sum(b: Bag) -> Value:
         else:
             raise EngineTypeError(f"sum needs numbers, got {v!r}")
     if saw_real:
-        return Real(total_i + total_f)
+        try:
+            return Real(total_i + total_f)
+        except OverflowError:  # the Ints' sum is past the float range
+            raise EngineTypeError("sum of Ints and Reals needs an Int sum that fits a float") from None
     return Int(total_i)
 
 

@@ -192,8 +192,13 @@ def _stat_mean(results: Iterable[Value]) -> dict:
     if not nums:
         raise EngineTypeError("mean statistic over no numeric data")
     count = len(nums)
-    mean = math.fsum(nums) / count
-    var = math.fsum((x - mean) ** 2 for x in nums) / (count - 1) if count > 1 else 0.0
+    try:
+        mean = math.fsum(nums) / count
+        var = math.fsum((x - mean) ** 2 for x in nums) / (count - 1) if count > 1 else 0.0
+    except OverflowError:
+        raise EngineTypeError("mean statistic overflows a float") from None
+    except ValueError:  # fsum of inf and -inf
+        raise EngineTypeError("mean statistic of inf and -inf is undefined") from None
     stddev = math.sqrt(var)
     return {"n": count, "mean": mean, "stddev": stddev, "ci3": 3.0 * stddev / math.sqrt(count)}
 

@@ -14,14 +14,16 @@ with them the match ordinals that address the draws, come out as
 ``rule_matches`` lists them; an atom whose tag no earlier rule produces
 sees the input rows in every world and keeps its index, and a rule whose
 atoms all do keeps its match list.  An atom whose tag an earlier rule
-produces builds its index in every world from a capped cache of what it
-reads from each row.  A match's guard outcome, draw distribution and
-heads depend only on the values it binds, so each plan keeps them in one
-memo keyed by those values, shared by every world and by both backends;
-equal heads are then one object, also when two rules write them.  The
-exact backend applies a rule to a world as the Kleisli extension through
-the distributive law, in product form: every choice of one head option
-per match, added to the world, with the product of their weights.
+produces builds its index in every world from a cache of what it reads
+from each row.  A match's guard outcome, draw distribution and heads
+depend only on the values it binds, so each plan keeps them in one memo
+keyed by those values, shared by every world and by both backends; equal
+heads are then one object, also when two rules write them.  Only heads
+that the program shows to recur across worlds, and what is read from
+them, are cached, at most ``_CACHE_CAP`` entries a cache.  The exact
+backend applies a rule to a world as the Kleisli extension through the
+distributive law, in product form: every choice of one head option per
+match, added to the world, with the product of their weights.
 
 Both backends step one canonical world bag through the same plans.  A
 world's rows of one tag are one run of its sorted elements, found by
@@ -409,17 +411,11 @@ def run_rule_program(
 # ---------------------------------------------------------------------------
 # Compiled rule programs (both backends)
 
-# A plan's memo keeps at most this many heads per match (bernoulli draws
-# need two, a continuous draw never repeats) and matches (a rule that reads a
-# continuous head sees new ones in every world); when full it stores nothing.
-# A program's head table is capped the same way.  A varying atom's row
-# cache holds the distinct rows of one tag, a few dozen heads in a town; one
-# that would overflow is dropped, since rows that never repeat (continuous
-# heads) are what fills it.
-_HEAD_MEMO_CAP = 32
-_MATCH_MEMO_CAP = 4096
-_HEAD_TABLE_CAP = 4096
-_ROW_CACHE_CAP = 1024
+# A plan's match memo, row caches and head table each hold at most this many
+# entries; a full one stores nothing new and still answers lookups.  Values
+# that need not recur are not cached at all, but recurring rows can join into
+# more distinct matches: pair(x, y) <- flip(x, 1), flip(y, 1) has up to n * n.
+_CACHE_CAP = 4096
 
 
 class _AtomPlan:
@@ -436,16 +432,14 @@ class _AtomPlan:
     An atom whose tag an earlier rule produces (``varying``) is indexed
     anew in every world, from a cache that maps a row, by value, to its
     entry: ``_REJECTED`` or the pair (probe key, bound values).  Its rows
-    are mostly heads that recur in every world, so an index is lookups.
-    The cache holds at most ``_ROW_CACHE_CAP`` rows and is dropped when a
-    row would overflow it: rows that never repeat, such as continuous
-    heads, then cost no lookups.
+    are heads that recur across worlds, so an index is lookups.  An atom
+    over a ``marked`` tag, whose heads need not recur, has no cache.
     """
 
-    def __init__(self, atom: Atom, slot_of: dict[str, int], varying: bool):
+    def __init__(self, atom: Atom, slot_of: dict[str, int], varying: bool, marked: bool):
         self.tag = atom.tag
         self.varying = varying
-        self.cache: Optional[dict[Value, object]] = {} if varying else None
+        self.cache: Optional[dict[Value, object]] = {} if varying and not marked else None
         self.arity = len(atom.args)
         self.fields = tuple_parts if atom.args else _no_fields
         self.consts: list[tuple[int, tuple]] = []  # (field, key of the constant)
@@ -486,11 +480,8 @@ class _AtomPlan:
             e = None if cache is None else cache.get(row)
             if e is None:
                 e = self.entry(row)
-                if cache is not None:
-                    if len(cache) < _ROW_CACHE_CAP:
-                        cache[row] = e
-                    else:
-                        self.cache = cache = None
+                if cache is not None and len(cache) < _CACHE_CAP:
+                    cache[row] = e
             if e is _REJECTED:
                 continue
             key, vals = e  # type: ignore[misc]
@@ -505,7 +496,7 @@ class _AtomPlan:
 class _Match:
     """One accepted match's memo entry: its named env and, once computed,
     the sampler of its draw, its heads per drawn value (key ``None``
-    without a draw) and its exact head options."""
+    without a draw; kept only if they recur, so two at most) and options."""
 
     __slots__ = ("env", "sampler", "heads", "options")
 
@@ -516,9 +507,8 @@ class _Match:
         self.options: Optional[list[tuple[Value, float]]] = None
 
 
-# The entry of a row that an atom does not accept, in its row cache, and of
-# a match whose guards fail, in a memo: one shared marker with no env and
-# no heads.
+# The entry of a row that an atom rejects, in its row cache, and of a match
+# whose guards fail, in a memo: one shared marker with no env and no heads.
 _REJECTED = _Match(None)
 
 
@@ -529,24 +519,29 @@ class _RulePlan:
     returns (``kept``), so later worlds skip the join and the memo.  What a
     match yields depends only on the values it binds, so ``memo`` maps
     their keys, in env slot order, to the match's ``_Match``, or to
-    ``_REJECTED`` when its guards fail.  When another rule writes the same
-    head tag, a new head is looked up in ``table``, the program's one table
-    of such heads, so a value that two rules write is one object.  An
-    entry, each field of it, and the kept list are stored only once
+    ``_REJECTED`` when its guards fail; a rule that reads a ``marked`` tag
+    matches anew in every world, so its memo has ``room`` 0.  Any other
+    rule's heads recur unless it draws from ``normal`` or ``poisson``
+    (``recurs``): each match keeps them, and ``table``, the program's one
+    table of the heads of tags that two rules write, makes such a value one
+    object.  Entries, their fields and the kept list are stored once
     computed without raising, so every world raises the uncompiled loop's
     errors, order and messages."""
 
-    def __init__(self, k: int, rule: Rule, produced_before: set[str],
+    def __init__(self, k: int, rule: Rule, produced_before: set[str], marked: set[str],
                  table: Optional[dict[Value, Value]] = None):
         self.k = k
         self.rule = rule
         slot_of: dict[str, int] = {}
-        self.atoms = [_AtomPlan(a, slot_of, a.tag in produced_before) for a in rule.atoms]
+        self.atoms = [_AtomPlan(a, slot_of, a.tag in produced_before, a.tag in marked) for a in rule.atoms]
         self.names = tuple(slot_of)  # variables in env slot order
         self.fixed_index: list[Optional[dict]] = [None] * len(self.atoms)
         self.dist = next((n for n, t in enumerate(rule.head_terms) if isinstance(t, DistT)), -1)
         self.memo: dict[tuple, _Match] = {}
-        self.table = table
+        fresh = any(a.tag in marked for a in rule.atoms)  # new matches in every world
+        self.room = 0 if fresh else _CACHE_CAP
+        self.recurs = not fresh and (self.dist < 0 or rule.head_terms[self.dist].kind == "bernoulli")
+        self.table = table if self.recurs else None
         self.keeps = not any(ap.varying for ap in self.atoms)
         self.kept: Optional[list[_Match]] = None
 
@@ -569,14 +564,14 @@ class _RulePlan:
                 if bucket:
                     nxt.extend([env + vals for vals in bucket])
             envs = nxt
-        memo, guards, out = self.memo, self.rule.guards, []
+        memo, room, guards, out = self.memo, self.room, self.rule.guards, []
         for env in envs:
             key = tuple([v.key for v in env])
             m = memo.get(key)
             if m is None:
                 named = dict(zip(self.names, env))
                 m = _Match(named) if all(_guard_holds(g, named) for g in guards) else _REJECTED
-                if len(memo) < _MATCH_MEMO_CAP:
+                if len(memo) < room:
                     memo[key] = m
             if m is not _REJECTED:
                 out.append(m)
@@ -595,10 +590,9 @@ class _RulePlan:
             parts = [drawn if n == self.dist else _resolve(t, m.env)  # type: ignore[arg-type]
                      for n, t in enumerate(self.rule.head_terms)]
             h = tagged(self.rule.head_tag, parts)  # type: ignore[arg-type]
-            table = self.table
-            if table is not None:
-                h = table.get(h, h) if len(table) >= _HEAD_TABLE_CAP else table.setdefault(h, h)
-            if len(m.heads) < _HEAD_MEMO_CAP:
+            if self.table is not None:
+                h = self.table.get(h, h) if len(self.table) >= _CACHE_CAP else self.table.setdefault(h, h)
+            if self.recurs:
                 m.heads[drawn] = h
         return h
 
@@ -650,18 +644,24 @@ def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> Exac
 class _CompiledProgram:
     """A rule program compiled once: the exact backend steps every world
     through its plans, and ``world(i)`` samples mc world i by stepping the
-    input bag through them, adding each rule's heads with ``Bag.merged``."""
+    input bag through them, adding each rule's heads with ``Bag.merged``.
+    In program order, the head tag of a rule whose heads need not recur
+    (see ``_RulePlan``) is ``marked``: no plan caches what is read from it."""
 
     def __init__(self, prog: RuleProgram, b: Bag, seed: Optional[Seed]):
         self.base = b
         self.seed = seed
         self.plans: list[_RulePlan] = []
         produced: set[str] = set()
+        marked: set[str] = set()
         writers = Counter(r.head_tag for r in prog.rules)
         table: dict[Value, Value] = {}  # heads of the tags that two or more rules write
         for k, rule in enumerate(prog.rules):
-            self.plans.append(_RulePlan(k, rule, produced, table if writers[rule.head_tag] > 1 else None))
+            plan = _RulePlan(k, rule, produced, marked, table if writers[rule.head_tag] > 1 else None)
+            self.plans.append(plan)
             produced.add(rule.head_tag)
+            if not plan.recurs:
+                marked.add(rule.head_tag)
 
     def world(self, i: int) -> Bag:
         world = self.base
@@ -673,7 +673,7 @@ class _CompiledProgram:
 def indexed_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
     """``rule_matches`` computed the compiled way, through order-keeping
     hash indexes: the same envs in the same order."""
-    return [m.env for m in _RulePlan(0, rule, set()).matches(bag)]
+    return [m.env for m in _RulePlan(0, rule, set(), set()).matches(bag)]
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,8 @@ class Poisson(SamplerExpr):
     def __post_init__(self):
         if not (self.rate >= 0 and math.isfinite(self.rate)):
             raise EngineTypeError(f"poisson rate {self.rate!r} must be finite and nonnegative")
+        if self.rate > 2.5e305:  # poisson_draw calls math.lgamma near the rate; it overflows past 2.56e305
+            raise EngineTypeError(f"poisson rate {self.rate!r} is past 2.5e305, the largest that can be drawn from")
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,26 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "fit a float" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("rules, query, stat, message", [
+        (RULES, "|> map (1e308)", "mean", "mean statistic overflows a float"),
+        (RULES, "|> map (inf) |> dunion (bag {-inf})", "mean", "mean statistic of inf and -inf is undefined"),
+        (RULES, "|> map (1e200) |> dunion (bag {-1e200})", "mean", "mean statistic overflows a float"),
+        (None, "|> project [v] |> dunion (bag {1.0}) |> agg sum", "dist",
+         "sum of Ints and Reals needs an Int sum that fits a float"),
+    ], ids=["mean-sum", "mean-inf-minus-inf", "mean-variance", "agg-sum"])
+    def test_float_overflow(self, tmp_path, capsys, rules, query, stat, message):
+        # the sum in fsum, fsum of inf and -inf, a squared deviation, and
+        # an Int sum past the float range met by a Real
+        if rules is None:
+            rules = tmp_path / "big.rules"
+            rules.write_text("big(x, %d) <- address(x, c)\n" % 10**400)
+        q = tmp_path / "q.query"
+        q.write_text(f"table world |> match {'alarm as (house)' if stat == 'mean' else 'big as (h, v)'} {query}\n")
+        code, out, err = run(capsys, "estimate", "--db", TOWN, "--program", str(rules), "--query", str(q),
+                             "--stat", stat, "--samples", "200", "--seed", "1")
+        assert (code, out) == (3, "")
+        assert message in err and "Traceback" not in err
+
 
 class TestGenerate:
     def test_exact_weights_sum_to_one(self, capsys):
@@ -415,6 +435,21 @@ class TestGoldenOutput:
                              "--query", str(query), "--stat", stat, "--samples", "500", "--seed", "7")
         assert code == 0, err
         assert out.encode("utf-8") == (GOLDEN / f"estimate-{stat}-{town}-seed7.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["estimate", "generate"])
+    def test_continuous_program_is_byte_identical(self, capsys, command):
+        # recorded before the plans' caches were bounded by what the
+        # program can repeat: noise draws a normal per house, and high
+        # reads those heads, which recur in no two worlds
+        argv = [command, "--db", str(FIXTURES / "town20.jsonl"), "--program", str(FIXTURES / "noise.rules"),
+                "--seed", "7"]
+        if command == "estimate":
+            argv += ["--query", str(FIXTURES / "high.query"), "--samples", "500"]
+        else:
+            argv += ["--backend", "mc", "--samples", "50"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out.encode("utf-8") == (GOLDEN / f"{command}-noise-town20-seed7.json").read_bytes()
 
     def test_exact_stdout_is_byte_identical(self, capsys):
         code, out, err = run(capsys, "generate", "--db", TOWN, "--program", RULES, "--backend", "exact")

@@ -1,7 +1,9 @@
 """Distributions over bags: the interchange operator, the combined monad,
 bag-level generators, and generative rule programs."""
 import copy
+import gc
 import math
+import tracemalloc
 from collections import Counter
 from itertools import product as iproduct
 from pathlib import Path
@@ -782,17 +784,24 @@ def plan_matches(plan, world):
     return [m.env for m in plan.matches(world)]
 
 
+# flip's heads recur, and pair joins them into up to n * n distinct matches;
+# two rules write pair, so they share a head table
+PAIRS = ("flip(x, bernoulli(0.5)) <- src(x)\npair(x, y) <- flip(x, 1), flip(y, 1)\n"
+         "pair(x, y) <- flip(x, 0), flip(y, 1)")
+
+
 class TestCompiledSampler:
-    @pytest.mark.parametrize("cap", [None, 2])
+    @pytest.mark.parametrize("cap, marked", [(None, False), (2, False), (None, True), (2, True)],
+                             ids=["None", "2", "None-marked", "2-marked"])
     @settings(max_examples=150)
     @given(plan_and_worlds())
-    def test_plan_matches_every_world_as_rule_matches(self, cap, rule_varying_worlds):
+    def test_plan_matches_every_world_as_rule_matches(self, cap, marked, rule_varying_worlds):
         # one plan steps through the worlds with its row caches, memo and
-        # kept list warm; with every cap at 2 the full-cache paths run too
+        # kept list warm; with the cap at 2 the full-cache paths run too, and
+        # with its varying tags marked, the paths that cache nothing
         rule, varying, worlds = rule_varying_worlds
-        caps = ("_ROW_CACHE_CAP", "_MATCH_MEMO_CAP", "_HEAD_MEMO_CAP", "_HEAD_TABLE_CAP")
-        with mock.patch.multiple(pbmonad, **{c: cap or getattr(pbmonad, c) for c in caps}):
-            plan = _RulePlan(0, rule, varying)
+        with mock.patch.object(pbmonad, "_CACHE_CAP", cap or pbmonad._CACHE_CAP):
+            plan = _RulePlan(0, rule, varying, varying if marked else set())
             for world in worlds:
                 assert outcome(plan_matches, plan, world) == outcome(rule_matches, rule, world)
 
@@ -885,47 +894,85 @@ class TestCompiledSampler:
         prog = parse_rules("noise(x, normal(0.0, 1.0)) <- src(x)\ncount(x, poisson(2.0)) <- src(x)")
         base = Bag.of([Tagged("src", Int(n)) for n in range(3)])
         sampler = run_rule_program(prog, base, "mc", seed=Seed(8, (3,)))
-        for i in range(60):  # past the per-match head memo's capacity
+        for i in range(60):
             assert sampler.world(i) == reference_world(prog, base, Seed(8, (3,)), i)
+        assert all(not m.heads for plan in sampler.world_fn.__self__.plans for m in plan.memo.values())
 
     def test_memo_stays_bounded(self, monkeypatch):
-        # high reads a normal head, so each world brings new matches: the
-        # plans' memos fill up and then store nothing new
-        monkeypatch.setattr(pbmonad, "_HEAD_MEMO_CAP", 3)
-        monkeypatch.setattr(pbmonad, "_MATCH_MEMO_CAP", 5)
+        # 3 src rows: each pair rule has up to 9 distinct matches, and its
+        # memo fills at the cap and then stores nothing new
+        monkeypatch.setattr(pbmonad, "_CACHE_CAP", 3)
+        prog, base = parse_rules(PAIRS), Bag.of([Tagged("src", Int(n)) for n in range(3)])
+        sampler = run_rule_program(prog, base, "mc", seed=Seed(6))
+        plans = sampler.world_fn.__self__.plans
+        for i in range(30):
+            assert sampler.world(i) == reference_world(prog, base, Seed(6), i)
+            assert all(len(plan.memo) <= 3 for plan in plans)
+        assert all(len(plan.memo) == 3 for plan in plans)
+        assert max(len(m.heads) for m in plans[0].memo.values()) == 2  # flip: 0 and 1
+        assert exact_outcome(run_rule_program, prog, base, "exact") == exact_outcome(reference_exact, prog, base)
+
+    def test_row_cache_and_head_table_stay_bounded(self, monkeypatch):
+        # pair's atoms read 6 distinct flip rows, and the two pair rules
+        # write up to 18 heads into their shared table: each fills at the cap,
+        # stores nothing new, and still answers lookups
+        monkeypatch.setattr(pbmonad, "_CACHE_CAP", 3)
+        prog, base = parse_rules(PAIRS), Bag.of([Tagged("src", Int(n)) for n in range(3)])
+        sampler = run_rule_program(prog, base, "mc", seed=Seed(6))
+        flip, pair0, pair1 = sampler.world_fn.__self__.plans
+        table = {}
+        for i in range(30):
+            assert sampler.world(i) == reference_world(prog, base, Seed(6), i)
+            for ap in pair0.atoms + pair1.atoms:
+                assert len(ap.cache) <= 3
+            assert pair0.table is pair1.table and len(pair0.table) <= 3
+            assert all(pair0.table[h] is h for h in table)  # the first heads stay
+            table = dict(pair0.table)
+        assert all(len(ap.cache) == 3 for ap in pair0.atoms + pair1.atoms) and len(table) == 3
+        assert flip.table is None  # one rule writes flip
+        assert all(ap.cache is None for ap in flip.atoms)  # src rows: a kept index, no cache
+        assert exact_outcome(run_rule_program, prog, base, "exact") == exact_outcome(reference_exact, prog, base)
+
+    @pytest.mark.parametrize("program", [
+        "noise(x, normal(0.0, 1.0)) <- src(x)\nhigh(x, z) <- noise(x, z), z > 0.5",
+        "noise(x, normal(0.0, 1.0)) <- src(x)\nflag(x, bernoulli(0.5)) <- noise(x, z)",
+        "noise(x, normal(0.0, 1.0)) <- src(x)\nnoise(x, poisson(2.0)) <- src(x)\nhigh(x, z) <- noise(x, z)",
+    ], ids=["high", "bernoulli-reads-normal", "two-writers"])
+    def test_heads_that_need_not_recur_are_not_cached(self, program):
+        # noise heads are new in every world, and so are the matches of
+        # the last rule, which reads them: no plan keeps a head, the reader
+        # keeps no match, its atom has no row cache, and there is no table,
+        # although two rules write noise in the last program
+        prog = parse_rules(program)
+        base = Bag.of([Tagged("src", Int(n)) for n in range(3)])
+        sampler = run_rule_program(prog, base, "mc", seed=Seed(6))
+        *writers, reader = sampler.world_fn.__self__.plans
+        for i in range(30):
+            assert sampler.world(i) == reference_world(prog, base, Seed(6), i)
+        for plan in writers:
+            assert len(plan.memo) == 3 and plan.kept is not None  # src rows recur
+            assert not any(m.heads for m in plan.memo.values())
+        assert not reader.memo and reader.atoms[0].cache is None
+        assert all(plan.table is None for plan in writers + [reader])
+
+    def test_retained_memory_stays_flat(self):
+        # nothing that a world of noise/high builds outlives it
         prog = parse_rules("noise(x, normal(0.0, 1.0)) <- src(x)\nhigh(x, z) <- noise(x, z), z > 0.5")
         base = Bag.of([Tagged("src", Int(n)) for n in range(2)])
         sampler = run_rule_program(prog, base, "mc", seed=Seed(6))
-        plans = sampler.world_fn.__self__.plans
-        for i in range(12):
-            assert sampler.world(i) == reference_world(prog, base, Seed(6), i)
-            for plan in plans:
-                assert len(plan.memo) <= 5
-                assert all(len(m.heads) <= 3 for m in plan.memo.values())
-        assert len(plans[1].memo) == 5
-        assert max(len(m.heads) for m in plans[0].memo.values()) == 3
-
-    def test_row_cache_and_head_table_stay_bounded(self, monkeypatch):
-        # high's atom reads two new noise heads per world: its row cache
-        # fills and is dropped; the two noise rules share a head table,
-        # which fills and then stores nothing new
-        monkeypatch.setattr(pbmonad, "_ROW_CACHE_CAP", 5)
-        monkeypatch.setattr(pbmonad, "_HEAD_TABLE_CAP", 3)
-        prog = parse_rules("noise(x, normal(0.0, 1.0)) <- src(x)\nnoise(x, normal(5.0, 1.0)) <- src(x)\n"
-                           "high(x, z) <- noise(x, z), z > 0.5")
-        base = Bag.of([Tagged("src", Int(n)) for n in range(2)])
-        sampler = run_rule_program(prog, base, "mc", seed=Seed(6))
-        plans = sampler.world_fn.__self__.plans
-        atom = plans[2].atoms[0]
-        sizes = []
-        for i in range(6):
-            assert sampler.world(i) == reference_world(prog, base, Seed(6), i)
-            sizes.append(None if atom.cache is None else len(atom.cache))
-            assert len(plans[0].table) <= 3 and plans[0].table is plans[1].table
-        assert sizes[0] == 4 and sizes[-1] is None  # four rows per world, at most 5 kept
-        assert len(plans[0].table) == 3
-        assert plans[2].table is None  # one rule writes high
-        assert all(ap.cache is None for ap in plans[0].atoms)  # src rows: a kept index, no cache
+        tracemalloc.start()
+        try:
+            for i in range(200):
+                sampler.world(i)
+            gc.collect()
+            at_200 = tracemalloc.get_traced_memory()[0]
+            for i in range(200, 2000):
+                sampler.world(i)
+            gc.collect()
+            at_2000 = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert at_2000 - at_200 < 20_000
 
     def test_burglary_row_caches_hold_each_row_once(self):
         # each varying atom reads a tag that earlier rules have finished
@@ -966,7 +1013,7 @@ class TestCompiledSampler:
     def test_kept_list_past_the_memo_cap(self, monkeypatch):
         # flip reads only input rows, and has more matches than the memo
         # holds: its kept list still gives every world its matches
-        monkeypatch.setattr(pbmonad, "_MATCH_MEMO_CAP", 2)
+        monkeypatch.setattr(pbmonad, "_CACHE_CAP", 2)
         prog = parse_rules("flip(x, bernoulli(0.5)) <- src(x, c), city(c)\nout(x) <- flip(x, 1)")
         base = Bag.of([Tagged("src", Tuple((Int(n), Str("c")))) for n in range(5)]
                       + [Tagged("city", Str("c"))])

@@ -186,6 +186,17 @@ class TestSamplers:
         with pytest.raises(EngineTypeError):
             Poisson(-2.0)
 
+    def test_poisson_rate_bound(self):
+        # past 2.56e305 the transformed rejection's lgamma overflows, but
+        # only on seeds whose squeeze test fails: a larger rate is rejected
+        # before any draw, and the largest allowed rate draws on every seed
+        for rate in (2.5000000000000003e305, 2.6e305, 1e308):
+            with pytest.raises(EngineTypeError, match="largest that can be drawn from"):
+                Poisson(rate)
+        e = Poisson(2.5e305)
+        draws = [sample(e, Seed(4, (i,))).value for i in range(300)]
+        assert all(abs(k - 2.5e305) < 1e160 for k in draws)
+
     def test_sampling_is_deterministic(self):
         e = Bind(Bernoulli(0.5), lambda v: Dirac(Int(v.value * 10)))
         assert sample(e, Seed(3)) == sample(e, Seed(3))
