@@ -6,7 +6,8 @@ commutative-monoid interface, and a query algebra over structured values
 Monte-Carlo sampling (`prob`), distributions over bags with generative
 rule programs (`pbmonad`).  A textual query language (`dsl`) and a CLI
 (`cli`) sit on top.  The slow independent re-implementations used for
-cross-checking live with the tests, in `tests/oracle.py`.
+cross-checking live with the tests, in `tests/oracle.py` and
+`tests/dual_routes.py`.
 """
 from .bags import EMPTY, Bag
 from .errors import (

@@ -4,8 +4,8 @@ Operators come in two layers.  The primitive layer (singleton, flatten,
 map, product, project, select, dunion, difference, powerbag, dedup) is
 implemented directly; the derived layer (union, intersect, powerset,
 group, group') is defined by composition of primitives so the two layers
-cannot drift apart.  ``*_by_fold`` variants restate some primitives as
-explicit folds; tests cross-check them against the fast versions.
+cannot drift apart.  Tests cross-check some primitives against explicit
+folds, kept with them in ``tests/dual_routes.py``.
 
 Each row expression is compiled once into nested closures
 (``compile_expr``); ``select`` and ``map`` run the compiled form, and
@@ -34,7 +34,6 @@ treated as a one-field row, so ``.1`` on a scalar row is the row itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, eq, ge, gt, le, lt, mul, ne, sub
 from typing import Callable, Iterator, Mapping, Optional
 
@@ -45,6 +44,7 @@ from .errors import (
     ResourceLimitError,
     UnknownTableError,
 )
+from .node import Node
 from .values import BagV, Bool, Int, Real, Tagged, Tuple, Value, tagged
 
 DEFAULT_POWERBAG_LIMIT = 1 << 20
@@ -66,76 +66,64 @@ def tuple_parts(row: Value) -> tuple[Value, ...]:
 # Row expressions
 
 
-class Expr:
+class Expr(Node):
     pass
 
 
-@dataclass(frozen=True)
 class Field(Expr):
     """1-based field access on the current row."""
 
     index: int
 
 
-@dataclass(frozen=True)
 class RowRef(Expr):
     """The whole current row."""
 
 
-@dataclass(frozen=True)
 class Const(Expr):
     value: Value
 
 
-@dataclass(frozen=True)
 class Arith(Expr):
     op: str  # one of + - *
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Cmp(Expr):
     op: str  # one of = != < <= > >=
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class And(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Or(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Not(Expr):
     inner: Expr
 
 
-@dataclass(frozen=True)
 class IsTag(Expr):
     inner: Expr
     tag: str
 
 
-@dataclass(frozen=True)
 class Payload(Expr):
     inner: Expr
     tag: str
 
 
-@dataclass(frozen=True)
 class MkTuple(Expr):
     items: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
 class MkTagged(Expr):
     tag: str
     args: tuple[Expr, ...]
@@ -347,106 +335,88 @@ def _unknown(e: object) -> Compiled:
 # Query AST
 
 
-class Query:
+class Query(Node):
     pass
 
 
-@dataclass(frozen=True)
 class Table(Query):
     name: str
 
 
-@dataclass(frozen=True)
 class Lit(Query):
     bag: Bag
 
 
-@dataclass(frozen=True)
 class Singleton(Query):
     q: Query
 
 
-@dataclass(frozen=True)
 class Flatten(Query):
     q: Query
 
 
-@dataclass(frozen=True)
 class MapQ(Query):
     fn: Expr
     q: Query
 
 
-@dataclass(frozen=True)
 class Product(Query):
     q1: Query
     q2: Query
 
 
-@dataclass(frozen=True)
 class Project(Query):
     indices: tuple[int, ...]
     q: Query
 
 
-@dataclass(frozen=True)
 class Select(Query):
     pred: Expr
     q: Query
 
 
-@dataclass(frozen=True)
 class DUnion(Query):
     q1: Query
     q2: Query
 
 
-@dataclass(frozen=True)
 class Difference(Query):
     q1: Query
     q2: Query
 
 
-@dataclass(frozen=True)
 class PowerBag(Query):
     q: Query
 
 
-@dataclass(frozen=True)
 class Dedup(Query):
     q: Query
 
 
-@dataclass(frozen=True)
 class UnionQ(Query):
     q1: Query
     q2: Query
 
 
-@dataclass(frozen=True)
 class IntersectQ(Query):
     q1: Query
     q2: Query
 
 
-@dataclass(frozen=True)
 class PowerSet(Query):
     q: Query
 
 
-@dataclass(frozen=True)
 class Group(Query):
     key_indices: tuple[int, ...]
     val_indices: tuple[int, ...]
     q: Query
 
 
-@dataclass(frozen=True)
 class GroupPrime(Query):
     q: Query
 
 
-@dataclass(frozen=True)
 class Agg(Query):
     kind: str  # size | the | sum
     q: Query
@@ -624,11 +594,6 @@ def q_difference(b1: Bag, b2: Bag) -> Bag:
     return Bag(tuple(out))
 
 
-def difference_by_fold(b1: Bag, b2: Bag) -> Bag:
-    """Difference as the fold of single removals over the subtrahend."""
-    return b2.fold(lambda x, acc: acc.remove(x), b1)
-
-
 def q_powerbag(b: Bag, max_results: int = DEFAULT_POWERBAG_LIMIT) -> Bag:
     """All sub-bags, one per subset of element occurrences (2^n of them)."""
     if b.size >= 64 or (1 << b.size) > max_results:
@@ -642,28 +607,8 @@ def q_powerbag(b: Bag, max_results: int = DEFAULT_POWERBAG_LIMIT) -> Bag:
     return Bag.of(BagV(Bag(s)) for s in subs)
 
 
-def powerbag_by_fold(b: Bag) -> Bag:
-    """Powerbag as a fold: each element doubles the accumulator, adding
-    itself to the copy."""
-
-    def acc(x: Value, b0: Bag) -> Bag:
-        return b0.uplus(b0.map(lambda s: BagV(s.bag.add(x))))  # type: ignore[union-attr]
-
-    return b.fold(acc, unit(BagV(EMPTY)))
-
-
 def q_dedup(b: Bag) -> Bag:
     return Bag(tuple(v for v, _ in counts(b)))
-
-
-def dedup_by_fold(b: Bag) -> Bag:
-    """Dedup as a fold: insert x after filtering existing copies out."""
-
-    def acc(x: Value, bb: Bag) -> Bag:
-        filtered = Bag(tuple(e for e in bb.elements if e != x))
-        return filtered.add(x)
-
-    return b.fold(acc, EMPTY)
 
 
 def q_union(b1: Bag, b2: Bag) -> Bag:

@@ -169,12 +169,6 @@ def strength(x: Value, b: Bag) -> Bag:
     return Bag.of(Tuple((x, y)) for y in b)
 
 
-def uplus_by_fold(b1: Bag, b2: Bag) -> Bag:
-    """Multiset sum written as the fold of single insertions.  Slower than
-    Bag.uplus; kept because tests cross-check the two routes."""
-    return b1.fold(lambda x, acc: acc.add(x), b2)
-
-
 def free_extend(
     f: Callable[[Value], A],
     combine: Callable[[A, A], A],

@@ -199,6 +199,8 @@ def _stat_mean(results: Iterable[Value]) -> dict:
         raise EngineTypeError("mean statistic overflows a float") from None
     except ValueError:  # fsum of inf and -inf
         raise EngineTypeError("mean statistic of inf and -inf is undefined") from None
+    if math.isnan(var):  # inf - inf in a deviation from an infinite mean
+        raise EngineTypeError("mean statistic of infinite numbers has no stddev")
     stddev = math.sqrt(var)
     return {"n": count, "mean": mean, "stddev": stddev, "ci3": 3.0 * stddev / math.sqrt(count)}
 

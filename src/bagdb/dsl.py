@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from json.decoder import scanstring
 from typing import Callable, Mapping, Optional, TypeVar
 
@@ -66,6 +65,7 @@ from .algebra import (
 )
 from .bags import EMPTY, Bag
 from .errors import EngineTypeError, ParseError, SchemaError, UnknownTableError
+from .node import Node
 from .values import (
     UNIT,
     BagT,
@@ -118,8 +118,7 @@ _SYMBOLS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Node):
     kind: str  # IDENT INT FLOAT STRING FIELDNUM FIELDNAME PIPE ARROW OP MINUS (), [] {} COMMA EOF
     value: object
     line: int

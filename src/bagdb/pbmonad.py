@@ -48,6 +48,7 @@ from .algebra import cmp_holds, tuple_parts
 from .bags import EMPTY, Bag, tag_span, unit
 from .dsl import Token, _Parser, tokenize
 from .errors import EngineTypeError, ProgramError, ResourceLimitError
+from .node import Node
 from .prob import (
     Bernoulli,
     ExactDist,
@@ -95,16 +96,6 @@ def distr_exact(dists: Iterable[ExactDist]) -> ExactDist:
     out: dict[Value, float] = {}
     _distr_into(out, [p.entries for p in dists], EMPTY, 1.0)
     return ExactDist.from_weights(out)
-
-
-def distr_by_fold(dists: Iterable[ExactDist]) -> ExactDist:
-    """``distr_exact`` written as a fold: each step pairs every outcome of
-    one distribution with every accumulated bag and adds it.  Slower;
-    kept because tests cross-check the two routes."""
-    acc = ExactDist.dirac(BagV(EMPTY))
-    for p in reversed(list(dists)):
-        acc = p.bind(lambda x: acc.map(lambda bv: BagV(bv.bag.add(x))))  # type: ignore[union-attr]
-    return acc
 
 
 def distr_sample(samplers: Sequence[SamplerExpr], seed: Seed) -> Bag:
@@ -219,18 +210,15 @@ def add_remove(b: Bag, keep_p: float, rate: float, gen: SamplerExpr, seed: Seed)
 # Rule programs
 
 
-@dataclass(frozen=True)
-class VarT:
+class VarT(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class ConstT:
+class ConstT(Node):
     value: Value
 
 
-@dataclass(frozen=True)
-class DistT:
+class DistT(Node):
     kind: str  # bernoulli | normal | poisson
     params: tuple[Union[VarT, ConstT], ...]
 
@@ -241,29 +229,25 @@ SimpleTerm = Union[VarT, ConstT]
 _DIST_ARITY = {"bernoulli": 1, "normal": 2, "poisson": 1}
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Node):
     tag: str
     args: tuple[SimpleTerm, ...]
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(Node):
     op: str  # = != < <= > >=
     left: SimpleTerm
     right: SimpleTerm
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Node):
     head_tag: str
     head_terms: tuple[Term, ...]
     atoms: tuple[Atom, ...]
     guards: tuple[Guard, ...]
 
 
-@dataclass(frozen=True)
-class RuleProgram:
+class RuleProgram(Node):
     rules: tuple[Rule, ...]
 
 
@@ -668,12 +652,6 @@ class _CompiledProgram:
         for plan in self.plans:
             world = world.merged(plan.fire(world, self.seed, i))
         return world
-
-
-def indexed_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
-    """``rule_matches`` computed the compiled way, through order-keeping
-    hash indexes: the same envs in the same order."""
-    return [m.env for m in _RulePlan(0, rule, set(), set()).matches(bag)]
 
 
 # ---------------------------------------------------------------------------

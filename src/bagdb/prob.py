@@ -29,6 +29,7 @@ from .errors import (
     NotFiniteError,
     WorldEvalError,
 )
+from .node import Node
 from .values import BagV, Int, Real, Tuple, Value
 
 WEIGHT_EPS = 1e-9
@@ -162,16 +163,14 @@ def strength_exact(x: Value, p: ExactDist) -> ExactDist:
 # Samplers
 
 
-class SamplerExpr:
+class SamplerExpr(Node):
     pass
 
 
-@dataclass(frozen=True)
 class Dirac(SamplerExpr):
     value: Value
 
 
-@dataclass(frozen=True)
 class Bernoulli(SamplerExpr):
     """Draws Int 1 with probability p, else Int 0."""
 
@@ -182,7 +181,6 @@ class Bernoulli(SamplerExpr):
             raise EngineTypeError(f"bernoulli parameter {self.p!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
 class Normal(SamplerExpr):
     mean: float
     stddev: float
@@ -192,7 +190,6 @@ class Normal(SamplerExpr):
             raise EngineTypeError("normal needs a finite mean and a positive stddev")
 
 
-@dataclass(frozen=True)
 class Poisson(SamplerExpr):
     rate: float
 
@@ -203,18 +200,15 @@ class Poisson(SamplerExpr):
             raise EngineTypeError(f"poisson rate {self.rate!r} is past 2.5e305, the largest that can be drawn from")
 
 
-@dataclass(frozen=True)
 class Categorical(SamplerExpr):
     dist: ExactDist
 
 
-@dataclass(frozen=True)
 class Bind(SamplerExpr):
     inner: SamplerExpr
     fn: Callable[[Value], SamplerExpr]
 
 
-@dataclass(frozen=True)
 class MapS(SamplerExpr):
     fn: Callable[[Value], Value]
     inner: SamplerExpr

@@ -21,6 +21,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import EngineTypeError, ParseError, SchemaError
+from .node import Node
 
 _TAG_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -239,36 +240,30 @@ class BagV(Value):
 # Schemas
 
 
-class Schema:
+class Schema(Node):
     """Base class for structural types; all concrete schemas are frozen."""
 
 
-@dataclass(frozen=True)
 class IntT(Schema):
     pass
 
 
-@dataclass(frozen=True)
 class RealT(Schema):
     pass
 
 
-@dataclass(frozen=True)
 class BoolT(Schema):
     pass
 
 
-@dataclass(frozen=True)
 class StrT(Schema):
     pass
 
 
-@dataclass(frozen=True)
 class UnitT(Schema):
     pass
 
 
-@dataclass(frozen=True)
 class TupleT(Schema):
     items: tuple[Schema, ...]
 
@@ -276,7 +271,6 @@ class TupleT(Schema):
         object.__setattr__(self, "items", tuple(self.items))
 
 
-@dataclass(frozen=True)
 class TaggedT(Schema):
     """Sum type: maps each admissible tag to its payload schema."""
 
@@ -296,7 +290,6 @@ class TaggedT(Schema):
         return None
 
 
-@dataclass(frozen=True)
 class BagT(Schema):
     """Bag type; ``elem=None`` means the element type is unconstrained,
     which only happens for bags that are provably empty."""
@@ -336,17 +329,14 @@ def typecheck(v: Value, s: Schema) -> bool:
     raise EngineTypeError(f"unknown schema {s!r}")
 
 
+# schemas are immutable, so one of each scalar schema serves every row
+_SCALAR_SCHEMAS: dict[type, Schema] = {Int: IntT(), Real: RealT(), Bool: BoolT(), Str: StrT(), Unit: UnitT()}
+
+
 def infer_schema(v: Value) -> Schema:
-    if isinstance(v, Int):
-        return IntT()
-    if isinstance(v, Real):
-        return RealT()
-    if isinstance(v, Bool):
-        return BoolT()
-    if isinstance(v, Str):
-        return StrT()
-    if isinstance(v, Unit):
-        return UnitT()
+    s = _SCALAR_SCHEMAS.get(type(v))
+    if s is not None:
+        return s
     if isinstance(v, Tuple):
         return TupleT(tuple(infer_schema(it) for it in v.items))
     if isinstance(v, Tagged):
@@ -426,8 +416,6 @@ def json_text(v: Value) -> str:
 
 def from_json(obj: Any) -> Value:
     """Inverse of to_json.  Bags are re-canonicalized on the way in."""
-    from .bags import Bag
-
     if obj is None:
         return UNIT
     if type(obj) is bool:
@@ -450,6 +438,8 @@ def from_json(obj: Any) -> Value:
         if set(obj) == {"bag"}:
             if type(obj["bag"]) is not list:
                 raise EngineTypeError("bag body must be an array")
+            from .bags import Bag
+
             return BagV(Bag.of(from_json(x) for x in obj["bag"]))
         raise EngineTypeError(f"object keys {sorted(obj)} are neither a tagged value nor a bag")
     raise EngineTypeError(f"cannot read a value from {type(obj).__name__}")

@@ -37,11 +37,8 @@ from bagdb.algebra import (
     agg_size,
     agg_sum,
     agg_the,
-    dedup_by_fold,
-    difference_by_fold,
     eval_expr,
     eval_query,
-    powerbag_by_fold,
     q_dedup,
     q_difference,
     q_dunion,
@@ -64,6 +61,7 @@ from bagdb.errors import (
 )
 from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple
 
+from dual_routes import dedup_by_fold, difference_by_fold, powerbag_by_fold
 from strategies import conjunction, small_bags_st, small_ints
 
 

@@ -12,10 +12,10 @@ from bagdb.bags import (
     strength,
     tag_span,
     unit,
-    uplus_by_fold,
 )
 from bagdb.values import BagV, Int, Real, Str, Tagged, Tuple
 
+from dual_routes import uplus_by_fold
 from strategies import bags, small_bags_st, small_ints, values
 
 

@@ -33,10 +33,8 @@ from bagdb.pbmonad import (
     VarT,
     add_noise,
     add_remove,
-    distr_by_fold,
     distr_exact,
     distr_sample,
-    indexed_matches,
     parse_rules,
     pb_bind,
     pb_unit_bag,
@@ -53,6 +51,7 @@ from bagdb.prob import Bernoulli, Dirac, ExactDist, Normal, Seed, dirac, draw_fr
 from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple, deserialize, tagged
 
 import reference_algebra as ref
+from dual_routes import distr_by_fold, indexed_matches
 from strategies import exact_dists, values
 
 
