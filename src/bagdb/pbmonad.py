@@ -38,6 +38,7 @@ query language's literal grammar.
 """
 from __future__ import annotations
 
+import _random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
@@ -56,11 +57,12 @@ from .prob import (
     Poisson,
     SamplerExpr,
     Seed,
-    child_rng,
     draw_from,
     exact_of,
+    generator,
     normal_pair,
     poisson_draw,
+    reseed,
     sample,
 )
 from .values import BagV, Int, Real, Tagged, Tuple, Unit, Value, tagged
@@ -382,7 +384,7 @@ def run_rule_program(
     validate_program(prog)
     if backend == "exact":
         dist = pb_unit_bag(b)
-        for plan in _CompiledProgram(prog, b, seed).plans:
+        for plan in _CompiledProgram(prog, b).plans:
             dist = _apply_rule_exact(plan, dist, max_worlds)
         return dist
     if backend == "mc":
@@ -592,14 +594,14 @@ class _RulePlan:
             out.append(m.options)
         return out
 
-    def fire(self, world: Bag, seed: Seed, i: int) -> list[Value]:
+    def fire(self, world: Bag, seed: Seed, i: int, gen: _random.Random) -> list[Value]:
         """The heads this rule adds to world i, in match order.  The draw
-        of match j uses the stream of seed/(rule, i, j)."""
+        of match j reseeds ``gen`` to the stream of seed/(rule, i, j)."""
         matches = self.matches(world)
         if self.dist < 0 or not matches:
             return [self.head(m) for m in matches]
         prefix = seed.child(self.k).child(i).hasher()  # raises for i >= 2**64, before a bad parameter
-        return [self.head(m, draw_from(self.sampler(m), child_rng(prefix, j)))
+        return [self.head(m, draw_from(self.sampler(m), reseed(gen, prefix, j)))
                 for j, m in enumerate(matches)]
 
 
@@ -630,11 +632,15 @@ class _CompiledProgram:
     through its plans, and ``world(i)`` samples mc world i by stepping the
     input bag through them, adding each rule's heads with ``Bag.merged``.
     In program order, the head tag of a rule whose heads need not recur
-    (see ``_RulePlan``) is ``marked``: no plan caches what is read from it."""
+    (see ``_RulePlan``) is ``marked``: no plan caches what is read from it.
+    With a seed, the program owns one generator, ``gen``, that every draw
+    reseeds to its own stream and reads only until it returns: no state
+    carries from one draw to the next, but one world is sampled at a time."""
 
-    def __init__(self, prog: RuleProgram, b: Bag, seed: Optional[Seed]):
+    def __init__(self, prog: RuleProgram, b: Bag, seed: Optional[Seed] = None):
         self.base = b
         self.seed = seed
+        self.gen = None if seed is None else generator()
         self.plans: list[_RulePlan] = []
         produced: set[str] = set()
         marked: set[str] = set()
@@ -650,7 +656,7 @@ class _CompiledProgram:
     def world(self, i: int) -> Bag:
         world = self.base
         for plan in self.plans:
-            world = world.merged(plan.fire(world, self.seed, i))
+            world = world.merged(plan.fire(world, self.seed, i, self.gen))
         return world
 
 

@@ -4,14 +4,20 @@ and pushforward of deterministic queries over uncertain databases.
 Exact distributions are canonical (support sorted, weights positive,
 total within 1e-9 of one) so distribution equality is meaningful.  The
 sampling side is built on explicit Seed values: a 64-bit master plus a
-derivation path, hashed into an independent stream per path.  Every
-multi-draw construct derives child seeds instead of sharing a stream, so
-each draw is addressed by its path and no evaluation order can change a
-result.  (``--workers`` is accepted by the CLI but worlds are generated
-sequentially; it cannot change output.)
+derivation path, hashed into an independent stream per path.  A stream
+is the Mersenne Twister seeded with the sha256 digest of its address,
+read as a little-endian integer; ``reseed`` points one existing
+generator at a stream, so a caller that draws many times can keep one
+generator and reseed it before each draw.  Every multi-draw construct
+derives child seeds instead of sharing a stream, so each draw is
+addressed by its path and no evaluation order can change a result.
+Bernoulli draws return one of two shared values, ``Int(0)`` and
+``Int(1)``.  (``--workers`` is accepted by the CLI but worlds are
+generated sequentially; it cannot change output.)
 """
 from __future__ import annotations
 
+import _random
 import hashlib
 import math
 import random
@@ -55,30 +61,53 @@ class Seed:
         return Seed(self.master, self.path + (index,))
 
     def hasher(self) -> "hashlib._Hash":
-        """sha256 fed the master and then each path entry, 8 little-endian
-        bytes apiece.  ``rng`` digests it; ``child_rng`` extends a copy, so
-        siblings share the hashing of their common prefix."""
-        h = hashlib.sha256(self.master.to_bytes(8, "little"))
+        """sha256 fed the master and then each path entry (``_fed``).
+        ``rng`` digests it; ``reseed`` extends a copy, so siblings share the
+        hashing of their common prefix."""
+        h = _fed(hashlib.sha256(), self.master)
         for p in self.path:
-            h.update(p.to_bytes(8, "little"))
+            _fed(h, p)
         return h
 
     def rng(self) -> random.Random:
-        return _rng_of(self.hasher())
+        """A new generator on this seed's stream."""
+        return random.Random(_stream_int(self.hasher()))
 
 
-def child_rng(prefix: "hashlib._Hash", index: int) -> random.Random:
-    """``seed.child(index).rng()`` given ``prefix = seed.hasher()``: the same
-    digest, so the same stream.  ``prefix`` is copied, not changed."""
+def _fed(h: "hashlib._Hash", n: int) -> "hashlib._Hash":
+    """``h`` fed ``n`` as 8 little-endian bytes, the layout of a master and
+    of each path entry."""
+    h.update(n.to_bytes(8, "little"))
+    return h
+
+
+def _stream_int(h: "hashlib._Hash") -> int:
+    """The integer that seeds the stream ``h`` addresses: its digest, read
+    little-endian."""
+    return int.from_bytes(h.digest(), "little")
+
+
+# ``random.Random`` subclasses this C type and passes an int seed straight
+# to its ``seed``, so both read the same stream from the same integer.
+_seed_mt = _random.Random.seed
+
+
+def generator() -> _random.Random:
+    """A Mersenne Twister for ``reseed`` to point at one stream after
+    another.  It is the C type that ``random.Random`` subclasses: its
+    ``seed`` skips the Python-level wrapper, and it has no ``gauss`` state
+    that could carry from one stream to the next."""
+    return _random.Random(0)
+
+
+def reseed(gen: _random.Random, prefix: "hashlib._Hash", index: int) -> _random.Random:
+    """``gen`` reseeded to the stream of ``seed.child(index)``, given
+    ``prefix = seed.hasher()``: the stream of ``seed.child(index).rng()``,
+    whatever ``gen`` drew before.  ``prefix`` is copied, not changed."""
     if not (0 <= index < 2**64):
         raise EngineTypeError("seed path entries must be unsigned 64-bit integers")
-    h = prefix.copy()
-    h.update(index.to_bytes(8, "little"))
-    return _rng_of(h)
-
-
-def _rng_of(h: "hashlib._Hash") -> random.Random:
-    return random.Random(int.from_bytes(h.digest(), "little"))
+    _seed_mt(gen, _stream_int(_fed(prefix.copy(), index)))
+    return gen
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +201,17 @@ class Dirac(SamplerExpr):
 
 
 class Bernoulli(SamplerExpr):
-    """Draws Int 1 with probability p, else Int 0."""
+    """Draws Int 1 with probability p, else Int 0: the shared values
+    ``BERNOULLI_ONE`` and ``BERNOULLI_ZERO``."""
 
     p: float
 
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
             raise EngineTypeError(f"bernoulli parameter {self.p!r} outside [0, 1]")
+
+
+BERNOULLI_ZERO, BERNOULLI_ONE = Int(0), Int(1)
 
 
 class Normal(SamplerExpr):
@@ -214,7 +247,7 @@ class MapS(SamplerExpr):
     inner: SamplerExpr
 
 
-def normal_pair(rng: random.Random) -> tuple[float, float]:
+def normal_pair(rng: _random.Random) -> tuple[float, float]:
     """Two independent standard normals from exactly two uniforms."""
     u1 = 1.0 - rng.random()  # (0, 1]: keeps the log finite
     u2 = rng.random()
@@ -223,7 +256,7 @@ def normal_pair(rng: random.Random) -> tuple[float, float]:
     return r * math.cos(theta), r * math.sin(theta)
 
 
-def poisson_draw(rate: float, rng: random.Random) -> int:
+def poisson_draw(rate: float, rng: _random.Random) -> int:
     """Poisson sample; multiplicative inversion for small rates, transformed
     rejection for large ones.  Both consume the stream deterministically."""
     if rate <= 0.0:
@@ -258,12 +291,12 @@ def poisson_draw(rate: float, rng: random.Random) -> int:
             return int(k)
 
 
-def draw_from(e: SamplerExpr, rng: random.Random) -> Value:
+def draw_from(e: SamplerExpr, rng: _random.Random) -> Value:
     """One draw, consuming the given stream in a fixed order."""
     if isinstance(e, Dirac):
         return e.value
     if isinstance(e, Bernoulli):
-        return Int(1 if rng.random() < e.p else 0)
+        return BERNOULLI_ONE if rng.random() < e.p else BERNOULLI_ZERO
     if isinstance(e, Normal):
         z, _ = normal_pair(rng)
         return Real(e.mean + e.stddev * z)
@@ -295,7 +328,7 @@ def exact_of(e: SamplerExpr) -> ExactDist:
     if isinstance(e, Dirac):
         return ExactDist.dirac(e.value)
     if isinstance(e, Bernoulli):
-        return ExactDist.from_weights({Int(0): 1.0 - e.p, Int(1): e.p})
+        return ExactDist.from_weights({BERNOULLI_ZERO: 1.0 - e.p, BERNOULLI_ONE: e.p})
     if isinstance(e, Normal):
         raise NotFiniteError("normal has uncountable support; use the mc backend")
     if isinstance(e, Poisson):

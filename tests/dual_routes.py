@@ -7,11 +7,13 @@ agree.  They are slower than the engine's own routes and nothing in
 """
 from __future__ import annotations
 
+import hashlib
+import random
 from typing import Iterable
 
 from bagdb.bags import EMPTY, Bag, unit
 from bagdb.pbmonad import Rule, _RulePlan
-from bagdb.prob import ExactDist
+from bagdb.prob import ExactDist, reseed
 from bagdb.values import BagV, Value
 
 
@@ -62,3 +64,10 @@ def indexed_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
     order-keeping hash indexes of a rule plan: the same envs in the same
     order."""
     return [m.env for m in _RulePlan(0, rule, set(), set()).matches(bag)]
+
+
+def child_rng(prefix: "hashlib._Hash", index: int) -> random.Random:
+    """``seed.child(index).rng()`` given ``prefix = seed.hasher()``: a new
+    ``random.Random`` that ``prob.reseed`` points at the child's stream
+    (``Seed.rng``)."""
+    return reseed(random.Random(0), prefix, index)

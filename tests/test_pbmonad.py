@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 from itertools import product as iproduct
 from pathlib import Path
+from statistics import NormalDist
 from unittest import mock
 
 import pytest
@@ -1239,3 +1240,78 @@ class TestIncrementalExact:
         assert got == exact_outcome(reference_exact, prog, base, limit)
         assert got[0] is ResourceLimitError
         assert calls.count(3) == reached < len(before.entries)
+
+
+# ---------------------------------------------------------------------------
+# One generator per compiled program: draws carry nothing from one to the next
+
+# n's counts are poisson draws, and flip uses each as a bernoulli parameter:
+# a world raises at the first match whose count is past 1, after the draws
+# of the matches before it
+COUNT = "n(x, poisson(1.0)) <- src(x)"
+COUNTS = COUNT + "\nflip(x, bernoulli(k)) <- n(x, k)"
+NOISE = "noise(x, normal(0.0, 1.0)) <- src(x)\nflag(x, bernoulli(0.3)) <- src(x)"
+SRC4 = Bag.of([Tagged("src", Int(n)) for n in range(4)])
+
+
+def raises_part_way(seed, i):
+    """Whether world i of COUNTS raises at a later match of flip than its
+    first.  flip's matches follow n's rows in canonical order, by x, and n's
+    draws do not depend on the rules after it."""
+    world = run_rule_program(parse_rules(COUNT), SRC4, "mc", seed=seed).world(i)
+    ks = [v.value.items[1].value for v in world if v.tag == "n"]
+    return ks[0] <= 1 < max(ks)
+
+
+class TestInterleaving:
+    @settings(max_examples=60)
+    @given(mc_seeds, mc_seeds, st.lists(st.tuples(st.integers(0, 1), st.integers(0, 12)), max_size=20),
+           st.integers(0, 20))
+    def test_interleaved_worlds_equal_worlds_alone(self, seed_a, seed_b, requests, at):
+        # worlds of two samplers asked for in any order, repeats included,
+        # and with a world of COUNTS that raises part-way through flip among
+        # them, are the worlds each sampler computes alone
+        progs, seeds = (parse_rules(COUNTS), parse_rules(NOISE)), (seed_a, seed_b)
+        samplers = [run_rule_program(p, SRC4, "mc", seed=s) for p, s in zip(progs, seeds)]
+        bad = next((i for i in range(100) if raises_part_way(seed_a, i)), None)  # 44% of worlds do
+        assert bad is not None, "no world of COUNTS raises part-way"
+        requests.insert(at, (0, bad))
+        for which, i in requests:
+            alone = run_rule_program(progs[which], SRC4, "mc", seed=seeds[which])
+            assert outcome(samplers[which].world, i) == outcome(alone.world, i)
+        assert outcome(samplers[0].world, bad)[0] is EngineTypeError
+
+
+# ---------------------------------------------------------------------------
+# The mc backend against the exact one
+
+# the two-sided tail of 6 sigma, split over the tuples of an example
+SIX_SIGMA_TAIL = 2 * NormalDist().cdf(-6.0)
+MC_WORLDS = 300
+
+
+class TestCrossBackend:
+    # two coins split every program into 4 or more worlds before its own rules run
+    @settings(max_examples=50, derandomize=True)
+    @given(programs_and_bags(prob_values, ("bernoulli", None), (1, 2, 1), min_rank=1, split=True), mc_seeds)
+    def test_mc_tuple_probs_lie_near_the_exact_marginals(self, prog_base, seed):
+        # each row's share of mc worlds lies within 6 sigma of the exact
+        # probability that a world holds it, Bonferroni-corrected over the
+        # rows either backend produces; generation is derandomized, so the
+        # seeds are fixed and the test cannot flake
+        prog, base = prog_base
+        try:
+            exact = run_rule_program(prog, base, "exact", max_worlds=EXACT_LIMIT)
+        except EngineError:
+            return  # a bad parameter or the world limit: no marginals to compare
+        marginal, present = Counter(), Counter()
+        for world, w in exact.entries:
+            for v in set(world.bag):
+                marginal[v] += w
+        for world in run_rule_program(prog, base, "mc", seed=seed).worlds(MC_WORLDS):
+            present.update(set(world))
+        rows = set(marginal) | set(present)
+        z = NormalDist().inv_cdf(1 - SIX_SIGMA_TAIL / (2 * len(rows)))
+        for v in rows:
+            p = min(marginal[v], 1.0)
+            assert abs(present[v] / MC_WORLDS - p) <= z * math.sqrt(p * (1 - p) / MC_WORLDS) + 1e-9, v

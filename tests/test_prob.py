@@ -17,6 +17,8 @@ from bagdb.errors import (
 )
 from bagdb.prob import (
     Bernoulli,
+    BERNOULLI_ONE,
+    BERNOULLI_ZERO,
     Bind,
     Categorical,
     Dirac,
@@ -27,20 +29,22 @@ from bagdb.prob import (
     Seed,
     WEIGHT_EPS,
     bind_exact,
-    child_rng,
     dirac,
     draw_from,
     exact_of,
+    generator,
     map_exact,
     normal_pair,
     poisson_draw,
     pushforward_exact,
     pushforward_mc,
+    reseed,
     sample,
     strength_exact,
 )
 from bagdb.values import BagV, Int, Real, Str, Tuple
 
+from dual_routes import child_rng
 from strategies import exact_dists, seeds, small_ints, values
 
 
@@ -93,6 +97,33 @@ class TestSeed:
         for bad in (-1, 2**64):
             with pytest.raises(EngineTypeError):
                 child_rng(Seed(1).hasher(), bad)
+
+
+class TestStreamLaw:
+    """One generator, reseeded before each draw, reads the draw's own
+    stream whatever it drew before: the stream that a new generator on
+    the same seed reads.  CPython's C ``seed`` and ``random.Random``'s
+    must agree on an integer for this to hold."""
+
+    shared = generator()
+
+    @given(seeds, st.lists(st.integers(0, 2**64 - 1), max_size=3), st.integers(0, 2**64 - 1),
+           st.integers(0, 700))
+    def test_reseeded_generator_reads_the_child_stream(self, master, path, j, drawn_before):
+        s = Seed(master, tuple(path))
+        gen = self.shared
+        for _ in range(drawn_before):  # past the 624-word state, too
+            gen.random()
+        assert reseed(gen, s.hasher(), j) is gen
+        want = s.child(j).rng()
+        assert [gen.random().hex() for _ in range(3)] == [want.random().hex() for _ in range(3)]
+
+    @given(seeds, st.floats(0.0, 1.0))
+    def test_bernoulli_outcomes_are_shared(self, master, p):
+        drawn = sample(Bernoulli(p), Seed(master))
+        assert drawn is (BERNOULLI_ONE if drawn == Int(1) else BERNOULLI_ZERO)
+        assert all(v is (BERNOULLI_ONE if v == Int(1) else BERNOULLI_ZERO)
+                   for v in exact_of(Bernoulli(p)).support)
 
 
 class TestExactDist:
