@@ -6,20 +6,21 @@ A Bag stores its elements as a tuple sorted in the canonical value order,
 so equal bags are equal tuples and every operation that returns a Bag
 returns a canonical one.  Construct through ``Bag.of``, and add elements
 to a bag through ``Bag.merged``, which places them without re-sorting it.
-Only this module builds a bag's ``key``, and only it and ``values`` know
-that every Tagged key starts with ``(6, tag)``: a bag's rows of one tag
-are one contiguous run of its elements (``tag_span``).
+A bag is frozen and slotted, like a value.  Only this module builds a bag's
+``key``, and only it and ``values`` know that every Tagged key starts with
+``(6, tag)``: a bag's rows of one tag are one contiguous run of its
+elements (``tag_span``).
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import EngineTypeError
-from .values import BagV, Tuple, Value, stored
+from .node import Frozen, _setattr
+from .values import BagV, Tuple, Value
 
 A = TypeVar("A")
 
@@ -27,15 +28,26 @@ _KEY = attrgetter("key")
 _TAG_PREFIX = itemgetter(slice(0, 2))
 
 
-@dataclass(frozen=True, eq=False)
-class Bag:
-    elements: tuple[Value, ...]
+class Bag(Frozen):
+    __slots__ = ("elements", "key", "__weakref__")
+
+    def __init__(self, elements: tuple[Value, ...]):
+        _setattr(self, "elements", elements)
 
     @classmethod
     def of(cls, items: Iterable[Value]) -> "Bag":
         return cls(tuple(sorted(items, key=_KEY)))
 
-    key = stored(lambda self: tuple([e.key for e in self.elements]))
+    def __getattr__(self, name: str) -> Any:
+        # runs only for a slot not filled yet: the key, on first use
+        if name != "key":
+            raise AttributeError(f"'Bag' object has no attribute {name!r}")
+        key = tuple([e.key for e in self.elements])
+        _setattr(self, "key", key)
+        return key
+
+    def __reduce__(self) -> tuple:
+        return Bag, (self.elements,)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bag):
@@ -92,7 +104,7 @@ class Bag:
         elems += elements[start:]
         ks += keys[start:]
         bag = Bag(tuple(elems))
-        bag.__dict__["key"] = tuple(ks)  # where Bag.key stores it
+        _setattr(bag, "key", tuple(ks))
         return bag
 
     def payload_run(self, tag: str) -> "Bag":
@@ -100,7 +112,7 @@ class Bag:
         ``(6, tag, payload key)``, so the payloads come out in key order."""
         span = tag_span(self, tag)
         bag = Bag(tuple([row.value for row in self.elements[span]]))  # type: ignore[attr-defined]
-        bag.__dict__["key"] = tuple([k[2] for k in self.key[span]])  # where Bag.key stores it
+        _setattr(bag, "key", tuple([k[2] for k in self.key[span]]))
         return bag
 
     def add(self, x: Value) -> "Bag":

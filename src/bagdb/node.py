@@ -1,19 +1,35 @@
-"""One base class for the frozen syntax nodes: the query and row-expression
-AST, sampler expressions, the rule AST, tokens and schemas.
+"""Frozen records: ``Frozen``, the immutable base, and ``Node``, the one
+base class of the syntax nodes (the query and row-expression AST, sampler
+expressions, the rule AST, tokens and schemas) and of ``ExactDist``,
+``Seed`` and ``PBSampler``.
 
-A node behaves as ``@dataclass(frozen=True)`` would make it, but nothing is
+A node behaves as a generated frozen record class would, but nothing is
 generated per class: the methods below are shared, driven by each class's
-field names, which ``__init_subclass__`` reads from its annotations.  The
-values stay dataclasses (see ``values``).
+field names, which ``__init_subclass__`` reads from its annotations.
+Values and bags are slotted ``Frozen`` classes (see ``values``).
 """
 from __future__ import annotations
-
-from dataclasses import FrozenInstanceError
 
 _setattr = object.__setattr__
 
 
-class Node:
+class Frozen:
+    """Assigning or deleting an attribute raises ``FrozenInstanceError``,
+    imported only then: its module imports ``inspect``, slow at start-up.
+    A constructor sets attributes with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Node(Frozen):
     """Fields are given positionally, in annotation order, and stored in the
     instance ``__dict__``; anything else kept there (``algebra.compile_expr``
     keeps closures) is not a field, so ``==``, ``hash`` and ``repr`` do not
@@ -56,10 +72,3 @@ class Node:
     def __repr__(self) -> str:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-

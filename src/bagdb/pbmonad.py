@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import _random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product as iproduct
 from math import prod
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -147,8 +146,7 @@ def pb_uplus(m1: ExactDist, m2: ExactDist) -> ExactDist:
 # Samplers over worlds
 
 
-@dataclass(frozen=True)
-class PBSampler:
+class PBSampler(Node):
     """A probabilistic database in sampling form: world(i) is the i-th
     possible world, deterministic in i."""
 

@@ -22,7 +22,6 @@ import hashlib
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from . import algebra
@@ -35,7 +34,7 @@ from .errors import (
     NotFiniteError,
     WorldEvalError,
 )
-from .node import Node
+from .node import Node, _setattr
 from .values import BagV, Int, Real, Tuple, Value
 
 WEIGHT_EPS = 1e-9
@@ -43,19 +42,21 @@ WEIGHT_EPS = 1e-9
 _POISSON_INVERSION_CUTOFF = 30.0
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(Node):
     """A reproducible stream address: (master, derivation path)."""
 
     master: int
-    path: tuple[int, ...] = ()
+    path: tuple[int, ...]
 
-    def __post_init__(self):
-        if not (0 <= self.master < 2**64):
+    def __init__(self, master: int, path: tuple[int, ...] = ()):
+        # its own __init__, not Node's: ``child`` builds seeds on the draw path
+        if not (0 <= master < 2**64):
             raise EngineTypeError("seed master must be an unsigned 64-bit integer")
-        for p in self.path:
+        for p in path:
             if not (0 <= p < 2**64):
                 raise EngineTypeError("seed path entries must be unsigned 64-bit integers")
+        _setattr(self, "master", master)
+        _setattr(self, "path", path)
 
     def child(self, index: int) -> "Seed":
         return Seed(self.master, self.path + (index,))
@@ -118,8 +119,7 @@ def _entry_key(entry: tuple[Value, float]) -> tuple:
     return entry[0].key
 
 
-@dataclass(frozen=True)
-class ExactDist:
+class ExactDist(Node):
     """Finite-support distribution over values, canonical by construction."""
 
     entries: tuple[tuple[Value, float], ...]

@@ -5,64 +5,35 @@ order is what makes bags canonical: cross-variant comparisons go by a fixed
 variant rank (Int < Real < Bool < Str < Unit < Tuple < Tagged < BagV), and
 only same-variant values compare by content.  Each value exposes an
 injective ``key`` tuple so sorting and equality can use native tuple
-comparison instead of a comparator callback.  The key is computed on first
-access and stored in the value's ``__dict__``, and so is ``hash(key)`` on
-the first ``hash``: a value is immutable, so neither can go stale.  The
-stored entries are not fields, so ``==``, order, ``repr`` and the codec
-never see them.
+comparison instead of a comparator callback.  A value is frozen, and its
+fields are its class's own ``__slots__``.  Its ``__init__`` sets ``key``
+from them (a ``BagV`` on first use), and ``hash(key)`` is stored on the
+first ``hash``.  Both are ``Value`` slots, not fields, so ``==``, order,
+``repr``, pickling and the codec never see them.
 """
 from __future__ import annotations
 
 import json
 import math
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from .errors import EngineTypeError, ParseError, SchemaError
-from .node import Node
+from .node import Frozen, Node, _setattr
 
 _TAG_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-class stored:
-    """A non-data descriptor that computes an attribute on first access and
-    stores it in the instance ``__dict__``, which shadows the descriptor
-    from then on.  A cached property does the same, but on CPython 3.11 it
-    takes a class-wide lock at every first access.  Writing the
-    ``__dict__`` directly also works on frozen dataclasses."""
-
-    def __init__(self, compute: Callable[[Any], Any]):
-        self.compute = compute
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
-
-
-class Value:
+class Value(Frozen):
     """Base class; comparison and hashing are shared via ``key``."""
 
-    key = stored(lambda self: self._key())
-    _hash = stored(lambda self: hash(self.key))
-
-    def _key(self) -> tuple:  # pragma: no cover - abstract
-        raise NotImplementedError
+    __slots__ = ("key", "_hash", "__weakref__")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Value):
             return NotImplemented
         return self.key == other.key
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __lt__(self, other: "Value") -> bool:
         return self.key < other.key
@@ -77,12 +48,19 @@ class Value:
         return self.key >= other.key
 
     def __hash__(self) -> int:
-        return self._hash
+        # a try, not a __getattr__, which would keep CPython 3.11 from
+        # specialising every attribute read of every value
+        try:
+            return self._hash
+        except AttributeError:  # the first hash
+            h = hash(self.key)
+            _setattr(self, "_hash", h)
+            return h
 
-    def __getstate__(self) -> dict:
-        # a str's hash depends on the interpreter's PYTHONHASHSEED, so the
-        # stored hash must not travel to another process
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    def __reduce__(self) -> tuple:
+        # the fields only: a str's hash depends on the interpreter's
+        # PYTHONHASHSEED, so the stored hash must not travel to another process
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
 
 
 def compare(a: Value, b: Value) -> int:
@@ -91,75 +69,68 @@ def compare(a: Value, b: Value) -> int:
     return (ka > kb) - (ka < kb)
 
 
-@dataclass(frozen=True, eq=False)
 class Int(Value):
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if type(self.value) is not int:
-            raise EngineTypeError(f"Int expects a Python int, got {type(self.value).__name__}")
-
-    def _key(self) -> tuple:
-        return (0, self.value)
+    def __init__(self, value: int):
+        if type(value) is not int:
+            raise EngineTypeError(f"Int expects a Python int, got {type(value).__name__}")
+        _setattr(self, "value", value)
+        _setattr(self, "key", (0, value))
 
     def __repr__(self) -> str:
         return f"Int({self.value})"
 
 
-@dataclass(frozen=True, eq=False)
 class Real(Value):
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if type(self.value) is int:
-            object.__setattr__(self, "value", float(self.value))
-        elif type(self.value) is not float:
-            raise EngineTypeError(f"Real expects a Python float, got {type(self.value).__name__}")
-        if math.isnan(self.value):
+    def __init__(self, value: float):
+        if type(value) is int:
+            value = float(value)
+        elif type(value) is not float:
+            raise EngineTypeError(f"Real expects a Python float, got {type(value).__name__}")
+        if math.isnan(value):
             raise EngineTypeError("Real cannot hold NaN")
-
-    def _key(self) -> tuple:
+        _setattr(self, "value", value)
         # Sign bit breaks the -0.0 == 0.0 tie so the order stays injective.
-        return (1, self.value, 0 if math.copysign(1.0, self.value) < 0 else 1)
+        _setattr(self, "key", (1, value, 0 if math.copysign(1.0, value) < 0 else 1))
 
     def __repr__(self) -> str:
         return f"Real({self.value!r})"
 
 
-@dataclass(frozen=True, eq=False)
 class Bool(Value):
-    value: bool
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if type(self.value) is not bool:
-            raise EngineTypeError(f"Bool expects a Python bool, got {type(self.value).__name__}")
-
-    def _key(self) -> tuple:
-        return (2, self.value)
+    def __init__(self, value: bool):
+        if type(value) is not bool:
+            raise EngineTypeError(f"Bool expects a Python bool, got {type(value).__name__}")
+        _setattr(self, "value", value)
+        _setattr(self, "key", (2, value))
 
     def __repr__(self) -> str:
         return f"Bool({self.value})"
 
 
-@dataclass(frozen=True, eq=False)
 class Str(Value):
-    value: str
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if type(self.value) is not str:
-            raise EngineTypeError(f"Str expects a Python str, got {type(self.value).__name__}")
-
-    def _key(self) -> tuple:
-        return (3, self.value)
+    def __init__(self, value: str):
+        if type(value) is not str:
+            raise EngineTypeError(f"Str expects a Python str, got {type(value).__name__}")
+        _setattr(self, "value", value)
+        _setattr(self, "key", (3, value))
 
     def __repr__(self) -> str:
         return f"Str({self.value!r})"
 
 
-@dataclass(frozen=True, eq=False)
 class Unit(Value):
-    def _key(self) -> tuple:
-        return (4,)
+    __slots__ = ()
+
+    def __init__(self):
+        _setattr(self, "key", (4,))
 
     def __repr__(self) -> str:
         return "Unit()"
@@ -168,36 +139,32 @@ class Unit(Value):
 UNIT = Unit()
 
 
-@dataclass(frozen=True, eq=False)
 class Tuple(Value):
-    items: tuple[Value, ...]
+    __slots__ = ("items",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        for it in self.items:
+    def __init__(self, items: Sequence[Value]):
+        items = tuple(items)
+        for it in items:
             if not isinstance(it, Value):
                 raise EngineTypeError(f"Tuple items must be values, got {type(it).__name__}")
-
-    def _key(self) -> tuple:
-        return (5, tuple(it.key for it in self.items))
+        _setattr(self, "items", items)
+        _setattr(self, "key", (5, tuple([it.key for it in items])))
 
     def __repr__(self) -> str:
         return f"Tuple({list(self.items)!r})"
 
 
-@dataclass(frozen=True, eq=False)
 class Tagged(Value):
-    tag: str
-    value: Value
+    __slots__ = ("tag", "value")
 
-    def __post_init__(self):
-        if not (type(self.tag) is str and _TAG_RE.match(self.tag)):
-            raise EngineTypeError(f"invalid tag: {self.tag!r}")
-        if not isinstance(self.value, Value):
+    def __init__(self, tag: str, value: Value):
+        if not (type(tag) is str and _TAG_RE.match(tag)):
+            raise EngineTypeError(f"invalid tag: {tag!r}")
+        if not isinstance(value, Value):
             raise EngineTypeError("Tagged payload must be a value")
-
-    def _key(self) -> tuple:
-        return (6, self.tag, self.value.key)
+        _setattr(self, "tag", tag)
+        _setattr(self, "value", value)
+        _setattr(self, "key", (6, tag, value.key))
 
     def __repr__(self) -> str:
         return f"Tagged({self.tag!r}, {self.value!r})"
@@ -216,21 +183,32 @@ def tagged(tag: str, fields: Sequence[Value]) -> Tagged:
 _Bag: Any = None  # bags.Bag, once the first BagV is built
 
 
-@dataclass(frozen=True, eq=False)
 class BagV(Value):
     """A bag as a first-class value (rows of nested relations, group results)."""
 
-    bag: Any  # a bags.Bag; typed loosely to avoid a circular import
+    __slots__ = ("bag",)
 
-    def __post_init__(self):
+    def __init__(self, bag: Any):  # a bags.Bag; typed loosely to avoid a circular import
         global _Bag
         if _Bag is None:  # bound on first use: bags.py imports this module
             from .bags import Bag as _Bag
-        if not isinstance(self.bag, _Bag):
+        if not isinstance(bag, _Bag):
             raise EngineTypeError("BagV expects a Bag")
+        _setattr(self, "bag", bag)
 
-    def _key(self) -> tuple:
-        return (7, self.bag.key)
+    def __getattr__(self, name: str) -> Any:
+        # runs only for a slot not filled yet.  The key is built on first
+        # use, since a bag's key can be long; the first hash sets both at
+        # once (an equal key, if it was already read), so it runs once
+        if name != "key" and name != "_hash":
+            raise AttributeError(f"'BagV' object has no attribute {name!r}")
+        key = (7, self.bag.key)
+        _setattr(self, "key", key)
+        if name == "key":
+            return key
+        h = hash(key)
+        _setattr(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         return f"BagV({list(self.bag.elements)!r})"

@@ -385,6 +385,12 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"bag": ["A1", "A2"]}
 
+    def test_startup_leaves_dataclasses_and_inspect_unimported(self):
+        # start-up is most of a short CLI run, and dataclasses imports inspect
+        check = "import sys, bagdb.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout == "[]\n"
+
     def test_help_exits_zero(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bagdb.cli", "--help"], capture_output=True

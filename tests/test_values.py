@@ -1,11 +1,13 @@
 """Value order, schemas, and the JSON codec."""
+import copy
 import json
 import math
 import os
 import pickle
 import subprocess
 import sys
-from dataclasses import fields, replace
+import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from bagdb.bags import EMPTY, Bag
 from bagdb.errors import EngineTypeError, ParseError, SchemaError
+from bagdb.prob import ExactDist, Seed
 from bagdb.values import (
     UNIT,
     BagT,
@@ -30,6 +33,7 @@ from bagdb.values import (
     Tuple,
     TupleT,
     UnitT,
+    Value,
     compare,
     deserialize,
     from_json,
@@ -146,33 +150,50 @@ class TestOrder:
         assert compare(xs[0], xs[2]) <= 0
 
 
+def _copy(v):
+    """A new value equal to ``v``, built from its fields, with no hash stored
+    on it yet (and, for a BagV, no key)."""
+    return type(v)(*v.__reduce__()[1])
+
+
+def _slot(v, name):
+    """What slot ``name`` of ``v`` holds, or None while it is empty, read
+    through the slot itself, which never fills it."""
+    try:
+        return Value.__dict__[name].__get__(v)
+    except AttributeError:
+        return None
+
+
 class TestStoredKeyAndHash:
-    """A value stores its key on first access and ``hash(key)`` on the first
-    ``hash``.  ``replace(v)`` is a new object equal to ``v`` with nothing
-    stored on it yet."""
+    """A value sets its key at construction, except a BagV, which sets it on
+    first use, and stores ``hash(key)`` on the first ``hash``, each in a slot
+    that is not a field."""
 
     @given(values, st.booleans())
     def test_hash_is_the_key_hash_whether_or_not_key_was_read(self, v, read_key_first):
-        a = replace(v)
-        assert "key" not in a.__dict__ and "_hash" not in a.__dict__
+        a = _copy(v)
+        assert _slot(a, "_hash") is None
+        assert (_slot(a, "key") is None) == isinstance(a, BagV)
         if read_key_first:
             assert a.key == v.key
         assert hash(a) == hash(a.key) == hash(v.key)
-        assert a.__dict__["_hash"] == hash(a) == hash(a._key())
+        assert _slot(a, "_hash") == hash(a) == hash(copy.deepcopy(a).key)
 
     @given(values)
     def test_stored_key_is_a_fresh_key(self, v):
+        # a deep copy builds every value in it again, from its fields
         hash(v)
-        assert v.__dict__["key"] == v._key()
+        assert _slot(v, "key") == copy.deepcopy(v).key
 
     @given(json_edge_values, values)
     def test_stored_entries_are_invisible(self, v, w):
-        a = replace(v)
-        shown = (repr(a), json_text(a), to_json(a), [f.name for f in fields(a)])
+        a = _copy(v)
+        shown = (repr(a), json_text(a), to_json(a), a.__reduce__())
         eq = (a == v, v == a, a != v, a == w, a != w, compare(a, w))
         hash(a)
-        assert "key" in a.__dict__ and "_hash" in a.__dict__
-        assert (repr(a), json_text(a), to_json(a), [f.name for f in fields(a)]) == shown
+        assert _slot(a, "key") is not None and _slot(a, "_hash") is not None
+        assert (repr(a), json_text(a), to_json(a), a.__reduce__()) == shown
         assert (a == v, v == a, a != v, a == w, a != w, compare(a, w)) == eq
         assert eq[:3] == (True, True, False)
 
@@ -183,7 +204,8 @@ class TestStoredKeyAndHash:
         for x in (v, v.value, *v.value.items):
             hash(x)
         data = pickle.dumps(v)
-        assert "_hash" not in pickle.loads(data).__dict__
+        back = pickle.loads(data)
+        assert all(_slot(x, "_hash") is None for x in (back, back.value, *back.value.items))
         check = (
             "import pickle, sys\n"
             "from bagdb.bags import Bag\n"
@@ -195,6 +217,56 @@ class TestStoredKeyAndHash:
         for seed in ("1", "2"):
             env = {**os.environ, "PYTHONHASHSEED": seed}
             subprocess.run([sys.executable, "-c", check], input=data, env=env, check=True)
+
+
+class TestFrozenSlots:
+    """Values and bags have no ``__dict__``, cannot be changed, can be weakly
+    referenced (the CLI's mc writer relies on that), and survive pickling and
+    deep copies; so do the records built on ``Node``."""
+
+    @given(values)
+    def test_values_are_frozen_without_a_dict(self, v):
+        hash(v)
+        assert not hasattr(v, "__dict__") and weakref.ref(v)() is v
+        for name in (*v.__slots__, "key", "_hash", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(v, name, Int(1))
+            with pytest.raises(FrozenInstanceError):
+                delattr(v, name)
+        assert hash(v) == hash(v.key) and _slot(v, "key") is not None
+
+    def test_bag_is_frozen_without_a_dict(self):
+        b = Bag.of([Int(2), Str("a")])
+        assert b.key == ((0, 2), (3, "a"))
+        assert not hasattr(b, "__dict__") and weakref.ref(b)() is b
+        for name in ("elements", "key", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(b, name, ())
+            with pytest.raises(FrozenInstanceError):
+                delattr(b, name)
+        assert b.elements == (Int(2), Str("a"))
+
+    @staticmethod
+    def round_trips(x):
+        for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert type(twin) is type(x) and twin == x and repr(twin) == repr(x)
+
+    @given(values)
+    def test_values_round_trip(self, v):
+        hash(v)
+        self.round_trips(v)
+
+    @given(st.lists(values, max_size=5))
+    def test_bags_round_trip(self, items):
+        b = Bag.of(items)
+        self.round_trips(b)
+        self.round_trips(BagV(b))
+
+    def test_records_round_trip(self):
+        self.round_trips(ExactDist.from_weights([(Int(1), 0.25), (Str("a"), 0.75)]))
+        self.round_trips(Seed(5))
+        self.round_trips(Seed(5).child(3))
+        assert Seed(5) == Seed(5, ()) and hash(Seed(5)) == hash((5, ()))
 
 
 class TestJson:
