@@ -34,6 +34,7 @@ treated as a one-field row, so ``.1`` on a scalar row is the row itself.
 """
 from __future__ import annotations
 
+from itertools import compress
 from operator import add, eq, ge, gt, le, lt, mul, ne, sub
 from typing import Callable, Iterator, Mapping, Optional
 
@@ -577,7 +578,8 @@ def q_project(indices: tuple[int, ...], b: Bag) -> Bag:
 
 def q_select(pred: Expr, b: Bag) -> Bag:
     keep = _predicate(pred) or _checked(pred, "select predicate must return a boolean")
-    return Bag(tuple(filter(keep, b.elements)))  # subsequence of a sorted tuple stays sorted
+    kept = list(map(keep, b.elements))  # a subsequence of a sorted tuple stays sorted
+    return Bag(tuple(compress(b.elements, kept)), tuple(compress(b.key, kept)))
 
 
 def q_dunion(b1: Bag, b2: Bag) -> Bag:

@@ -6,17 +6,19 @@ A Bag stores its elements as a tuple sorted in the canonical value order,
 so equal bags are equal tuples and every operation that returns a Bag
 returns a canonical one.  Construct through ``Bag.of``, and add elements
 to a bag through ``Bag.merged``, which places them without re-sorting it.
-A bag is frozen and slotted, like a value.  Only this module builds a bag's
-``key``, and only it and ``values`` know that every Tagged key starts with
-``(6, tag)``: a bag's rows of one tag are one contiguous run of its
-elements (``tag_span``).
+A bag is frozen and slotted, like a value, and its constructor sets its
+``key``, the tuple of its elements' keys: built from the elements, or
+passed in by a caller that already has it (``merged``, ``payload_run``,
+``algebra.q_select``).  Only this module and ``values`` know that every
+Tagged key starts with ``(6, tag)``: a bag's rows of one tag are one
+contiguous run of its elements (``tag_span``).
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import groupby
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .errors import EngineTypeError
 from .node import Frozen, _setattr
@@ -31,20 +33,14 @@ _TAG_PREFIX = itemgetter(slice(0, 2))
 class Bag(Frozen):
     __slots__ = ("elements", "key", "__weakref__")
 
-    def __init__(self, elements: tuple[Value, ...]):
+    def __init__(self, elements: tuple[Value, ...], key: Optional[tuple] = None):
+        # ``key``, if given, must be the elements' keys
         _setattr(self, "elements", elements)
+        _setattr(self, "key", tuple(map(_KEY, elements)) if key is None else key)
 
     @classmethod
     def of(cls, items: Iterable[Value]) -> "Bag":
         return cls(tuple(sorted(items, key=_KEY)))
-
-    def __getattr__(self, name: str) -> Any:
-        # runs only for a slot not filled yet: the key, on first use
-        if name != "key":
-            raise AttributeError(f"'Bag' object has no attribute {name!r}")
-        key = tuple([e.key for e in self.elements])
-        _setattr(self, "key", key)
-        return key
 
     def __reduce__(self) -> tuple:
         return Bag, (self.elements,)
@@ -103,17 +99,14 @@ class Bag(Frozen):
             ks.append(k)
         elems += elements[start:]
         ks += keys[start:]
-        bag = Bag(tuple(elems))
-        _setattr(bag, "key", tuple(ks))
-        return bag
+        return Bag(tuple(elems), tuple(ks))
 
     def payload_run(self, tag: str) -> "Bag":
         """The payloads of the rows tagged ``tag``.  Those rows' keys are
         ``(6, tag, payload key)``, so the payloads come out in key order."""
         span = tag_span(self, tag)
-        bag = Bag(tuple([row.value for row in self.elements[span]]))  # type: ignore[attr-defined]
-        _setattr(bag, "key", tuple([k[2] for k in self.key[span]]))
-        return bag
+        return Bag(tuple([row.value for row in self.elements[span]]),  # type: ignore[attr-defined]
+                   tuple([k[2] for k in self.key[span]]))
 
     def add(self, x: Value) -> "Bag":
         """Insert one copy of ``x``, keeping the canonical order."""

@@ -57,12 +57,25 @@ WORLD_TABLE = "world"
 # Ingestion
 
 
+def read_text(path: Path) -> str:
+    """The text of a UTF-8 file, with newlines read as text mode reads them.
+    A byte sequence that is not UTF-8 is a parse error naming the file and
+    the offset of its first byte."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path.name}: invalid UTF-8 (byte {e.start})", data.count(b"\n", 0, e.start) + 1,
+                         e.start - data.rfind(b"\n", 0, e.start)) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_table(path: Path) -> tuple[Optional[Schema], Bag]:
     """Read one JSONL file: a Value per line.  The row schema is inferred
     from all rows, then every row is checked against it."""
     rows: list[Value] = []
     schema: Optional[Schema] = None
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -103,7 +116,7 @@ def load_catalog(paths: list[str]) -> dict[str, tuple[Optional[Schema], Bag]]:
 
 def cmd_query(args) -> int:
     catalog = load_catalog(args.db)
-    ast = parse(Path(args.query).read_text(encoding="utf-8"))
+    ast = parse(read_text(Path(args.query)))
     check(ast, {name: schema for name, (schema, _) in catalog.items()})
     result = eval_query(ast, {name: bag for name, (_, bag) in catalog.items()})
     _emit(args.output, to_json(result))
@@ -119,7 +132,7 @@ def _merged_input(catalog) -> Bag:
 
 def cmd_generate(args) -> int:
     catalog = load_catalog(args.db)
-    prog = parse_rules(Path(args.program).read_text(encoding="utf-8"))
+    prog = parse_rules(read_text(Path(args.program)))
     base = _merged_input(catalog)
     if args.backend == "exact":
         dist = run_rule_program(prog, base, "exact")
@@ -137,8 +150,8 @@ def cmd_generate(args) -> int:
 
 def cmd_estimate(args) -> int:
     catalog = load_catalog(args.db)
-    prog = parse_rules(Path(args.program).read_text(encoding="utf-8"))
-    ast = parse(Path(args.query).read_text(encoding="utf-8"))
+    prog = parse_rules(read_text(Path(args.program)))
+    ast = parse(read_text(Path(args.query)))
     check(ast, {WORLD_TABLE: None})
     seed = Seed(args.seed)
     sampler = run_rule_program(prog, _merged_input(catalog), "mc", seed=seed)
@@ -269,15 +282,20 @@ def _emit(output: str, payload) -> None:
     ("-" is stdout).  ``payload`` is a JSON value, or a dict whose values may
     be ``_Texts``.  Everything but the ``_Texts`` items is encoded before the
     output is opened; those items must not raise."""
-    if isinstance(payload, dict):
-        pieces: list = []
-        for k in sorted(payload):
-            v = payload[k]
-            pieces += [", " if pieces else "{", _ENCODER.encode(k), ": ",
-                       v if isinstance(v, _Texts) else _ENCODER.encode(v)]
-        pieces.append("}\n")
-    else:
-        pieces = [_ENCODER.encode(payload) + "\n"]
+    try:
+        if isinstance(payload, dict):
+            pieces: list = []
+            for k in sorted(payload):
+                v = payload[k]
+                pieces += [", " if pieces else "{", _ENCODER.encode(k), ": ",
+                           v if isinstance(v, _Texts) else _ENCODER.encode(v)]
+            pieces.append("}\n")
+        else:
+            pieces = [_ENCODER.encode(payload) + "\n"]
+    except ValueError:  # an int longer than the interpreter converts to text
+        raise EngineTypeError(
+            f"result has an integer longer than {sys.get_int_max_str_digits()} digits, which cannot be printed"
+        ) from None
     if output == "-":
         _write(sys.stdout, pieces)
     else:

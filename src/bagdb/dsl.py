@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from json.decoder import scanstring
 from typing import Callable, Mapping, Optional, TypeVar
 
@@ -156,7 +157,7 @@ def tokenize(text: str) -> list[Token]:
         elif c == ".":
             m = _NUM_RE.match(text, i + 1)
             if m and not m.group(2) and not m.group(3):
-                kind, value = "FIELDNUM", int(m.group(0))
+                kind, value = "FIELDNUM", _int(m.group(0), line, col)
             else:
                 m = _IDENT_RE.match(text, i + 1)
                 if not m:
@@ -174,7 +175,7 @@ def tokenize(text: str) -> list[Token]:
             if m.group(2) or m.group(3):
                 kind, value = "FLOAT", float(lexeme)
             else:
-                kind, value = "INT", int(lexeme)
+                kind, value = "INT", _int(lexeme, line, col)
         else:
             m = _IDENT_RE.match(text, i)
             if m:
@@ -190,6 +191,13 @@ def tokenize(text: str) -> list[Token]:
         col += size
     tokens.append(Token("EOF", None, line, col, col))
     return tokens
+
+
+def _int(digits: str, line: int, col: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter converts
+        raise ParseError(f"integer longer than {sys.get_int_max_str_digits()} digits", line, col) from None
 
 
 def _read_string(text: str, i: int, line: int, col: int) -> tuple[str, int]:

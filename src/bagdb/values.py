@@ -7,15 +7,17 @@ only same-variant values compare by content.  Each value exposes an
 injective ``key`` tuple so sorting and equality can use native tuple
 comparison instead of a comparator callback.  A value is frozen, and its
 fields are its class's own ``__slots__``.  Its ``__init__`` sets ``key``
-from them (a ``BagV`` on first use), and ``hash(key)`` is stored on the
-first ``hash``.  Both are ``Value`` slots, not fields, so ``==``, order,
-``repr``, pickling and the codec never see them.
+from them (a ``BagV`` from its bag's key, which the bag's constructor
+set), and ``hash(key)`` is stored on the first ``hash``.  Both are
+``Value`` slots, not fields, so ``==``, order, ``repr``, pickling and the
+codec never see them.
 """
 from __future__ import annotations
 
 import json
 import math
 import re
+import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Mapping, Optional, Sequence
 
@@ -48,8 +50,9 @@ class Value(Frozen):
         return self.key >= other.key
 
     def __hash__(self) -> int:
-        # a try, not a __getattr__, which would keep CPython 3.11 from
-        # specialising every attribute read of every value
+        # a try, not a fallback for missing attributes, which would keep
+        # CPython 3.11 from specialising every attribute read of every
+        # value; every variant's __init__ has set the key
         try:
             return self._hash
         except AttributeError:  # the first hash
@@ -79,7 +82,10 @@ class Int(Value):
         _setattr(self, "key", (0, value))
 
     def __repr__(self) -> str:
-        return f"Int({self.value})"
+        try:
+            return f"Int({self.value})"
+        except ValueError:  # longer than the interpreter converts to text
+            return f"Int(<{self.value.bit_length()}-bit integer>)"
 
 
 class Real(Value):
@@ -195,20 +201,7 @@ class BagV(Value):
         if not isinstance(bag, _Bag):
             raise EngineTypeError("BagV expects a Bag")
         _setattr(self, "bag", bag)
-
-    def __getattr__(self, name: str) -> Any:
-        # runs only for a slot not filled yet.  The key is built on first
-        # use, since a bag's key can be long; the first hash sets both at
-        # once (an equal key, if it was already read), so it runs once
-        if name != "key" and name != "_hash":
-            raise AttributeError(f"'BagV' object has no attribute {name!r}")
-        key = (7, self.bag.key)
-        _setattr(self, "key", key)
-        if name == "key":
-            return key
-        h = hash(key)
-        _setattr(self, "_hash", h)
-        return h
+        _setattr(self, "key", (7, bag.key))
 
     def __repr__(self) -> str:
         return f"BagV({list(self.bag.elements)!r})"
@@ -432,4 +425,12 @@ def deserialize(text: str) -> Value:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, e.lineno, e.colno) from None
+    except ValueError:  # an integer longer than the interpreter converts
+        limit = sys.get_int_max_str_digits()
+        # the text before it is JSON, so it is the first such number outside
+        # a string; a number's digits before any fraction or exponent
+        tokens = re.finditer(r'"(?:[^"\\]|\\.)*"|-?([0-9]+)([.eE][-+.eE0-9]*)?', text)
+        at = next((m.start() for m in tokens if len(m.group(1) or "") > limit and not m.group(2)), 0)
+        raise ParseError(f"integer longer than {limit} digits", text.count("\n", 0, at) + 1,
+                         at - text.rfind("\n", 0, at)) from None
     return from_json(obj)

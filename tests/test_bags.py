@@ -1,9 +1,11 @@
 """Canonical multisets: monoid structure, fold, and the monad operations."""
+import pickle
 import random
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bagdb.algebra import Cmp, Const, IsTag, Not, RowRef, q_select
 from bagdb.bags import (
     EMPTY,
     Bag,
@@ -227,8 +229,9 @@ class TestTagRuns:
 
 class TestStoredKeys:
     """Every way of building a bag leaves ``key`` equal to its elements'
-    keys, whether the key was computed or spliced in, so a bag value's
-    hash does not depend on how the bag was built."""
+    keys, whether the constructor computed it or was given it (spliced by
+    ``merged`` and ``payload_run``, filtered by ``q_select``), so a bag
+    value's hash does not depend on how the bag was built."""
 
     @given(
         st.lists(run_rows, max_size=8),
@@ -238,7 +241,10 @@ class TestStoredKeys:
     )
     def test_every_construction_keys_its_elements(self, xs, ys, x, tag):
         b = Bag.of(xs)
-        built = [b, b.merged(ys), b.uplus(Bag.of(ys)), b.payload_run(tag), b.add(x), b.remove(x)]
+        merged = b.merged(ys)
+        built = [b, merged, b.uplus(Bag.of(ys)), b.payload_run(tag), b.add(x), b.remove(x),
+                 q_select(Not(IsTag(RowRef(), tag)), merged), q_select(Cmp("!=", RowRef(), Const(x)), merged),
+                 pickle.loads(pickle.dumps(merged))]
         if b:
             built.append(b.remove(b.elements[len(b) // 2]))
         for c in built:

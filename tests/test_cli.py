@@ -125,6 +125,47 @@ class TestExitCodes:
         code = run(capsys, "generate", "--db", TOWN, "--program", str(r))[0]
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["table", "query", "program"])
+    def test_parse_error_not_utf8(self, tmp_path, capsys, kind):
+        files = {"table": b'{"tag": "address", "value": ["H1", "C1"]}\n', "query": b"table world\n",
+                 "program": b"h(x) <- address(x, c)\n"}
+        files[kind] = files[kind][:10] + b"\xff" + files[kind][10:]
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        code, out, err = run(capsys, "estimate", "--db", str(tmp_path / "table"), "--program",
+                             str(tmp_path / "program"), "--query", str(tmp_path / "query"), "--samples", "2")
+        assert (code, out) == (2, "")
+        assert err == f"bagdb: parse error: {kind}: invalid UTF-8 (byte 10) at line 1, column 11\n"
+
+    @pytest.mark.parametrize("table, query, rules, code, message", [
+        ("[0, 0]\n[1, {big}]", "table t", None, 2, "parse error: t.jsonl: integer longer than {limit} digits at line 2, column 5"),
+        ("1", "table t |> map ({big})", None, 2, "parse error: integer longer than {limit} digits at line 1, column 17"),
+        ("[1]", "table t |> map (.{big})", None, 2, "parse error: integer longer than {limit} digits at line 1, column 17"),
+        ("1", "table world", "h({big}) <- a(x)", 2, "parse error: integer longer than {limit} digits at line 1, column 3"),
+        ("{{\"tag\": \"a\", \"value\": {half}}}", "table t |> match a as (v) |> map (.1 * .1)", None, 3,
+         "result has an integer longer than {limit} digits, which cannot be printed"),
+        ("{{\"tag\": \"a\", \"value\": {half}}}", "table world |> match b as (v) |> map (.1 * .1)", "b(x) <- a(x)",
+         3, "mean statistic needs numbers that fit a float, got Int(<{bits}-bit integer>)"),
+    ], ids=["table", "query-literal", "field-number", "rule-literal", "result", "message"])
+    def test_int_longer_than_the_str_limit(self, tmp_path, capsys, table, query, rules, code, message):
+        # the interpreter's limit on int <-> str conversion, kept as it is:
+        # it guards against quadratic-time parsing
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit == 0:
+            pytest.skip("no limit on int <-> str conversion")
+        half = 10 ** (limit // 2 + 1) - 1  # its square has more digits than the limit
+        fill = {"big": "7" * (limit + 1), "half": "9" * (limit // 2 + 1), "limit": limit,
+                "bits": (half * half).bit_length()}
+        (tmp_path / "t.jsonl").write_text(table.format(**fill) + "\n")
+        (tmp_path / "q.query").write_text(query.format(**fill) + "\n")
+        target = tmp_path / "out.json"
+        argv = ["query", "--db", str(tmp_path / "t.jsonl"), "--query", str(tmp_path / "q.query"), "--output", str(target)]
+        if rules is not None:
+            (tmp_path / "p.rules").write_text(rules.format(**fill) + "\n")
+            argv = ["estimate", *argv[1:], "--program", str(tmp_path / "p.rules"), "--stat", "mean", "--samples", "2"]
+        assert run(capsys, *argv) == (code, "", f"bagdb: {message.format(**fill)}\n")
+        assert not target.exists()
+
     def test_type_error_unknown_table(self, tmp_path, capsys):
         q = tmp_path / "q.query"
         q.write_text("table nosuch\n")

@@ -1,12 +1,13 @@
 """The front end that queries and rule programs share: one literal grammar,
-and a fuzz of both parsers and of the CLI on malformed text."""
+and a fuzz of both parsers and of the CLI on malformed text and tables."""
 import contextlib
 import io
 import math
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bagdb.algebra import Const, Lit, MapQ
@@ -88,10 +89,10 @@ _FIXTURE_TEXTS = [p.read_text() for p in sorted(FIXTURES.glob("*.query")) + [FIX
 
 
 @st.composite
-def _mutated_fixtures(draw):
-    """A fixture query or rule program with a few characters or
-    vocabulary tokens deleted, inserted or duplicated."""
-    text = draw(st.sampled_from(_FIXTURE_TEXTS))
+def _mutated(draw, texts, tokens):
+    """One of ``texts`` (str or bytes) with a few characters deleted or
+    duplicated, or tokens drawn from ``tokens`` inserted."""
+    text = draw(st.sampled_from(texts))
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(text)))
         j = draw(st.integers(i, min(len(text), i + 6)))
@@ -99,13 +100,13 @@ def _mutated_fixtures(draw):
         if edit == "delete":
             text = text[:i] + text[j:]
         elif edit == "insert":
-            text = text[:i] + draw(st.sampled_from(_VOCABULARY)) + text[i:]
+            text = text[:i] + draw(tokens) + text[i:]
         else:
             text = text[:j] + text[i:j] + text[j:]
     return text
 
 
-fuzz_texts = st.one_of(_token_texts, _mutated_fixtures())
+fuzz_texts = st.one_of(_token_texts, _mutated(_FIXTURE_TEXTS, st.sampled_from(_VOCABULARY)))
 
 _CATALOG = {"db": None, "world": None}
 
@@ -134,18 +135,52 @@ def tiny_tables(tmp_path_factory):
     return root
 
 
+def _run_cli(argv):
+    """``main(argv)``, which must exit 0-5 and print no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert 0 <= code <= 5
+    assert "Traceback" not in err.getvalue()
+
+
 @settings(max_examples=300)
 @given(text=fuzz_texts)
 def test_cli_exits_0_to_5_without_traceback(tiny_tables, text):
     root = tiny_tables
     (root / "fuzz.txt").write_text(text, encoding="utf-8")
-    for argv in (
-        ["query", "--db", str(root / "db.jsonl"), "--query", str(root / "fuzz.txt")],
-        ["generate", "--db", str(root / "town.jsonl"), "--program", str(root / "fuzz.txt"),
-         "--backend", "mc", "--samples", "2", "--seed", "1"],
-    ):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert 0 <= code <= 5
-        assert "Traceback" not in err.getvalue()
+    _run_cli(["query", "--db", str(root / "db.jsonl"), "--query", str(root / "fuzz.txt")])
+    _run_cli(["generate", "--db", str(root / "town.jsonl"), "--program", str(root / "fuzz.txt"),
+              "--backend", "mc", "--samples", "2", "--seed", "1"])
+
+
+# a fixture table and the run that reads it
+_TABLE_RUNS = {
+    "db.jsonl": ["query", "--query", str(FIXTURES / "blockbusters.query")],
+    "town.jsonl": ["generate", "--program", str(FIXTURES / "burglary.rules"),
+                   "--backend", "mc", "--samples", "2", "--seed", "1"],
+}
+# one digit more than the interpreter converts to an int; inside a row it is
+# read as an int only where a value may start, so it also comes as a row
+_LONG_DIGITS = b"9" * ((getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) + 1)
+# half the inserted tokens are bytes that are not UTF-8 or such digit runs
+_TABLE_TOKENS = st.one_of(
+    st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", _LONG_DIGITS, b"\n" + _LONG_DIGITS + b"\n"]),
+    st.sampled_from([b"0", b"-1", b"2.5", b"1e400", b"NaN", b"Infinity", b"null", b"true", b'"', b"\\",
+                     b'"tag"', b'"value"', b'"bag"', b'"cast"', b'"address"', b"{", b"}", b"[", b"]", b",", b":",
+                     b" ", b"\n", b"\r", b"\t"]),
+)
+_mutated_tables = st.sampled_from(sorted(_TABLE_RUNS)).flatmap(
+    lambda name: _mutated([(FIXTURES / name).read_bytes()], _TABLE_TOKENS).map(lambda data: (name, data)))
+
+
+@settings(max_examples=300)
+@given(table=_mutated_tables)
+@example(table=("db.jsonl", b"\xff" + (FIXTURES / "db.jsonl").read_bytes()))
+@example(table=("town.jsonl", _LONG_DIGITS + b"\n" + (FIXTURES / "town.jsonl").read_bytes()))
+def test_cli_on_fuzzed_tables_exits_0_to_5_without_traceback(tiny_tables, table):
+    name, data = table
+    path = tiny_tables / "fuzzed" / name  # the file's stem names the table
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(data)
+    _run_cli([_TABLE_RUNS[name][0], "--db", str(path), *_TABLE_RUNS[name][1:]])
