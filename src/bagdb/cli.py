@@ -24,12 +24,10 @@ from .algebra import eval_query
 from .bags import EMPTY, Bag
 from .dsl import check, parse
 from .errors import (
-    EmptyAggregateError,
     EngineError,
     EngineTypeError,
     NotFiniteError,
     ParseError,
-    ProgramError,
     ResourceLimitError,
     SchemaError,
     WorldEvalError,
@@ -70,6 +68,16 @@ def read_text(path: Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def parse_file(path: Path, parse_text):
+    """``parse_text`` of the text of a query or rule program file.  A parse
+    error names the file, as a table's does."""
+    text = read_text(path)
+    try:
+        return parse_text(text)
+    except ParseError as e:
+        raise ParseError(f"{path.name}: {e.message}", e.line, e.column, e.expected) from None
+
+
 def load_table(path: Path) -> tuple[Optional[Schema], Bag]:
     """Read one JSONL file: a Value per line.  The row schema is inferred
     from all rows, then every row is checked against it."""
@@ -77,8 +85,7 @@ def load_table(path: Path) -> tuple[Optional[Schema], Bag]:
     schema: Optional[Schema] = None
     text = read_text(path)
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
+        if not line.strip():  # a JSON error's column counts from the start of the line
             continue
         try:
             v = deserialize(line)
@@ -116,7 +123,7 @@ def load_catalog(paths: list[str]) -> dict[str, tuple[Optional[Schema], Bag]]:
 
 def cmd_query(args) -> int:
     catalog = load_catalog(args.db)
-    ast = parse(read_text(Path(args.query)))
+    ast = parse_file(Path(args.query), parse)
     check(ast, {name: schema for name, (schema, _) in catalog.items()})
     result = eval_query(ast, {name: bag for name, (_, bag) in catalog.items()})
     _emit(args.output, to_json(result))
@@ -132,7 +139,7 @@ def _merged_input(catalog) -> Bag:
 
 def cmd_generate(args) -> int:
     catalog = load_catalog(args.db)
-    prog = parse_rules(read_text(Path(args.program)))
+    prog = parse_file(Path(args.program), parse_rules)
     base = _merged_input(catalog)
     if args.backend == "exact":
         dist = run_rule_program(prog, base, "exact")
@@ -150,8 +157,8 @@ def cmd_generate(args) -> int:
 
 def cmd_estimate(args) -> int:
     catalog = load_catalog(args.db)
-    prog = parse_rules(read_text(Path(args.program)))
-    ast = parse(read_text(Path(args.query)))
+    prog = parse_file(Path(args.program), parse_rules)
+    ast = parse_file(Path(args.query), parse)
     check(ast, {WORLD_TABLE: None})
     seed = Seed(args.seed)
     sampler = run_rule_program(prog, _merged_input(catalog), "mc", seed=seed)
@@ -378,37 +385,32 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     try:
         return args.fn(args)
-    except ParseError as e:
-        print(f"bagdb: parse error: {e}", file=sys.stderr)
-        return 2
-    except WorldEvalError as e:
+    except WorldEvalError as e:  # the world's message, the exit code of what failed in it
         print(f"bagdb: {e}", file=sys.stderr)
-        return _code_for(e.cause)
-    except NotFiniteError as e:
-        print(f"bagdb: {e} (hint: use --backend mc)", file=sys.stderr)
-        return 5
-    except ResourceLimitError as e:
-        print(f"bagdb: resource limit: {e}", file=sys.stderr)
-        return 4
+        return _exit_for(e.cause)[0]
+    except EngineError as e:
+        code, line = _exit_for(e)
+        print("bagdb: " + line.format(e), file=sys.stderr)
+        return code
     except RecursionError:
         print("bagdb: resource limit: input nested too deeply", file=sys.stderr)
         return 4
-    except EngineError as e:
-        print(f"bagdb: {e}", file=sys.stderr)
-        return 3
     except OSError as e:
         print(f"bagdb: {e}", file=sys.stderr)
         return 1
 
 
-def _code_for(e: EngineError) -> int:
-    if isinstance(e, ParseError):
-        return 2
-    if isinstance(e, NotFiniteError):
-        return 5
-    if isinstance(e, ResourceLimitError):
-        return 4
-    return 3
+# The exit code and stderr line of each kind of engine error, most specific first.
+_EXITS: tuple[tuple[type, int, str], ...] = (
+    (ParseError, 2, "parse error: {}"),
+    (NotFiniteError, 5, "{} (hint: use --backend mc)"),
+    (ResourceLimitError, 4, "resource limit: {}"),
+    (EngineError, 3, "{}"),
+)
+
+
+def _exit_for(e: EngineError) -> tuple[int, str]:
+    return next((code, line) for cls, code, line in _EXITS if isinstance(e, cls))
 
 
 def entry() -> None:

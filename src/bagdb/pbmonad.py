@@ -10,20 +10,24 @@ distribution over bags; everything else is built from it.
 
 Both backends compile a rule program once.  A rule joins its atoms
 through hash indexes whose buckets keep bag order, so the matches, and
-with them the match ordinals that address the draws, come out as
-``rule_matches`` lists them; an atom whose tag no earlier rule produces
-sees the input rows in every world and keeps its index, and a rule whose
-atoms all do keeps its match list.  An atom whose tag an earlier rule
-produces builds its index in every world from a cache of what it reads
-from each row.  A match's guard outcome, draw distribution and heads
-depend only on the values it binds, so each plan keeps them in one memo
-keyed by those values, shared by every world and by both backends; equal
-heads are then one object, also when two rules write them.  Only heads
-that the program shows to recur across worlds, and what is read from
-them, are cached, at most ``_CACHE_CAP`` entries a cache.  The exact
-backend applies a rule to a world as the Kleisli extension through the
-distributive law, in product form: every choice of one head option per
-match, added to the world, with the product of their weights.
+with them the match ordinals that address the draws, come out in
+canonical order: each atom's rows in bag order, earlier atoms varying
+slowest, and only the matches whose guards hold (``rule_matches`` lists
+them for one world).  Fields compare by ``Value``'s ``!=``, so ``Int(1)``
+does not match ``Real(1.0)``.  An atom whose tag no earlier rule
+produces sees the input rows in every world and keeps its index, and a
+rule whose atoms all do keeps its match list.  An atom whose tag an
+earlier rule produces builds its index in every world from a cache of
+what it reads from each row.  A match's guard outcome, draw distribution
+and heads depend only on the values it binds, so each plan keeps them in
+one memo keyed by those values, shared by every world and by both
+backends; equal heads are then one object, also when two rules write
+them.  Only heads that the program shows to recur across worlds, and
+what is read from them, are cached, at most ``_CACHE_CAP`` entries a
+cache.  The exact backend applies a rule to a world as the Kleisli
+extension through the distributive law, in product form: every choice
+of one head option per match, added to the world, with the product of
+their weights.
 
 Both backends step one canonical world bag through the same plans.  A
 world's rows of one tag are one run of its sorted elements, found by
@@ -64,7 +68,7 @@ from .prob import (
     reseed,
     sample,
 )
-from .values import BagV, Int, Real, Tagged, Tuple, Unit, Value, tagged
+from .values import BagV, Int, Real, Tuple, Unit, Value, tagged
 
 DEFAULT_WORLD_LIMIT = 10**6
 
@@ -252,8 +256,9 @@ class RuleProgram(Node):
 
 
 def validate_program(prog: RuleProgram) -> None:
-    """Structural checks: variable binding, one draw per head, no recursion
-    (no cycle in the tag dependency graph)."""
+    """Structural checks: variable binding, one draw per head of a known
+    distribution with its number of parameters, no recursion (no cycle in
+    the tag dependency graph)."""
     deps: dict[str, dict[str, None]] = {}  # body tags in program order, so the message is reproducible
     for r in prog.rules:
         bound = {a.name for atom in r.atoms for a in atom.args if isinstance(a, VarT)}
@@ -264,6 +269,10 @@ def validate_program(prog: RuleProgram) -> None:
             if isinstance(t, VarT) and t.name not in bound:
                 raise ProgramError(f"head variable {t.name!r} of {r.head_tag!r} is not bound in the body")
             if isinstance(t, DistT):
+                if t.kind not in _DIST_ARITY:
+                    raise ProgramError(f"unknown distribution {t.kind!r}")
+                if len(t.params) != _DIST_ARITY[t.kind]:
+                    raise ProgramError(f"{t.kind} takes {_DIST_ARITY[t.kind]} parameter(s), got {len(t.params)}")
                 for p in t.params:
                     if isinstance(p, VarT) and p.name not in bound:
                         raise ProgramError(f"distribution parameter {p.name!r} is not bound in the body")
@@ -290,44 +299,6 @@ def validate_program(prog: RuleProgram) -> None:
 
     for tag in deps:
         visit(tag, ())
-
-
-def rule_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
-    """All body instantiations against a world, in canonical order (rows
-    per atom in bag order, earlier atoms vary slowest).  The position in
-    this list is the match ordinal used for seed derivation."""
-    by_tag: dict[str, list[Value]] = {}
-    for v in bag:
-        if isinstance(v, Tagged):
-            by_tag.setdefault(v.tag, []).append(v.value)
-    envs: list[dict[str, Value]] = [{}]
-    for atom in rule.atoms:
-        rows = by_tag.get(atom.tag, [])
-        fields = tuple_parts if atom.args else _no_fields
-        nxt: list[dict[str, Value]] = []
-        for env in envs:
-            for payload in rows:
-                parts = fields(payload)
-                if len(parts) != len(atom.args):
-                    continue
-                env2 = dict(env)
-                ok = True
-                for arg, val in zip(atom.args, parts):
-                    if isinstance(arg, ConstT):
-                        if arg.value != val:
-                            ok = False
-                            break
-                    else:
-                        bound = env2.get(arg.name)
-                        if bound is None:
-                            env2[arg.name] = val
-                        elif bound != val:
-                            ok = False
-                            break
-                if ok:
-                    nxt.append(env2)
-        envs = nxt
-    return [env for env in envs if all(_guard_holds(g, env) for g in rule.guards)]
 
 
 def _no_fields(payload: Value) -> tuple[Value, ...]:
@@ -361,8 +332,6 @@ def _dist_sampler(d: DistT, env: dict[str, Value]) -> SamplerExpr:
             params.append(float(v.value))
         except OverflowError:
             raise EngineTypeError(f"distribution parameter {v!r} does not fit a float") from None
-    if len(params) != _DIST_ARITY[d.kind]:
-        raise ProgramError(f"{d.kind} takes {_DIST_ARITY[d.kind]} parameter(s), got {len(params)}")
     if d.kind == "bernoulli":
         return Bernoulli(params[0])
     if d.kind == "normal":
@@ -411,7 +380,8 @@ class _AtomPlan:
     Accepted rows go into buckets keyed by the fields of the variables
     that earlier atoms bound (the probe), in row order; an entry holds
     the values of the variables this atom binds first.  Fields compare by
-    ``Value.key``, which is exactly the ``!=`` of ``rule_matches``.
+    ``Value.key``, which is exactly ``Value``'s ``!=``: ``Int(1)`` does not
+    match ``Real(1.0)``, nor ``0.0`` ``-0.0``.
 
     An atom whose tag an earlier rule produces (``varying``) is indexed
     anew in every world, from a cache that maps a row, by value, to its
@@ -497,20 +467,23 @@ _REJECTED = _Match(None)
 
 
 class _RulePlan:
-    """One rule compiled for either backend.  Atoms whose tag no earlier
-    rule produces keep their index after the first world, and a rule all
-    of whose atoms read only input rows keeps the list that ``matches``
-    returns (``kept``), so later worlds skip the join and the memo.  What a
-    match yields depends only on the values it binds, so ``memo`` maps
-    their keys, in env slot order, to the match's ``_Match``, or to
-    ``_REJECTED`` when its guards fail; a rule that reads a ``marked`` tag
-    matches anew in every world, so its memo has ``room`` 0.  Any other
-    rule's heads recur unless it draws from ``normal`` or ``poisson``
-    (``recurs``): each match keeps them, and ``table``, the program's one
-    table of the heads of tags that two rules write, makes such a value one
-    object.  Entries, their fields and the kept list are stored once
-    computed without raising, so every world raises the uncompiled loop's
-    errors, order and messages."""
+    """One rule compiled for either backend.  Its matches are the choices
+    of one row per atom, each atom's rows in bag order and earlier atoms
+    varying slowest, whose fields equal the atom's constants and agree
+    wherever they bind one variable (no field is ``!=`` another), and
+    whose guards hold.  Atoms whose tag no earlier rule produces keep
+    their index after the first world, and a rule all of whose atoms read
+    only input rows keeps the list that ``matches`` returns (``kept``), so
+    later worlds skip the join and the memo.  What a match yields depends
+    only on the values it binds, so ``memo`` maps their keys, in env slot
+    order, to the match's ``_Match``, or to ``_REJECTED`` when its guards
+    fail; a rule that reads a ``marked`` tag matches anew in every world,
+    so its memo has ``room`` 0.  Any other rule's heads recur unless it
+    draws from ``normal`` or ``poisson`` (``recurs``): each match keeps
+    them, and ``table``, the program's one table of the heads of tags that
+    two rules write, makes such a value one object.  Entries, their fields and the kept list are stored once
+    computed without raising, so a world raises the same errors, in the
+    same order, whatever earlier worlds have cached."""
 
     def __init__(self, k: int, rule: Rule, produced_before: set[str], marked: set[str],
                  table: Optional[dict[Value, Value]] = None):
@@ -531,8 +504,9 @@ class _RulePlan:
 
     def matches(self, world: Bag) -> list[_Match]:
         """The entries of the matches whose guards hold against a canonical
-        world, in ``rule_matches`` order.  An atom whose index is not kept
-        reads its tag's run of the world, ``tag_span``."""
+        world, in canonical order: each atom's rows in bag order, earlier
+        atoms varying slowest.  An atom whose index is not kept reads its
+        tag's run of the world, ``tag_span``."""
         if self.kept is not None:
             return self.kept
         envs: list[tuple[Value, ...]] = [()]
@@ -601,6 +575,15 @@ class _RulePlan:
         prefix = seed.child(self.k).child(i).hasher()  # raises for i >= 2**64, before a bad parameter
         return [self.head(m, draw_from(self.sampler(m), reseed(gen, prefix, j)))
                 for j, m in enumerate(matches)]
+
+
+def rule_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
+    """The envs of the rule's matches against a canonical world, in
+    canonical order (rows per atom in bag order, earlier atoms vary
+    slowest), leaving out those whose guards fail: ``_RulePlan.matches``
+    of a plan that no earlier rule feeds.  The position in this list is
+    the match ordinal used for seed derivation."""
+    return [m.env for m in _RulePlan(0, rule, set(), set()).matches(bag)]
 
 
 def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> ExactDist:

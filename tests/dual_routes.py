@@ -11,10 +11,11 @@ import hashlib
 import random
 from typing import Iterable
 
+from bagdb.algebra import tuple_parts
 from bagdb.bags import EMPTY, Bag, unit
-from bagdb.pbmonad import Rule, _RulePlan
+from bagdb.pbmonad import ConstT, Rule, _guard_holds, _no_fields
 from bagdb.prob import ExactDist, reseed
-from bagdb.values import BagV, Value
+from bagdb.values import BagV, Tagged, Value
 
 
 def uplus_by_fold(b1: Bag, b2: Bag) -> Bag:
@@ -59,11 +60,42 @@ def distr_by_fold(dists: Iterable[ExactDist]) -> ExactDist:
     return acc
 
 
-def indexed_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
-    """``pbmonad.rule_matches`` computed the compiled way, through the
-    order-keeping hash indexes of a rule plan: the same envs in the same
-    order."""
-    return [m.env for m in _RulePlan(0, rule, set(), set()).matches(bag)]
+def naive_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
+    """``pbmonad.rule_matches`` as a nested-loop join: every body
+    instantiation against a world, in canonical order (rows per atom in
+    bag order, earlier atoms vary slowest), whose guards hold."""
+    by_tag: dict[str, list[Value]] = {}
+    for v in bag:
+        if isinstance(v, Tagged):
+            by_tag.setdefault(v.tag, []).append(v.value)
+    envs: list[dict[str, Value]] = [{}]
+    for atom in rule.atoms:
+        rows = by_tag.get(atom.tag, [])
+        fields = tuple_parts if atom.args else _no_fields
+        nxt: list[dict[str, Value]] = []
+        for env in envs:
+            for payload in rows:
+                parts = fields(payload)
+                if len(parts) != len(atom.args):
+                    continue
+                env2 = dict(env)
+                ok = True
+                for arg, val in zip(atom.args, parts):
+                    if isinstance(arg, ConstT):
+                        if arg.value != val:
+                            ok = False
+                            break
+                    else:
+                        bound = env2.get(arg.name)
+                        if bound is None:
+                            env2[arg.name] = val
+                        elif bound != val:
+                            ok = False
+                            break
+                if ok:
+                    nxt.append(env2)
+        envs = nxt
+    return [env for env in envs if all(_guard_holds(g, env) for g in rule.guards)]
 
 
 def child_rng(prefix: "hashlib._Hash", index: int) -> random.Random:

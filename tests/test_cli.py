@@ -139,9 +139,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("table, query, rules, code, message", [
         ("[0, 0]\n[1, {big}]", "table t", None, 2, "parse error: t.jsonl: integer longer than {limit} digits at line 2, column 5"),
-        ("1", "table t |> map ({big})", None, 2, "parse error: integer longer than {limit} digits at line 1, column 17"),
-        ("[1]", "table t |> map (.{big})", None, 2, "parse error: integer longer than {limit} digits at line 1, column 17"),
-        ("1", "table world", "h({big}) <- a(x)", 2, "parse error: integer longer than {limit} digits at line 1, column 3"),
+        ("1", "table t |> map ({big})", None, 2, "parse error: q.query: integer longer than {limit} digits at line 1, column 17"),
+        ("[1]", "table t |> map (.{big})", None, 2, "parse error: q.query: integer longer than {limit} digits at line 1, column 17"),
+        ("1", "table world", "h({big}) <- a(x)", 2, "parse error: p.rules: integer longer than {limit} digits at line 1, column 3"),
         ("{{\"tag\": \"a\", \"value\": {half}}}", "table t |> match a as (v) |> map (.1 * .1)", None, 3,
          "result has an integer longer than {limit} digits, which cannot be printed"),
         ("{{\"tag\": \"a\", \"value\": {half}}}", "table world |> match b as (v) |> map (.1 * .1)", "b(x) <- a(x)",
@@ -164,6 +164,42 @@ class TestExitCodes:
             (tmp_path / "p.rules").write_text(rules.format(**fill) + "\n")
             argv = ["estimate", *argv[1:], "--program", str(tmp_path / "p.rules"), "--stat", "mean", "--samples", "2"]
         assert run(capsys, *argv) == (code, "", f"bagdb: {message.format(**fill)}\n")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("command, bad", [
+        ("query", "query"), ("generate", "program"), ("estimate", "query"), ("estimate", "program"),
+    ], ids=["query", "generate", "estimate-query", "estimate-program"])
+    def test_parse_error_names_the_file(self, tmp_path, capsys, command, bad):
+        # as a table's parse error does; the message is otherwise the parser's
+        names = {"query": "q.query", "program": "p.rules"}
+        texts = {"query": ("table world\n", "table world |> map (1 +)\n"),
+                 "program": ("a(x) <- address(x, c)\n", "a(x) <- address(x, c)\nb(x) c(x)\n")}
+        want = {"query": "expected an expression at line 1, column 24",
+                "program": "expected '<-', found 'c' at line 2, column 6 (expected '<-')"}
+        argv = [command, "--db", TOWN]
+        for kind in {"query": ["query"], "generate": ["program"], "estimate": ["program", "query"]}[command]:
+            (tmp_path / names[kind]).write_text(texts[kind][kind == bad])
+            argv += [f"--{kind}", str(tmp_path / names[kind])]
+        assert run(capsys, *argv) == (2, "", f"bagdb: parse error: {names[bad]}: {want[bad]}\n")
+
+    def test_json_error_column_counts_from_the_start_of_the_line(self, tmp_path, capsys):
+        # a line of blanks is skipped; the x is at column 8 of line 3
+        t = tmp_path / "t.jsonl"
+        t.write_text("1\n   \t\n  [1, 2x]\n")
+        code, out, err = run(capsys, "query", "--db", str(t), "--query", BLOCKBUSTERS)
+        assert (code, out) == (2, "")
+        assert err == "bagdb: parse error: t.jsonl: Expecting ',' delimiter at line 3, column 8\n"
+
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    @pytest.mark.parametrize("row", ['{"tag": "b", "value": 1}', '{"tag": "a", "value": 1}'],
+                             ids=["matched", "unmatched"])
+    def test_draw_arity_checked_before_any_match(self, tmp_path, capsys, backend, row):
+        (tmp_path / "t.jsonl").write_text(row + "\n")
+        (tmp_path / "p.rules").write_text("x(y, normal(1)) <- b(y)\n")
+        target = tmp_path / "out.json"
+        argv = ["generate", "--db", str(tmp_path / "t.jsonl"), "--program", str(tmp_path / "p.rules"),
+                "--backend", backend, "--samples", "2", "--output", str(target)]
+        assert run(capsys, *argv) == (3, "", "bagdb: normal takes 2 parameter(s), got 1\n")
         assert not target.exists()
 
     def test_type_error_unknown_table(self, tmp_path, capsys):

@@ -52,7 +52,7 @@ from bagdb.prob import Bernoulli, Dirac, ExactDist, Normal, Seed, dirac, draw_fr
 from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple, deserialize, tagged
 
 import reference_algebra as ref
-from dual_routes import distr_by_fold, indexed_matches
+from dual_routes import distr_by_fold, naive_matches
 from strategies import exact_dists, values
 
 
@@ -380,6 +380,25 @@ class TestValidation:
         prog = parse_rules("a(x) <- b(x)\nb(x) <- src(x)")
         validate_program(prog)
 
+    @pytest.mark.parametrize("backend", ["exact", "mc"])
+    @pytest.mark.parametrize("rows", [[Int(1)], []], ids=["matched", "unmatched"])
+    @pytest.mark.parametrize("dist, message", [
+        (DistT("normal", (ConstT(Real(1.0)),)), "normal takes 2 parameter(s), got 1"),
+        (DistT("bernoulli", (ConstT(Real(0.5)), ConstT(Real(0.5)))), "bernoulli takes 1 parameter(s), got 2"),
+        (DistT("poisson", ()), "poisson takes 1 parameter(s), got 0"),
+        (DistT("gamma", (ConstT(Real(1.0)),)), "unknown distribution 'gamma'"),
+    ], ids=["normal-1", "bernoulli-2", "poisson-0", "unknown-kind"])
+    def test_draw_checked_before_any_match(self, backend, rows, dist, message):
+        # whether or not the rule matches, and on both backends
+        prog = RuleProgram((Rule("x", (VarT("y"), dist), (Atom("b", (VarT("y"),)),), ()),))
+        with pytest.raises(ProgramError) as ei:
+            validate_program(prog)
+        assert str(ei.value) == message
+        base = Bag.of([Tagged("b", v) for v in rows])
+        with pytest.raises(ProgramError) as ei:
+            run_rule_program(prog, base, backend, seed=Seed(1))
+        assert str(ei.value) == message
+
 
 # numbers that compare by magnitude across Int and Real, and other values
 GUARD_VALUES = [Int(1), Real(1.0), Int(0), Real(0.0), Real(-0.0), Int(2**53 + 1), Real(2.0**53),
@@ -419,9 +438,9 @@ class TestRuleMatching:
     def test_atom_without_arguments_reads_unit_and_empty_tuple_payloads(self):
         rule = parse_rules("out(1) <- flag()").rules[0]
         bag = Bag.of([Tagged("flag", UNIT), Tagged("flag", Tuple(())), Tagged("flag", Int(0))])
-        assert indexed_matches(rule, bag) == rule_matches(rule, bag) == [{}, {}]
+        assert rule_matches(rule, bag) == naive_matches(rule, bag) == [{}, {}]
         one = parse_rules("out(x) <- flag(x)").rules[0]
-        assert [e["x"] for e in indexed_matches(one, bag)] == [Int(0), UNIT]
+        assert [e["x"] for e in rule_matches(one, bag)] == [Int(0), UNIT]
 
     def test_match_ordinals_follow_canonical_order(self):
         rule = parse_rules("out(x) <- src(x)").rules[0]
@@ -604,12 +623,12 @@ class TestRunMC:
 
 def reference_world(prog, base, seed, i):
     """World i as the mc backend built it before rule programs were
-    compiled: each rule matched against the whole world by rule_matches, a
+    compiled: each rule matched against the whole world by naive_matches, a
     fresh Seed chain per draw, and one uplus per rule."""
     w = base
     for k, rule in enumerate(prog.rules):
         heads = []
-        for j, env in enumerate(rule_matches(rule, w)):
+        for j, env in enumerate(naive_matches(rule, w)):
             parts = []
             for t in rule.head_terms:
                 if isinstance(t, DistT):
@@ -631,7 +650,7 @@ def outcome(fn, *args):
 
 
 # Int(1) next to Real(1.0) and 0.0 next to -0.0: equal numbers that the
-# matcher must keep apart, as rule_matches does.
+# matcher must keep apart, as naive_matches does.
 POOL = [Int(0), Int(1), Real(1.0), Real(0.5), Real(0.0), Real(-0.0), Real(1.5), Str("s")]
 VARS = ["x", "y", "z"]
 TAGS = ["a", "b", "c", "d"]
@@ -803,7 +822,7 @@ class TestCompiledSampler:
         with mock.patch.object(pbmonad, "_CACHE_CAP", cap or pbmonad._CACHE_CAP):
             plan = _RulePlan(0, rule, varying, varying if marked else set())
             for world in worlds:
-                assert outcome(plan_matches, plan, world) == outcome(rule_matches, rule, world)
+                assert outcome(plan_matches, plan, world) == outcome(naive_matches, rule, world)
 
     @settings(max_examples=150)
     @given(programs_and_bags(), mc_seeds)
@@ -818,13 +837,13 @@ class TestCompiledSampler:
     def test_indexed_matcher_keeps_order(self, prog_base):
         prog, base = prog_base
         for rule in prog.rules:
-            assert outcome(indexed_matches, rule, base) == outcome(rule_matches, rule, base)
+            assert outcome(rule_matches, rule, base) == outcome(naive_matches, rule, base)
 
     def test_int_does_not_match_real(self):
         rule = parse_rules("out(x) <- pair(x, 1)").rules[0]
         bag = Bag.of([Tagged("pair", Tuple((Str("a"), Real(1.0)))),
                       Tagged("pair", Tuple((Str("b"), Int(1))))])
-        assert [e["x"] for e in indexed_matches(rule, bag)] == [Str("b")]
+        assert [e["x"] for e in rule_matches(rule, bag)] == [Str("b")]
 
     def test_join_order_follows_earlier_atoms(self):
         rule = parse_rules("out(x, y) <- a(x, k), b(k, y)").rules[0]
@@ -832,8 +851,8 @@ class TestCompiledSampler:
         rows += [Tagged("b", Tuple((Int(k), Str(s)))) for k in (0, 1) for s in "pq"]
         rows += [Tagged("b", Tuple((Int(1),)))]  # wrong arity: skipped
         bag = Bag.of(rows)
-        got = indexed_matches(rule, bag)
-        assert got == rule_matches(rule, bag)
+        got = rule_matches(rule, bag)
+        assert got == naive_matches(rule, bag)
         assert [(e["x"].value, e["y"].value) for e in got] == [
             (0, "p"), (0, "q"), (1, "p"), (1, "q"), (2, "p"), (2, "q"), (3, "p"), (3, "q")]
 
@@ -841,7 +860,7 @@ class TestCompiledSampler:
         rule = parse_rules("out(x) <- a(x), b(x, x)").rules[0]
         bag = Bag.of([Tagged("a", Int(1)), Tagged("a", Int(2)),
                       Tagged("b", Tuple((Int(1), Int(2)))), Tagged("b", Tuple((Int(2), Int(2))))])
-        assert indexed_matches(rule, bag) == rule_matches(rule, bag) == [{"x": Int(2)}]
+        assert rule_matches(rule, bag) == naive_matches(rule, bag) == [{"x": Int(2)}]
 
     @pytest.mark.parametrize("program", [
         # static: the bad parameter comes from the input rows
@@ -1063,7 +1082,7 @@ def reference_head_options(rule, env):
 
 def reference_exact(prog, base, max_worlds=10**6):
     """The exact backend as it was before it ran on the compiled plan:
-    rule_matches against every world, the head options of each match, and
+    naive_matches against every world, the head options of each match, and
     one uplus per combination, with the world limit checked per world
     before that world is enumerated."""
     validate_program(prog)
@@ -1072,7 +1091,7 @@ def reference_exact(prog, base, max_worlds=10**6):
         out = {}
         processed = 0
         for world_bv, pw in dist.entries:
-            options = [reference_head_options(rule, env) for env in rule_matches(rule, world_bv.bag)]
+            options = [reference_head_options(rule, env) for env in naive_matches(rule, world_bv.bag)]
             processed += math.prod(len(o) for o in options)
             if processed > max_worlds:
                 raise ResourceLimitError(
@@ -1232,7 +1251,7 @@ class TestIncrementalExact:
         total, reached = 0, 0
         for world, _ in before.entries:
             reached += 1
-            total += 2 ** len(rule_matches(rule, world.bag))
+            total += 2 ** len(naive_matches(rule, world.bag))
             if total > limit:
                 break
         calls = count_options(monkeypatch)
