@@ -8,6 +8,10 @@ rule programs (`pbmonad`).  A textual query language (`dsl`) and a CLI
 (`cli`) sit on top.  The slow independent re-implementations used for
 cross-checking live with the tests, in `tests/oracle.py` and
 `tests/dual_routes.py`.
+
+``ExactDist`` and ``Seed`` are imported from `prob` on first use (PEP 562),
+so that importing the package, or running ``bagdb query``, does not load
+the probabilistic layer.
 """
 from .bags import EMPTY, Bag
 from .errors import (
@@ -23,7 +27,6 @@ from .errors import (
     UnknownTableError,
     WorldEvalError,
 )
-from .prob import ExactDist, Seed
 from .values import (
     UNIT,
     BagV,
@@ -46,6 +49,20 @@ from .values import (
 )
 
 __version__ = "0.1.0"
+
+_FROM_PROB = ("ExactDist", "Seed")
+
+
+def __getattr__(name: str):
+    if name in _FROM_PROB:
+        from . import prob
+
+        return getattr(prob, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_FROM_PROB})
 
 __all__ = [
     "Bag",

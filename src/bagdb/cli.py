@@ -3,7 +3,10 @@
 Three subcommands: ``query`` evaluates a deterministic query over JSONL
 tables, ``generate`` runs a generative rule program and emits worlds
 (exact weights or Monte-Carlo samples), ``estimate`` pushes a query
-through sampled worlds and reports a statistic.  All output is
+through sampled worlds and reports a statistic.  ``query`` loads only the
+deterministic modules (``values``, ``bags``, ``algebra``, ``dsl``);
+``generate`` and ``estimate`` also import the probabilistic layer
+(``prob`` and ``pbmonad``) when they start.  All output is
 deterministic given inputs, seed and flags, and all-or-nothing: it is
 written only after the last step that can fail.  ``--workers`` is validated
 but worlds are generated sequentially, so it cannot change results.
@@ -32,8 +35,6 @@ from .errors import (
     SchemaError,
     WorldEvalError,
 )
-from .pbmonad import PBSampler, parse_rules, run_rule_program
-from .prob import ExactDist, Seed, pushforward
 from .values import (
     BagV,
     Int,
@@ -137,7 +138,20 @@ def _merged_input(catalog) -> Bag:
     return merged
 
 
+def run_rule_program(prog, b: Bag, backend: str, seed=None):
+    """``pbmonad.run_rule_program``, imported on the first call.  A function
+    of this module rather than an import, so that ``query`` never loads
+    ``pbmonad`` and ``perfbench/probe.py`` can still replace
+    ``cli.run_rule_program`` to count the worlds each backend builds."""
+    from .pbmonad import run_rule_program
+
+    return run_rule_program(prog, b, backend, seed=seed)
+
+
 def cmd_generate(args) -> int:
+    from .pbmonad import PBSampler, parse_rules
+    from .prob import ExactDist, Seed
+
     catalog = load_catalog(args.db)
     prog = parse_file(Path(args.program), parse_rules)
     base = _merged_input(catalog)
@@ -156,6 +170,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .pbmonad import PBSampler, parse_rules
+    from .prob import Seed, pushforward
+
     catalog = load_catalog(args.db)
     prog = parse_file(Path(args.program), parse_rules)
     ast = parse_file(Path(args.query), parse)

@@ -270,14 +270,16 @@ def validate_program(prog: RuleProgram) -> None:
                 raise ProgramError(f"head variable {t.name!r} of {r.head_tag!r} is not bound in the body")
             if isinstance(t, DistT):
                 if t.kind not in _DIST_ARITY:
-                    raise ProgramError(f"unknown distribution {t.kind!r}")
+                    raise ProgramError(f"unknown distribution {t.kind!r} of {r.head_tag!r}")
                 if len(t.params) != _DIST_ARITY[t.kind]:
-                    raise ProgramError(f"{t.kind} takes {_DIST_ARITY[t.kind]} parameter(s), got {len(t.params)}")
+                    raise ProgramError(f"{t.kind} of {r.head_tag!r} takes {_DIST_ARITY[t.kind]} parameter(s), "
+                                       f"got {len(t.params)}")
                 for p in t.params:
                     if isinstance(p, VarT) and p.name not in bound:
-                        raise ProgramError(f"distribution parameter {p.name!r} is not bound in the body")
+                        raise ProgramError(f"distribution parameter {p.name!r} of {r.head_tag!r} "
+                                           "is not bound in the body")
                     if isinstance(p, ConstT) and not isinstance(p.value, (Int, Real)):
-                        raise ProgramError(f"distribution parameter {p.value!r} is not numeric")
+                        raise ProgramError(f"distribution parameter {p.value!r} of {r.head_tag!r} is not numeric")
         for g in r.guards:
             for side in (g.left, g.right):
                 if isinstance(side, VarT) and side.name not in bound:

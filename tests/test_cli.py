@@ -199,7 +199,7 @@ class TestExitCodes:
         target = tmp_path / "out.json"
         argv = ["generate", "--db", str(tmp_path / "t.jsonl"), "--program", str(tmp_path / "p.rules"),
                 "--backend", backend, "--samples", "2", "--output", str(target)]
-        assert run(capsys, *argv) == (3, "", "bagdb: normal takes 2 parameter(s), got 1\n")
+        assert run(capsys, *argv) == (3, "", "bagdb: normal of 'x' takes 2 parameter(s), got 1\n")
         assert not target.exists()
 
     def test_type_error_unknown_table(self, tmp_path, capsys):
@@ -468,6 +468,28 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout == "[]\n"
 
+    def test_query_leaves_the_probabilistic_layer_unimported(self, tmp_path):
+        # query runs no rule program, so it should not pay for compiling
+        # prob and pbmonad, nor for hashlib; generate and estimate run
+        # after it in the same process must then import them and still
+        # print the goldens
+        out = {name: tmp_path / f"{name}.json" for name in ("query", "exact", "estimate")}
+        runs = [["query", "--db", DB, "--query", BLOCKBUSTERS, "--output", str(out["query"])],
+                ["generate", "--db", TOWN, "--program", RULES, "--backend", "exact", "--output", str(out["exact"])],
+                ["estimate", "--db", TOWN, "--program", RULES, "--query", ALARMS, "--stat", "tuple-prob",
+                 "--samples", "500", "--seed", "7", "--output", str(out["estimate"])]]
+        script = ("import sys\nfrom bagdb.cli import main\n"
+                  f"runs = {runs!r}\n"
+                  "assert main(runs[0]) == 0\n"
+                  "print(sorted({'bagdb.pbmonad', 'bagdb.prob', 'hashlib'} & set(sys.modules)))\n"
+                  "assert [main(argv) for argv in runs[1:]] == [0, 0]\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+        assert json.loads(out["query"].read_text()) == {"bag": ["A1", "A2"]}
+        assert out["exact"].read_bytes() == (GOLDEN / "generate-exact-town.json").read_bytes()
+        assert out["estimate"].read_bytes() == (GOLDEN / "estimate-town-seed7.json").read_bytes()
+
     def test_help_exits_zero(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bagdb.cli", "--help"], capture_output=True
@@ -493,6 +515,36 @@ class TestEntryPoint:
         assert len(outcomes) == 1
         code, err = outcomes.pop()
         assert code == 3 and "recursion detected" in err
+
+
+class TestPackageNames:
+    """``ExactDist`` and ``Seed`` are served by the package's module
+    ``__getattr__``, which imports ``prob`` on first use."""
+
+    def test_from_import_gives_the_prob_classes(self):
+        from bagdb import ExactDist, Seed, prob
+
+        assert (ExactDist, Seed) == (prob.ExactDist, prob.Seed)
+
+    def test_star_import_binds_every_name_in_all(self):
+        import bagdb
+
+        ns: dict = {}
+        exec("from bagdb import *", ns)
+        assert set(bagdb.__all__) <= set(ns)
+        assert ns["Seed"] is bagdb.prob.Seed
+
+    def test_dir_lists_the_lazy_names(self):
+        import bagdb
+
+        assert {"ExactDist", "Seed", "Bag", "__version__"} <= set(dir(bagdb))
+
+    def test_unknown_name_raises_attribute_error(self):
+        import bagdb
+
+        with pytest.raises(AttributeError, match="'nope'"):
+            bagdb.nope
+        assert not hasattr(bagdb, "nope")
 
 
 GOLDEN = FIXTURES / "golden"

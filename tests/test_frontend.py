@@ -2,6 +2,7 @@
 and a fuzz of both parsers and of the CLI on malformed text and tables."""
 import contextlib
 import io
+import json
 import math
 import sys
 from pathlib import Path
@@ -184,3 +185,47 @@ def test_cli_on_fuzzed_tables_exits_0_to_5_without_traceback(tiny_tables, table)
     path.parent.mkdir(exist_ok=True)
     path.write_bytes(data)
     _run_cli([_TABLE_RUNS[name][0], "--db", str(path), *_TABLE_RUNS[name][1:]])
+
+
+# JSONL tables written from scratch, not from the fixtures: any JSON value
+# per line, nested to any depth, with objects that do and do not spell a
+# tagged value or a bag, tags that are not identifiers, numbers past a
+# float's range or spelled as JSON has no number, and blank lines
+_strings = st.one_of(st.text(max_size=4), st.sampled_from(["H1", "C1", "M1", "A1", "1x", "a b", "é", "tag"]))
+_number_texts = st.one_of(
+    st.integers().map(str),
+    st.floats().map(json.dumps),  # NaN, Infinity and -Infinity among them
+    st.sampled_from(["1e400", "-1e400", "1E-400", "9" * 400, "-0", "-0.0", "0.3", "1.7976931348623157e308"]),
+)
+_scalar_texts = st.one_of(st.sampled_from(["null", "true", "false"]), _number_texts, _strings.map(json.dumps))
+_key_texts = st.one_of(st.sampled_from(["tag", "value", "bag"]), st.text(max_size=4)).map(json.dumps)
+_tag_texts = st.one_of(st.sampled_from(["address", "crimechance", "cast", "gross"]), _strings).map(json.dumps)
+
+
+def _compound_texts(inner):
+    return st.one_of(
+        st.lists(inner, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]"),
+        st.lists(st.tuples(_key_texts, inner), max_size=3).map(
+            lambda kvs: "{" + ", ".join(f"{k}: {v}" for k, v in kvs) + "}"),
+        st.tuples(_tag_texts, inner).map(lambda tv: f'{{"tag": {tv[0]}, "value": {tv[1]}}}'),
+        st.lists(inner, max_size=3).map(lambda xs: '{"bag": [' + ", ".join(xs) + "]}"),
+    )
+
+
+_json_texts = st.recursive(_scalar_texts, _compound_texts, max_leaves=8)
+# at most five rows, so that an exact run that matches them stays small
+_fresh_tables = st.lists(st.one_of(_json_texts, st.sampled_from(["", " ", "\t"])), max_size=5).map("\n".join)
+
+
+@settings(max_examples=200)
+@given(text=_fresh_tables)
+@example(text='{"tag": "address", "value": ["H1", "C1"]}\n\n{"tag": "crimechance", "value": ["C1", 0.3]}')
+@example(text='{"tag": "crimechance", "value": ["C1", 1e400]}\n{"tag": "address", "value": ["H1", "C1"]}')
+def test_cli_on_tables_from_scratch_exits_0_to_5_without_traceback(tiny_tables, text):
+    root = tiny_tables / "fresh"
+    root.mkdir(exist_ok=True)
+    for name in ("db", "town"):  # the file's stem names the table each run reads
+        (root / f"{name}.jsonl").write_text(text, encoding="utf-8")
+    _run_cli(["query", "--db", str(root / "db.jsonl"), "--query", str(FIXTURES / "blockbusters.query")])
+    _run_cli(["generate", "--db", str(root / "town.jsonl"), "--program", str(FIXTURES / "burglary.rules"),
+              "--backend", "exact"])

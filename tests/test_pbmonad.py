@@ -383,11 +383,13 @@ class TestValidation:
     @pytest.mark.parametrize("backend", ["exact", "mc"])
     @pytest.mark.parametrize("rows", [[Int(1)], []], ids=["matched", "unmatched"])
     @pytest.mark.parametrize("dist, message", [
-        (DistT("normal", (ConstT(Real(1.0)),)), "normal takes 2 parameter(s), got 1"),
-        (DistT("bernoulli", (ConstT(Real(0.5)), ConstT(Real(0.5)))), "bernoulli takes 1 parameter(s), got 2"),
-        (DistT("poisson", ()), "poisson takes 1 parameter(s), got 0"),
-        (DistT("gamma", (ConstT(Real(1.0)),)), "unknown distribution 'gamma'"),
-    ], ids=["normal-1", "bernoulli-2", "poisson-0", "unknown-kind"])
+        (DistT("normal", (ConstT(Real(1.0)),)), "normal of 'x' takes 2 parameter(s), got 1"),
+        (DistT("bernoulli", (ConstT(Real(0.5)), ConstT(Real(0.5)))), "bernoulli of 'x' takes 1 parameter(s), got 2"),
+        (DistT("poisson", ()), "poisson of 'x' takes 1 parameter(s), got 0"),
+        (DistT("gamma", (ConstT(Real(1.0)),)), "unknown distribution 'gamma' of 'x'"),
+        (DistT("normal", (VarT("z"), ConstT(Real(1.0)))), "distribution parameter 'z' of 'x' is not bound in the body"),
+        (DistT("bernoulli", (ConstT(Str("a")),)), "distribution parameter Str('a') of 'x' is not numeric"),
+    ], ids=["normal-1", "bernoulli-2", "poisson-0", "unknown-kind", "unbound-param", "str-param"])
     def test_draw_checked_before_any_match(self, backend, rows, dist, message):
         # whether or not the rule matches, and on both backends
         prog = RuleProgram((Rule("x", (VarT("y"), dist), (Atom("b", (VarT("y"),)),), ()),))
