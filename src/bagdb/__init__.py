@@ -5,7 +5,8 @@ commutative-monoid interface, and a query algebra over structured values
 (`algebra`).  Probabilistic layer: finite exact distributions and seeded
 Monte-Carlo sampling (`prob`), distributions over bags with generative
 rule programs (`pbmonad`).  A textual query language (`dsl`) and a CLI
-(`cli`) sit on top.  The slow independent re-implementations used for
+(`cli`) sit on top; queries and rule programs share one lexer and
+literal grammar (`lex`).  The slow independent re-implementations used for
 cross-checking live with the tests, in `tests/oracle.py` and
 `tests/dual_routes.py`.
 

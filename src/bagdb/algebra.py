@@ -11,8 +11,8 @@ Each row expression is compiled once into nested closures
 (``compile_expr``); ``select`` and ``map`` run the compiled form, and
 ``eval_expr(e, row)`` is ``compile_expr(e)(row)``.  A predicate built from
 comparisons, ``istag``, ``not``, ``and`` and ``or`` yields a Python bool
-per row, not a Bool value.  Rule guards compare through the same
-``cmp_holds``.
+per row, not a Bool value.  Comparisons go through the per-operator
+table of ``values``, whose ``cmp_holds`` rule guards call.
 
 ``eval_query`` reads ``match t as (...)``, the payloads of a
 ``select istag(row, t)``, as the payloads of the sorted bag's one run of
@@ -35,7 +35,7 @@ treated as a one-field row, so ``.1`` on a scalar row is the row itself.
 from __future__ import annotations
 
 from itertools import compress
-from operator import add, eq, ge, gt, le, lt, mul, ne, sub
+from operator import add, mul, sub
 from typing import Callable, Iterator, Mapping, Optional
 
 from .bags import EMPTY, Bag, counts, unit
@@ -46,21 +46,27 @@ from .errors import (
     UnknownTableError,
 )
 from .node import Node
-from .values import BagV, Bool, Int, Real, Tagged, Tuple, Value, tagged
+from .values import (
+    _COMPARISONS,
+    _NUMBERS,
+    CMP_OPS,
+    BagV,
+    Bool,
+    Int,
+    Real,
+    Tagged,
+    Tuple,
+    Value,
+    cmp_holds,
+    tagged,
+    tuple_parts,
+)
 
 DEFAULT_POWERBAG_LIMIT = 1 << 20
 
 AGG_KINDS = ("size", "the", "sum")
 
-CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 ARITH_OPS = ("+", "-", "*")
-
-
-def tuple_parts(row: Value) -> tuple[Value, ...]:
-    """Fields of a row; non-tuple rows have exactly one field."""
-    if isinstance(row, Tuple):
-        return row.items
-    return (row,)
 
 
 # ---------------------------------------------------------------------------
@@ -145,32 +151,8 @@ class MkTagged(Expr):
 Compiled = Callable[[Value], Value]
 RowTest = Callable[[Value], bool]
 
-_NUMBERS = (Int, Real)
 _TRUE, _FALSE = Bool(True), Bool(False)
-
-
-def _comparison(test: Callable[[object, object], bool]) -> Callable[[Value, Value], bool]:
-    def holds(a: Value, b: Value) -> bool:
-        if isinstance(a, _NUMBERS) and isinstance(b, _NUMBERS):
-            return test(a.value, b.value)  # numbers by magnitude across Int/Real
-        return test(a.key, b.key)  # everything else in the canonical order
-
-    return holds
-
-
-_COMPARISONS = dict(zip(CMP_OPS, map(_comparison, (eq, ne, lt, le, gt, ge))))
 _ARITHMETIC = dict(zip(ARITH_OPS, (add, sub, mul)))
-
-
-def cmp_holds(op: str, a: Value, b: Value) -> bool:
-    """Whether ``a op b`` holds.  Numbers compare by magnitude across Int
-    and Real; all other values in the canonical order of ``compare``.  The
-    compiled ``Cmp`` binds the same per-operator test once; rule guards
-    call this directly."""
-    holds = _COMPARISONS.get(op)
-    if holds is None:
-        raise EngineTypeError(f"unknown comparison {op!r}")
-    return holds(a, b)
 
 
 def eval_expr(e: Expr, row: Value) -> Value:

@@ -3,13 +3,15 @@
 Three subcommands: ``query`` evaluates a deterministic query over JSONL
 tables, ``generate`` runs a generative rule program and emits worlds
 (exact weights or Monte-Carlo samples), ``estimate`` pushes a query
-through sampled worlds and reports a statistic.  ``query`` loads only the
-deterministic modules (``values``, ``bags``, ``algebra``, ``dsl``);
-``generate`` and ``estimate`` also import the probabilistic layer
-(``prob`` and ``pbmonad``) when they start.  All output is
-deterministic given inputs, seed and flags, and all-or-nothing: it is
-written only after the last step that can fail.  ``--workers`` is validated
-but worlds are generated sequentially, so it cannot change results.
+through sampled worlds and reports a statistic.  This module loads only
+the values and bags it reads tables into; each command imports the
+modules it runs.  ``query`` loads the query engine (``algebra`` and
+``dsl``), ``generate`` the probabilistic layer (``prob`` and
+``pbmonad``, which reads rule programs with ``lex``), and ``estimate``
+both.  All output is deterministic given inputs, seed and flags, and
+all-or-nothing: it is written only after the last step that can fail.
+``--workers`` is validated but worlds are generated sequentially, so it
+cannot change results.
 
 Exit codes: 0 ok, 1 usage, 2 parse error, 3 type/schema error,
 4 resource limit, 5 infinite-support request on the exact backend.
@@ -21,11 +23,9 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
-from .algebra import eval_query
 from .bags import EMPTY, Bag
-from .dsl import check, parse
 from .errors import (
     EngineError,
     EngineTypeError,
@@ -48,6 +48,9 @@ from .values import (
     typecheck,
     unify_schema,
 )
+
+if TYPE_CHECKING:
+    from .algebra import Query
 
 WORLD_TABLE = "world"
 
@@ -121,6 +124,37 @@ def load_catalog(paths: list[str]) -> dict[str, tuple[Optional[Schema], Bag]]:
 # ---------------------------------------------------------------------------
 # Subcommands
 
+# ``dsl.parse``, ``dsl.check``, ``algebra.eval_query`` and
+# ``pbmonad.run_rule_program``, each imported on its first call.  They are
+# functions of this module rather than imports, so that a command loads
+# only the modules it runs, and ``perfbench/probe.py`` can still replace
+# ``cli.parse``, ``cli.check``, ``cli.eval_query`` and
+# ``cli.run_rule_program`` to trace them.
+
+
+def parse(text: str) -> Query:
+    from .dsl import parse
+
+    return parse(text)
+
+
+def check(q: Query, catalog: Mapping[str, Optional[Schema]]) -> Schema:
+    from .dsl import check
+
+    return check(q, catalog)
+
+
+def eval_query(q: Query, env: Mapping[str, Bag]) -> Value:
+    from .algebra import eval_query
+
+    return eval_query(q, env)
+
+
+def run_rule_program(prog, b: Bag, backend: str, seed=None):
+    from .pbmonad import run_rule_program
+
+    return run_rule_program(prog, b, backend, seed=seed)
+
 
 def cmd_query(args) -> int:
     catalog = load_catalog(args.db)
@@ -136,16 +170,6 @@ def _merged_input(catalog) -> Bag:
     for _, bag in catalog.values():
         merged = merged.uplus(bag)
     return merged
-
-
-def run_rule_program(prog, b: Bag, backend: str, seed=None):
-    """``pbmonad.run_rule_program``, imported on the first call.  A function
-    of this module rather than an import, so that ``query`` never loads
-    ``pbmonad`` and ``perfbench/probe.py`` can still replace
-    ``cli.run_rule_program`` to count the worlds each backend builds."""
-    from .pbmonad import run_rule_program
-
-    return run_rule_program(prog, b, backend, seed=seed)
 
 
 def cmd_generate(args) -> int:

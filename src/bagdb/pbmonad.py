@@ -36,9 +36,11 @@ so no world is re-sorted.
 
 An atom with no arguments matches the rows that a head with no terms
 writes, ``tag()`` with a Unit payload, as well as an empty tuple payload.
-The rule text format is read on ``dsl``'s front end: the whole program is
-tokenized once, a rule is the tokens of one line, and its terms use the
-query language's literal grammar.
+The rule text format is read with ``lex``, the grammar it shares with
+the query language: the whole program is tokenized once, a rule is the
+tokens of one line, and its terms use the shared literal grammar.  Guards
+compare through ``values.cmp_holds``, as query predicates do, so this
+module loads neither ``algebra`` nor ``dsl``.
 """
 from __future__ import annotations
 
@@ -48,10 +50,9 @@ from itertools import product as iproduct
 from math import prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .algebra import cmp_holds, tuple_parts
 from .bags import EMPTY, Bag, tag_span, unit
-from .dsl import Token, _Parser, tokenize
 from .errors import EngineTypeError, ProgramError, ResourceLimitError
+from .lex import Token, _Parser, tokenize
 from .node import Node
 from .prob import (
     Bernoulli,
@@ -68,7 +69,7 @@ from .prob import (
     reseed,
     sample,
 )
-from .values import BagV, Int, Real, Tuple, Unit, Value, tagged
+from .values import BagV, Int, Real, Tuple, Unit, Value, cmp_holds, tagged, tuple_parts
 
 DEFAULT_WORLD_LIMIT = 10**6
 
@@ -651,7 +652,7 @@ def parse_rules(text: str) -> RuleProgram:
     """One rule per line: ``head_tag(term, ...) <- atom, ..., guard, ...``.
     Terms are variables, literals, or bernoulli/normal/poisson draws with
     variable or numeric parameters.  The text is tokenized once by
-    ``dsl.tokenize``, which skips blank lines and ``#`` comments; a rule
+    ``lex.tokenize``, which skips blank lines and ``#`` comments; a rule
     is the run of tokens on one line."""
     tokens = tokenize(text)
     rules: list[Rule] = []
@@ -668,7 +669,7 @@ def parse_rules(text: str) -> RuleProgram:
 
 
 class _RuleParser(_Parser):
-    """One rule, on the query parser's plumbing and literal grammar."""
+    """One rule, on ``lex``'s token plumbing and literal grammar."""
 
     def parse_rule(self) -> Rule:
         head_tag = str(self.expect("IDENT", what="a head tag").value)

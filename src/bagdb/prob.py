@@ -14,6 +14,10 @@ addressed by its path and no evaluation order can change a result.
 Bernoulli draws return one of two shared values, ``Int(0)`` and
 ``Int(1)``.  (``--workers`` is accepted by the CLI but worlds are
 generated sequentially; it cannot change output.)
+
+``pushforward`` imports ``algebra`` when its first result is asked for,
+not with this module, so that ``generate``, which runs no query, does not
+load the query engine.
 """
 from __future__ import annotations
 
@@ -22,10 +26,8 @@ import hashlib
 import math
 import random
 from bisect import bisect_left
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional
 
-from . import algebra
-from .algebra import Query
 from .bags import Bag
 from .errors import (
     EngineError,
@@ -36,6 +38,9 @@ from .errors import (
 )
 from .node import Node, _setattr
 from .values import BagV, Int, Real, Tuple, Value
+
+if TYPE_CHECKING:
+    from .algebra import Query
 
 WEIGHT_EPS = 1e-9
 
@@ -349,6 +354,8 @@ def exact_of(e: SamplerExpr) -> ExactDist:
 def pushforward(q: Query, worlds: Iterable[Bag], table: str = "db") -> Iterator[Value]:
     """The query's result in each world, in order, computed as the world
     arrives.  A failure in world i raises ``WorldEvalError`` naming i."""
+    from . import algebra
+
     for i, world in enumerate(worlds):
         try:
             # looked up per call, so that a wrapper installed on

@@ -19,7 +19,8 @@ import math
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Any, Mapping, Optional, Sequence
+from operator import eq, ge, gt, le, lt, ne
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .errors import EngineTypeError, ParseError, SchemaError
 from .node import Frozen, Node, _setattr
@@ -205,6 +206,44 @@ class BagV(Value):
 
     def __repr__(self) -> str:
         return f"BagV({list(self.bag.elements)!r})"
+
+
+# ---------------------------------------------------------------------------
+# Rows and comparisons, shared by the query algebra and rule guards
+
+CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+
+_NUMBERS = (Int, Real)
+
+
+def tuple_parts(row: Value) -> tuple[Value, ...]:
+    """Fields of a row; non-tuple rows have exactly one field."""
+    if isinstance(row, Tuple):
+        return row.items
+    return (row,)
+
+
+def _comparison(test: Callable[[object, object], bool]) -> Callable[[Value, Value], bool]:
+    def holds(a: Value, b: Value) -> bool:
+        if isinstance(a, _NUMBERS) and isinstance(b, _NUMBERS):
+            return test(a.value, b.value)  # numbers by magnitude across Int/Real
+        return test(a.key, b.key)  # everything else in the canonical order
+
+    return holds
+
+
+_COMPARISONS = dict(zip(CMP_OPS, map(_comparison, (eq, ne, lt, le, gt, ge))))
+
+
+def cmp_holds(op: str, a: Value, b: Value) -> bool:
+    """Whether ``a op b`` holds.  Numbers compare by magnitude across Int
+    and Real; all other values in the canonical order of ``compare``.  The
+    compiled ``Cmp`` of ``algebra`` binds the same per-operator test once;
+    rule guards call this directly."""
+    holds = _COMPARISONS.get(op)
+    if holds is None:
+        raise EngineTypeError(f"unknown comparison {op!r}")
+    return holds(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -490,6 +490,30 @@ class TestEntryPoint:
         assert out["exact"].read_bytes() == (GOLDEN / "generate-exact-town.json").read_bytes()
         assert out["estimate"].read_bytes() == (GOLDEN / "estimate-town-seed7.json").read_bytes()
 
+    def test_generate_leaves_the_query_engine_unimported(self, tmp_path):
+        # generate runs no query, so it should not pay for compiling algebra
+        # and dsl; query and estimate run after it in the same process must
+        # then import them and still print the goldens
+        out = {name: tmp_path / f"{name}.json" for name in ("exact", "mc", "query", "estimate")}
+        runs = [["generate", "--db", TOWN, "--program", RULES, "--backend", "exact", "--output", str(out["exact"])],
+                ["generate", "--db", TOWN, "--program", RULES, "--backend", "mc", "--samples", "50", "--seed", "7",
+                 "--output", str(out["mc"])],
+                ["query", "--db", DB, "--query", BLOCKBUSTERS, "--output", str(out["query"])],
+                ["estimate", "--db", TOWN, "--program", RULES, "--query", ALARMS, "--stat", "tuple-prob",
+                 "--samples", "500", "--seed", "7", "--output", str(out["estimate"])]]
+        script = ("import sys\nfrom bagdb.cli import main\n"
+                  f"runs = {runs!r}\n"
+                  "assert [main(argv) for argv in runs[:2]] == [0, 0]\n"
+                  "print(sorted({'bagdb.algebra', 'bagdb.dsl'} & set(sys.modules)))\n"
+                  "assert [main(argv) for argv in runs[2:]] == [0, 0]\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+        assert out["exact"].read_bytes() == (GOLDEN / "generate-exact-town.json").read_bytes()
+        assert out["mc"].read_bytes() == (GOLDEN / "generate-town-seed7.json").read_bytes()
+        assert json.loads(out["query"].read_text()) == {"bag": ["A1", "A2"]}
+        assert out["estimate"].read_bytes() == (GOLDEN / "estimate-town-seed7.json").read_bytes()
+
     def test_help_exits_zero(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bagdb.cli", "--help"], capture_output=True
@@ -545,6 +569,26 @@ class TestPackageNames:
         with pytest.raises(AttributeError, match="'nope'"):
             bagdb.nope
         assert not hasattr(bagdb, "nope")
+
+
+class TestModuleLayout:
+    """The grammar shared with rule programs lives in ``lex``, and rows and
+    comparisons in ``values``, so the probabilistic layer loads without the
+    query engine; the modules they moved from re-export them."""
+
+    def test_moved_names_are_one_object(self):
+        from bagdb import algebra, dsl, lex, values
+
+        assert algebra.tuple_parts is values.tuple_parts
+        assert algebra.cmp_holds is values.cmp_holds
+        assert dsl.tokenize is lex.tokenize
+        assert dsl.Token is lex.Token
+
+    def test_pbmonad_leaves_the_query_engine_unimported(self):
+        check = "import sys, bagdb.pbmonad; print(sorted({'bagdb.algebra', 'bagdb.dsl'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 GOLDEN = FIXTURES / "golden"
