@@ -254,16 +254,36 @@ def _stat_mean(results: Iterable[Value]) -> dict:
         raise EngineTypeError("mean statistic over no numeric data")
     count = len(nums)
     try:
-        mean = math.fsum(nums) / count
+        total = math.fsum(nums)
+    except (OverflowError, ValueError):  # a partial sum past the float range, or inf and -inf
+        total = _extended_sum(nums)
+    mean = total / count
+    try:
         var = math.fsum((x - mean) ** 2 for x in nums) / (count - 1) if count > 1 else 0.0
     except OverflowError:
         raise EngineTypeError("mean statistic overflows a float") from None
-    except ValueError:  # fsum of inf and -inf
-        raise EngineTypeError("mean statistic of inf and -inf is undefined") from None
     if math.isnan(var):  # inf - inf in a deviation from an infinite mean
         raise EngineTypeError("mean statistic of infinite numbers has no stddev")
     stddev = math.sqrt(var)
     return {"n": count, "mean": mean, "stddev": stddev, "ci3": 3.0 * stddev / math.sqrt(count)}
+
+
+def _extended_sum(nums: list[float]) -> float:
+    """The sum of ``nums`` in the extended reals, rounded once, for where
+    ``math.fsum`` raises: whether one of its partial sums overflows
+    depends on the order of the numbers.  Where ``fsum`` returns, this is
+    its value, so the mean depends only on the numbers, not their order."""
+    infinities = {x for x in nums if math.isinf(x)}
+    if len(infinities) > 1:
+        raise EngineTypeError("mean statistic of inf and -inf is undefined")
+    if infinities:
+        return infinities.pop()
+    from fractions import Fraction  # only on this rare path: it loads decimal
+
+    try:
+        return float(sum(map(Fraction, nums)))
+    except OverflowError:
+        raise EngineTypeError("mean statistic overflows a float") from None
 
 
 def _stat_dist(results: Iterable[Value], n: int) -> list[dict]:

@@ -14,20 +14,13 @@ with them the match ordinals that address the draws, come out in
 canonical order: each atom's rows in bag order, earlier atoms varying
 slowest, and only the matches whose guards hold (``rule_matches`` lists
 them for one world).  Fields compare by ``Value``'s ``!=``, so ``Int(1)``
-does not match ``Real(1.0)``.  An atom whose tag no earlier rule
-produces sees the input rows in every world and keeps its index, and a
-rule whose atoms all do keeps its match list.  An atom whose tag an
-earlier rule produces builds its index in every world from a cache of
-what it reads from each row.  A match's guard outcome, draw distribution
-and heads depend only on the values it binds, so each plan keeps them in
-one memo keyed by those values, shared by every world and by both
-backends; equal heads are then one object, also when two rules write
-them.  Only heads that the program shows to recur across worlds, and
-what is read from them, are cached, at most ``_CACHE_CAP`` entries a
-cache.  The exact backend applies a rule to a world as the Kleisli
-extension through the distributive law, in product form: every choice
-of one head option per match, added to the world, with the product of
-their weights.
+does not match ``Real(1.0)``.  A match's guard outcome, draw distribution
+and heads depend only on the values it binds, so a plan can keep them
+across worlds, and both backends read them through the same plans.
+What each plan keeps is decided once per tag, in ``_CompiledProgram``.
+The exact backend applies a rule to a world as the Kleisli extension
+through the distributive law, in product form: every choice of one head
+option per match, added to the world, with the product of their weights.
 
 Both backends step one canonical world bag through the same plans.  A
 world's rows of one tag are one run of its sorted elements, found by
@@ -45,7 +38,6 @@ module loads neither ``algebra`` nor ``dsl``.
 from __future__ import annotations
 
 import _random
-from collections import Counter
 from itertools import product as iproduct
 from math import prod
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -367,10 +359,10 @@ def run_rule_program(
 # ---------------------------------------------------------------------------
 # Compiled rule programs (both backends)
 
-# A plan's match memo, row caches and head table each hold at most this many
-# entries; a full one stores nothing new and still answers lookups.  Values
-# that need not recur are not cached at all, but recurring rows can join into
-# more distinct matches: pair(x, y) <- flip(x, 1), flip(y, 1) has up to n * n.
+# A match memo, a row cache and the head table each hold at most this many
+# entries; a full one stores nothing new and still answers lookups.  Only
+# recurring tags are cached (``_CompiledProgram``), but recurring rows can join
+# into more distinct matches: pair(x, y) <- flip(x, 1), flip(y, 1) has n * n.
 _CACHE_CAP = 4096
 
 
@@ -386,17 +378,17 @@ class _AtomPlan:
     ``Value.key``, which is exactly ``Value``'s ``!=``: ``Int(1)`` does not
     match ``Real(1.0)``, nor ``0.0`` ``-0.0``.
 
-    An atom whose tag an earlier rule produces (``varying``) is indexed
-    anew in every world, from a cache that maps a row, by value, to its
-    entry: ``_REJECTED`` or the pair (probe key, bound values).  Its rows
-    are heads that recur across worlds, so an index is lookups.  An atom
-    over a ``marked`` tag, whose heads need not recur, has no cache.
+    ``recurs`` is the program's entry for the tag (``_CompiledProgram``):
+    ``None`` for an input tag, whose index the rule plan keeps.  Otherwise
+    the atom is ``varying`` and indexed anew in every world, and if its
+    tag's heads recur, from ``cache``, which maps a row, by value, to its
+    entry: ``_REJECTED`` or the pair (probe key, bound values).
     """
 
-    def __init__(self, atom: Atom, slot_of: dict[str, int], varying: bool, marked: bool):
+    def __init__(self, atom: Atom, slot_of: dict[str, int], recurs: Optional[bool]):
         self.tag = atom.tag
-        self.varying = varying
-        self.cache: Optional[dict[Value, object]] = {} if varying and not marked else None
+        self.varying = recurs is not None
+        self.cache: Optional[dict[Value, object]] = {} if recurs else None
         self.arity = len(atom.args)
         self.fields = tuple_parts if atom.args else _no_fields
         self.consts: list[tuple[int, tuple]] = []  # (field, key of the constant)
@@ -474,31 +466,29 @@ class _RulePlan:
     of one row per atom, each atom's rows in bag order and earlier atoms
     varying slowest, whose fields equal the atom's constants and agree
     wherever they bind one variable (no field is ``!=`` another), and
-    whose guards hold.  Atoms whose tag no earlier rule produces keep
-    their index after the first world, and a rule all of whose atoms read
-    only input rows keeps the list that ``matches`` returns (``kept``), so
-    later worlds skip the join and the memo.  What a match yields depends
-    only on the values it binds, so ``memo`` maps their keys, in env slot
-    order, to the match's ``_Match``, or to ``_REJECTED`` when its guards
-    fail; a rule that reads a ``marked`` tag matches anew in every world,
-    so its memo has ``room`` 0.  Any other rule's heads recur unless it
-    draws from ``normal`` or ``poisson`` (``recurs``): each match keeps
-    them, and ``table``, the program's one table of the heads of tags that
-    two rules write, makes such a value one object.  Entries, their fields and the kept list are stored once
-    computed without raising, so a world raises the same errors, in the
-    same order, whatever earlier worlds have cached."""
+    whose guards hold.  What a match yields depends only on the values it
+    binds, so ``memo`` maps their keys, in env slot order, to the match's
+    ``_Match``, or to ``_REJECTED`` when its guards fail.  What the plan
+    keeps follows from the program's ``recurs`` map (``_CompiledProgram``):
+    a ``fresh`` rule reads a tag whose heads do not recur, so its memo has
+    ``room`` 0; a rule that ``keeps`` reads only input tags and keeps the
+    list that ``matches`` returns; and a rule whose heads recur
+    (``recurs``) keeps them per match, one object per value through the
+    program's head ``table``.  Entries, their fields and the kept list are
+    stored once computed without raising, so a world raises the same
+    errors, in the same order, whatever earlier worlds have cached."""
 
-    def __init__(self, k: int, rule: Rule, produced_before: set[str], marked: set[str],
+    def __init__(self, k: int, rule: Rule, recurs: dict[str, bool],
                  table: Optional[dict[Value, Value]] = None):
         self.k = k
         self.rule = rule
         slot_of: dict[str, int] = {}
-        self.atoms = [_AtomPlan(a, slot_of, a.tag in produced_before, a.tag in marked) for a in rule.atoms]
+        self.atoms = [_AtomPlan(a, slot_of, recurs.get(a.tag)) for a in rule.atoms]
         self.names = tuple(slot_of)  # variables in env slot order
         self.fixed_index: list[Optional[dict]] = [None] * len(self.atoms)
         self.dist = next((n for n, t in enumerate(rule.head_terms) if isinstance(t, DistT)), -1)
         self.memo: dict[tuple, _Match] = {}
-        fresh = any(a.tag in marked for a in rule.atoms)  # new matches in every world
+        fresh = any(recurs.get(a.tag) is False for a in rule.atoms)  # new matches in every world
         self.room = 0 if fresh else _CACHE_CAP
         self.recurs = not fresh and (self.dist < 0 or rule.head_terms[self.dist].kind == "bernoulli")
         self.table = table if self.recurs else None
@@ -586,7 +576,7 @@ def rule_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
     slowest), leaving out those whose guards fail: ``_RulePlan.matches``
     of a plan that no earlier rule feeds.  The position in this list is
     the match ordinal used for seed derivation."""
-    return [m.env for m in _RulePlan(0, rule, set(), set()).matches(bag)]
+    return [m.env for m in _RulePlan(0, rule, {}).matches(bag)]
 
 
 def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> ExactDist:
@@ -615,8 +605,20 @@ class _CompiledProgram:
     """A rule program compiled once: the exact backend steps every world
     through its plans, and ``world(i)`` samples mc world i by stepping the
     input bag through them, adding each rule's heads with ``Bag.merged``.
-    In program order, the head tag of a rule whose heads need not recur
-    (see ``_RulePlan``) is ``marked``: no plan caches what is read from it.
+
+    What the plans keep is decided once per tag, in program order, by
+    ``recurs``: each head tag written so far maps to whether its heads
+    recur across worlds, which holds while every rule that writes it has
+    no draw or a ``bernoulli`` draw and reads no tag whose heads do not
+    recur (a ``normal`` draw is new in every world, and a ``poisson`` draw
+    has unbounded support).  An input tag, absent from the map, keeps its
+    atom indexes, and a rule that reads only input tags keeps its match
+    list.  A recurring tag keeps row caches, heads and a memo: its atoms
+    index each world from a row cache, the rules that read it keep a
+    memo, and every rule whose heads recur keeps them per match and shares
+    the program's one head ``table``, so equal heads are one object,
+    whichever rule wrote them.  A tag that does not recur keeps nothing.
+
     With a seed, the program owns one generator, ``gen``, that every draw
     reseeds to its own stream and reads only until it returns: no state
     carries from one draw to the next, but one world is sampled at a time."""
@@ -626,16 +628,12 @@ class _CompiledProgram:
         self.seed = seed
         self.gen = None if seed is None else generator()
         self.plans: list[_RulePlan] = []
-        produced: set[str] = set()
-        marked: set[str] = set()
-        writers = Counter(r.head_tag for r in prog.rules)
-        table: dict[Value, Value] = {}  # heads of the tags that two or more rules write
+        recurs: dict[str, bool] = {}
+        table: dict[Value, Value] = {}
         for k, rule in enumerate(prog.rules):
-            plan = _RulePlan(k, rule, produced, marked, table if writers[rule.head_tag] > 1 else None)
+            plan = _RulePlan(k, rule, recurs, table)
             self.plans.append(plan)
-            produced.add(rule.head_tag)
-            if not plan.recurs:
-                marked.add(rule.head_tag)
+            recurs[rule.head_tag] = plan.recurs and recurs.get(rule.head_tag, True)
 
     def world(self, i: int) -> Bag:
         world = self.base

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, and reproducibility."""
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, reject
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from bagdb.algebra import eval_query
@@ -374,6 +375,23 @@ class TestEstimate:
         payload = json.loads(out)
         expect = 2 * (1 - (1 - 0.1 * 0.6) * (1 - 0.3 * 0.9))
         assert abs(payload["mean"] - expect) <= payload["ci3"] + 0.05
+
+    @settings(max_examples=100)
+    @given(st.lists(st.sampled_from([math.inf, -math.inf, 1e308, -1e308, 1.7e308, 2.5, -1.0, 1e-300]),
+                    min_size=1, max_size=6))
+    @example([math.inf, -math.inf, 1e308, -1e308, 1e308])  # fsum: "-inf + inf", or overflow when reordered
+    @example([1e308, 1e308, -1e308])  # a partial sum overflows, the sum does not
+    def test_mean_depends_only_on_the_numbers(self, nums):
+        # a statistic is a function of the bag of results: every order of
+        # the numbers gives the same payload, or the same error, although
+        # fsum's partial sums overflow in some orders only
+        def outcome(xs):
+            try:
+                return repr(_stat_mean([Real(x) for x in xs]))
+            except EngineTypeError as e:
+                return str(e)
+
+        assert len({outcome(xs) for xs in itertools.permutations(nums)}) == 1
 
     def test_dist_stat(self, tmp_path, capsys):
         q = tmp_path / "count.query"

@@ -20,11 +20,12 @@ from bagdb.algebra import (
     eval_query,
 )
 from bagdb.bags import Bag
-from bagdb.dsl import parse, pretty
+from bagdb.dsl import parse
 from bagdb.errors import EngineError, EngineTypeError
 from bagdb.values import BagV, Bool, Int, Real, Str, Tagged, Tuple
 
 import reference_algebra as ref
+from query_text import pretty
 from strategies import envs, exprs, join_queries, queries, table_rows, values
 
 

@@ -1,4 +1,5 @@
-"""Query language: lexer, parser, pretty printer, and the static checker."""
+"""Query language: lexer, parser, its round trip through the test printer
+``query_text.pretty``, and the static checker."""
 import math
 
 import pytest
@@ -28,7 +29,7 @@ from bagdb.algebra import (
     eval_query,
 )
 from bagdb.bags import EMPTY, Bag
-from bagdb.dsl import check, parse, pretty, tokenize
+from bagdb.dsl import check, parse, tokenize
 from bagdb.errors import (
     EmptyAggregateError,
     EngineTypeError,
@@ -52,6 +53,7 @@ from bagdb.values import (
     TupleT,
 )
 
+from query_text import pretty
 from strategies import queries
 
 

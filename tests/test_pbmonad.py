@@ -806,7 +806,7 @@ def plan_matches(plan, world):
 
 
 # flip's heads recur, and pair joins them into up to n * n distinct matches;
-# two rules write pair, so they share a head table
+# every rule's heads recur, so all three share the program's head table
 PAIRS = ("flip(x, bernoulli(0.5)) <- src(x)\npair(x, y) <- flip(x, 1), flip(y, 1)\n"
          "pair(x, y) <- flip(x, 0), flip(y, 1)")
 
@@ -819,10 +819,11 @@ class TestCompiledSampler:
     def test_plan_matches_every_world_as_rule_matches(self, cap, marked, rule_varying_worlds):
         # one plan steps through the worlds with its row caches, memo and
         # kept list warm; with the cap at 2 the full-cache paths run too, and
-        # with its varying tags marked, the paths that cache nothing
+        # with its varying tags marked as not recurring, the paths that
+        # cache nothing
         rule, varying, worlds = rule_varying_worlds
         with mock.patch.object(pbmonad, "_CACHE_CAP", cap or pbmonad._CACHE_CAP):
-            plan = _RulePlan(0, rule, varying, varying if marked else set())
+            plan = _RulePlan(0, rule, dict.fromkeys(varying, not marked))
             for world in worlds:
                 assert outcome(plan_matches, plan, world) == outcome(naive_matches, rule, world)
 
@@ -934,8 +935,8 @@ class TestCompiledSampler:
         assert exact_outcome(run_rule_program, prog, base, "exact") == exact_outcome(reference_exact, prog, base)
 
     def test_row_cache_and_head_table_stay_bounded(self, monkeypatch):
-        # pair's atoms read 6 distinct flip rows, and the two pair rules
-        # write up to 18 heads into their shared table: each fills at the cap,
+        # pair's atoms read 6 distinct flip rows, and the three rules write
+        # up to 24 heads into the program's one table: each fills at the cap,
         # stores nothing new, and still answers lookups
         monkeypatch.setattr(pbmonad, "_CACHE_CAP", 3)
         prog, base = parse_rules(PAIRS), Bag.of([Tagged("src", Int(n)) for n in range(3)])
@@ -946,11 +947,11 @@ class TestCompiledSampler:
             assert sampler.world(i) == reference_world(prog, base, Seed(6), i)
             for ap in pair0.atoms + pair1.atoms:
                 assert len(ap.cache) <= 3
-            assert pair0.table is pair1.table and len(pair0.table) <= 3
+            assert flip.table is pair0.table is pair1.table and len(pair0.table) <= 3
             assert all(pair0.table[h] is h for h in table)  # the first heads stay
             table = dict(pair0.table)
         assert all(len(ap.cache) == 3 for ap in pair0.atoms + pair1.atoms) and len(table) == 3
-        assert flip.table is None  # one rule writes flip
+        assert flip.table is pair0.table  # one rule writes flip, and its heads recur
         assert all(ap.cache is None for ap in flip.atoms)  # src rows: a kept index, no cache
         assert exact_outcome(run_rule_program, prog, base, "exact") == exact_outcome(reference_exact, prog, base)
 
@@ -962,8 +963,8 @@ class TestCompiledSampler:
     def test_heads_that_need_not_recur_are_not_cached(self, program):
         # noise heads are new in every world, and so are the matches of
         # the last rule, which reads them: no plan keeps a head, the reader
-        # keeps no match, its atom has no row cache, and there is no table,
-        # although two rules write noise in the last program
+        # keeps no match, its atom has no row cache, and no plan uses the
+        # head table, although two rules write noise in the last program
         prog = parse_rules(program)
         base = Bag.of([Tagged("src", Int(n)) for n in range(3)])
         sampler = run_rule_program(prog, base, "mc", seed=Seed(6))
@@ -1170,6 +1171,28 @@ def town4():
     return Bag.of(deserialize(line) for line in text.splitlines() if line.strip())
 
 
+def backend_worlds(prog):
+    """The 706 exact worlds of ``prog`` on ``town4``, and 300 mc worlds,
+    all kept alive, so that no object id is reused."""
+    dist = run_rule_program(prog, town4(), "exact")
+    assert len(dist.entries) == 706
+    sampler = run_rule_program(prog, town4(), "mc", seed=Seed(3))
+    return [world.bag for world, _ in dist.entries], [sampler.world(i) for i in range(300)]
+
+
+def one_object_per_value(worlds):
+    """Check that rows of equal value are one object across ``worlds``;
+    return the keys of each tag's rows."""
+    ids, keys = {}, {}
+    for world in worlds:
+        for v in world:
+            ids.setdefault(v.tag, set()).add(id(v))
+            keys.setdefault(v.tag, set()).add(v.key)
+    for tag in ids:
+        assert len(ids[tag]) == len(keys[tag]), tag
+    return keys
+
+
 def _group_by_tag(rows):
     """Tagged rows per tag, in the order given: the reference for
     ``tag_span``."""
@@ -1227,20 +1250,21 @@ class TestIncrementalExact:
             assert g.bag.key == tuple(e.key for e in w.bag)
 
     def test_equal_heads_are_shared(self):
-        # heads of one value are one object in all 706 worlds, which the
-        # CLI writer's identity memo encodes once; that holds for trigger
-        # too, which two rules write, through the program's head table
+        # heads of one value are one object in all 706 exact worlds and
+        # across mc worlds, which the CLI writer's identity memo encodes
+        # once; that holds for trigger too, which two rules write, through
+        # the program's one head table
         prog = parse_rules(BURGLARY)
-        dist = run_rule_program(prog, town4(), "exact")
-        assert len(dist.entries) == 706
-        ids, keys = {}, {}
-        for world, _ in dist.entries:
-            for v in world.bag:
-                ids.setdefault(v.tag, set()).add(id(v))
-                keys.setdefault(v.tag, set()).add(v.key)
         assert Counter(r.head_tag for r in prog.rules)["trigger"] == 2
-        for tag in ids:
-            assert len(ids[tag]) == len(keys[tag]), tag
+        for worlds in backend_worlds(prog):
+            assert len(one_object_per_value(worlds)["trigger"]) == 8
+
+    def test_heads_of_one_rule_are_shared_across_matches(self):
+        # city's four matches, one per house, write one value: the head
+        # table makes it one object, in every world of both backends
+        prog = parse_rules(BURGLARY + "city(c) <- address(x, c)\n")
+        for worlds in backend_worlds(prog):
+            assert len(one_object_per_value(worlds)["city"]) == 1
 
     @pytest.mark.parametrize("limit", [300, 628, 636])
     def test_limit_trips_at_the_same_world(self, monkeypatch, limit):
