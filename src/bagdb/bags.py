@@ -9,9 +9,17 @@ to a bag through ``Bag.merged``, which places them without re-sorting it.
 A bag is frozen and slotted, like a value, and its constructor sets its
 ``key``, the tuple of its elements' keys: built from the elements, or
 passed in by a caller that already has it (``merged``, ``payload_run``,
-``algebra.q_select``).  Only this module and ``values`` know that every
-Tagged key starts with ``(6, tag)``: a bag's rows of one tag are one
-contiguous run of its elements (``tag_span``).
+``algebra.q_select``).  A bag's hash is a multiset hash: the sum of its
+elements' hashes modulo ``HASH_MOD`` (Clarke, Devadas, van Dijk, Gassend
+and Suh, "Incremental Multiset Hash Functions", ASIACRYPT 2003).  A
+caller that adds values to a bag whose hash it knows has the new bag's
+hash by addition and passes it to the constructor (``pbmonad``'s exact
+step); any other bag computes its hash on the first ``hash`` and stores
+it.  Only this module and ``values`` know that every Tagged key starts
+with ``(6, tag)``: a bag's rows of one tag are one contiguous run of its
+elements (``tag_span``); and that every BagV key starts with 7 and every
+other value hashes as its key, so that a bag hashes its elements' keys
+in C and calls only its BagVs' ``__hash__``.
 """
 from __future__ import annotations
 
@@ -30,19 +38,29 @@ _KEY = attrgetter("key")
 _TAG_PREFIX = itemgetter(slice(0, 2))
 
 
-class Bag(Frozen):
-    __slots__ = ("elements", "key", "__weakref__")
+# A Mersenne prime, the modulus of CPython's own numeric hashes: a sum
+# reduced by it is a valid hash, which ``hash`` returns unchanged.
+HASH_MOD = 2**61 - 1
 
-    def __init__(self, elements: tuple[Value, ...], key: Optional[tuple] = None):
-        # ``key``, if given, must be the elements' keys
+
+class Bag(Frozen):
+    __slots__ = ("elements", "key", "_hash", "__weakref__")
+
+    def __init__(self, elements: tuple[Value, ...], key: Optional[tuple] = None,
+                 hash_sum: Optional[int] = None):
+        # ``key``, if given, must be the elements' keys, and ``hash_sum``
+        # the sum of their hashes, reduced or not
         _setattr(self, "elements", elements)
         _setattr(self, "key", tuple(map(_KEY, elements)) if key is None else key)
+        _setattr(self, "_hash", None if hash_sum is None else hash_sum % HASH_MOD)
 
     @classmethod
     def of(cls, items: Iterable[Value]) -> "Bag":
         return cls(tuple(sorted(items, key=_KEY)))
 
     def __reduce__(self) -> tuple:
+        # the elements only: a str's hash depends on the interpreter's
+        # PYTHONHASHSEED, so the stored hash must not travel to another process
         return Bag, (self.elements,)
 
     def __eq__(self, other: object) -> bool:
@@ -51,7 +69,15 @@ class Bag(Frozen):
         return self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.key)
+        h = self._hash
+        if h is None:
+            # every element's hash but a BagV's is its key's, and the BagVs,
+            # whose keys start with 7, come last
+            keys = self.key
+            i = bisect_left(keys, (7,))
+            h = (sum(map(hash, keys[:i])) + sum(map(hash, self.elements[i:]))) % HASH_MOD
+            _setattr(self, "_hash", h)
+        return h
 
     def __len__(self) -> int:
         return len(self.elements)

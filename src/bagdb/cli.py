@@ -254,25 +254,31 @@ def _stat_mean(results: Iterable[Value]) -> dict:
         raise EngineTypeError("mean statistic over no numeric data")
     count = len(nums)
     try:
-        total = math.fsum(nums)
+        mean = math.fsum(nums) / count
     except (OverflowError, ValueError):  # a partial sum past the float range, or inf and -inf
-        total = _extended_sum(nums)
-    mean = total / count
+        mean = _extended_mean(nums)
     try:
         var = math.fsum((x - mean) ** 2 for x in nums) / (count - 1) if count > 1 else 0.0
-    except OverflowError:
-        raise EngineTypeError("mean statistic overflows a float") from None
-    if math.isnan(var):  # inf - inf in a deviation from an infinite mean
-        raise EngineTypeError("mean statistic of infinite numbers has no stddev")
-    stddev = math.sqrt(var)
-    return {"n": count, "mean": mean, "stddev": stddev, "ci3": 3.0 * stddev / math.sqrt(count)}
+    except OverflowError:  # a squared deviation past the float range
+        stddev = _scaled_stddev(nums, mean)
+    else:
+        if math.isnan(var):  # inf - inf in a deviation from an infinite mean
+            raise EngineTypeError("mean statistic of infinite numbers has no stddev")
+        stddev = math.sqrt(var)
+    ci3 = 3.0 * stddev / math.sqrt(count)
+    if math.isinf(ci3):  # 3 * stddev past the float range
+        ci3 = stddev / math.sqrt(count) * 3.0
+        if math.isinf(ci3):
+            raise EngineTypeError("mean statistic overflows a float")
+    return {"n": count, "mean": mean, "stddev": stddev, "ci3": ci3}
 
 
-def _extended_sum(nums: list[float]) -> float:
-    """The sum of ``nums`` in the extended reals, rounded once, for where
-    ``math.fsum`` raises: whether one of its partial sums overflows
-    depends on the order of the numbers.  Where ``fsum`` returns, this is
-    its value, so the mean depends only on the numbers, not their order."""
+def _extended_mean(nums: list[float]) -> float:
+    """The mean of ``nums`` in the extended reals, for where ``math.fsum``
+    raises: whether one of its partial sums overflows depends on the order
+    of the numbers.  A sum that fits a float is rounded once and divided,
+    as where ``fsum`` returns, so the mean depends only on the numbers,
+    not their order; a sum past the float range is divided exactly."""
     infinities = {x for x in nums if math.isinf(x)}
     if len(infinities) > 1:
         raise EngineTypeError("mean statistic of inf and -inf is undefined")
@@ -280,10 +286,23 @@ def _extended_sum(nums: list[float]) -> float:
         return infinities.pop()
     from fractions import Fraction  # only on this rare path: it loads decimal
 
+    total = sum(map(Fraction, nums))
     try:
-        return float(sum(map(Fraction, nums)))
+        return float(total) / len(nums)
     except OverflowError:
-        raise EngineTypeError("mean statistic overflows a float") from None
+        return float(total / len(nums))
+
+
+def _scaled_stddev(nums: list[float], mean: float) -> float:
+    """The sample stddev of finite ``nums`` whose squared deviations pass
+    the float range: each deviation is taken of halves, so that none
+    overflows, and divided by the largest before it is squared."""
+    devs = [x / 2 - mean / 2 for x in nums]
+    scale = max(map(abs, devs))
+    stddev = scale * math.sqrt(math.fsum((d / scale) ** 2 for d in devs) / (len(nums) - 1)) * 2
+    if math.isinf(stddev):
+        raise EngineTypeError("mean statistic overflows a float")
+    return stddev
 
 
 def _stat_dist(results: Iterable[Value], n: int) -> list[dict]:

@@ -24,8 +24,11 @@ option per match, added to the world, with the product of their weights.
 
 Both backends step one canonical world bag through the same plans.  A
 world's rows of one tag are one run of its sorted elements, found by
-bisection, and a rule's heads are added to the world with ``Bag.merged``,
-so no world is re-sorted.
+bisection, and no world is re-sorted.  The mc backend adds a rule's heads
+to the world with ``Bag.merged``.  The exact backend splices each
+combination of heads into the one slice of the world that they can
+reach, and adds the heads' hashes to the world's multiset hash
+(``_distr_into``).
 
 An atom with no arguments matches the rows that a head with no terms
 writes, ``tag()`` with a Unit payload, as well as an empty tuple payload.
@@ -38,8 +41,10 @@ module loads neither ``algebra`` nor ``dsl``.
 from __future__ import annotations
 
 import _random
+from bisect import bisect_right
 from itertools import product as iproduct
 from math import prod
+from operator import attrgetter, itemgetter, le
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .bags import EMPTY, Bag, tag_span, unit
@@ -65,6 +70,9 @@ from .values import BagV, Int, Real, Tuple, Unit, Value, cmp_holds, tagged, tupl
 
 DEFAULT_WORLD_LIMIT = 10**6
 
+_KEY = attrgetter("key")
+_VALUE, _WEIGHT = itemgetter(0), itemgetter(1)
+
 # The distributive law's input: for each element, its (value, weight) options.
 Options = Sequence[Sequence[tuple[Value, float]]]
 
@@ -77,13 +85,35 @@ def _distr_into(out: dict[Value, float], options: Options, base: Bag, weight: fl
     """The distributive law in product form: every choice of one option
     per element, in lexicographic order, is added to ``base`` and weighs
     ``weight * w1 * w2 * ...`` (multiplied left to right), summed into
-    ``out`` under the resulting bag, ``base.merged`` of the values."""
+    ``out`` under the resulting bag, ``Bag.of`` of base and values.
+
+    Only the base elements whose keys lie between the smallest and the
+    largest option's can move: each combination sorts that slice of the
+    base with its values, base elements before equal values as the stable
+    sort leaves them, and splices it between the fixed ends.  When that
+    slice is empty and the options, read in element order, are sorted, so
+    is every combination, and nothing is sorted.  The new bag's multiset
+    hash is the base's plus its values' (``bags``)."""
+    if not all(options):  # an element without options: no combination
+        return
+    if not options:
+        bv = BagV(base)
+        out[bv] = out.get(bv, 0.0) + weight
+        return
+    keys = [x.key for opts in options for x, _ in opts]
+    ordered = all(map(le, keys, keys[1:]))
+    elements, bkeys = base.elements, base.key
+    lo = bisect_right(bkeys, keys[0] if ordered else min(keys))
+    hi = bisect_right(bkeys, keys[-1] if ordered else max(keys), lo)
+    pre, mid, suf = elements[:lo], elements[lo:hi], elements[hi:]
+    kpre, ksuf = bkeys[:lo], bkeys[hi:]
+    presorted = ordered and not mid
+    h = hash(base)
     for combo in iproduct(*options):
-        p = weight
-        for _, w in combo:
-            p *= w
-        bv = BagV(base.merged([x for x, _ in combo]))
-        out[bv] = out.get(bv, 0.0) + p
+        xs = tuple(map(_VALUE, combo))
+        moved = xs if presorted else tuple(sorted(mid + xs, key=_KEY))
+        bv = BagV(Bag(pre + moved + suf, kpre + tuple(map(_KEY, moved)) + ksuf, h + sum(map(hash, xs))))
+        out[bv] = out.get(bv, 0.0) + prod(map(_WEIGHT, combo), start=weight)
 
 
 def distr_exact(dists: Iterable[ExactDist]) -> ExactDist:

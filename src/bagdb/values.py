@@ -10,7 +10,8 @@ fields are its class's own ``__slots__``.  Its ``__init__`` sets ``key``
 from them (a ``BagV`` from its bag's key, which the bag's constructor
 set), and ``hash(key)`` is stored on the first ``hash``.  Both are
 ``Value`` slots, not fields, so ``==``, order, ``repr``, pickling and the
-codec never see them.
+codec never see them.  A ``BagV`` stores no hash of its own: its hash is
+its bag's multiset hash, which the bag stores (see ``bags``).
 """
 from __future__ import annotations
 
@@ -203,6 +204,10 @@ class BagV(Value):
             raise EngineTypeError("BagV expects a Bag")
         _setattr(self, "bag", bag)
         _setattr(self, "key", (7, bag.key))
+
+    def __hash__(self) -> int:
+        h = self.bag._hash  # read here: one call less for each hash the bag has stored
+        return self.bag.__hash__() if h is None else h
 
     def __repr__(self) -> str:
         return f"BagV({list(self.bag.elements)!r})"

@@ -12,7 +12,7 @@ import random
 from typing import Iterable
 
 from bagdb.algebra import tuple_parts
-from bagdb.bags import EMPTY, Bag, unit
+from bagdb.bags import EMPTY, HASH_MOD, Bag, unit
 from bagdb.pbmonad import ConstT, Rule, _guard_holds, _no_fields
 from bagdb.prob import ExactDist, reseed
 from bagdb.values import BagV, Tagged, Value
@@ -49,6 +49,18 @@ def dedup_by_fold(b: Bag) -> Bag:
         return filtered.add(x)
 
     return b.fold(acc, EMPTY)
+
+
+def hash_from_scratch(v: Value | Bag) -> int:
+    """The hash of a value or bag computed without reading any stored
+    hash: a bag's, and a ``BagV``'s, is the sum of its elements' modulo
+    ``HASH_MOD`` (``Bag.__hash__``), and any other value's is its key's
+    (``Value.__hash__``)."""
+    if isinstance(v, BagV):
+        v = v.bag
+    if isinstance(v, Bag):
+        return sum(map(hash_from_scratch, v.elements)) % HASH_MOD
+    return hash(v.key)
 
 
 def distr_by_fold(dists: Iterable[ExactDist]) -> ExactDist:

@@ -1,4 +1,5 @@
 """Canonical multisets: monoid structure, fold, and the monad operations."""
+import copy
 import pickle
 import random
 
@@ -15,9 +16,10 @@ from bagdb.bags import (
     tag_span,
     unit,
 )
+from bagdb.pbmonad import _distr_into
 from bagdb.values import BagV, Int, Real, Str, Tagged, Tuple
 
-from dual_routes import uplus_by_fold
+from dual_routes import hash_from_scratch, uplus_by_fold
 from strategies import bags, small_bags_st, small_ints, values
 
 
@@ -251,3 +253,40 @@ class TestStoredKeys:
             assert c.key == tuple(e.key for e in c)
             assert hash(BagV(c)) == hash(BagV(Bag.of(c.elements)))
             assert BagV(c) == BagV(Bag.of(c.elements))
+
+
+class TestMultisetHash:
+    """A bag's hash, and its BagV's, is the sum of its elements' hashes
+    modulo ``HASH_MOD``, whether it was carried to the bag by addition
+    (``pbmonad._distr_into``) or computed on the first ``hash``: so equal
+    bags hash equal however they were built, and ``hash(b)`` is
+    ``b.__hash__()``, which a bag nested in another relies on.  A copy
+    computes its hash anew: a str's hash changes with ``PYTHONHASHSEED``."""
+
+    @given(
+        st.lists(merge_values, max_size=6),
+        st.lists(merge_values, max_size=4),
+        st.lists(st.lists(st.tuples(merge_values, st.sampled_from([0.5, 1.0])), min_size=1, max_size=2),
+                 max_size=3),
+        st.booleans(),
+    )
+    def test_carried_hash_is_the_hash_from_scratch(self, xs, ys, options, base_hashed):
+        b = Bag.of(xs)
+        if base_hashed:  # else the step computes it
+            hash(b)
+        out = {}
+        _distr_into(out, options, b, 1.0)
+        built = [EMPTY, b, Bag.of(ys), b.merged(ys), b.uplus(Bag.of(ys)), *(bv.bag for bv in out)]
+        built.append(Bag.of([BagV(c) for c in built]))
+        for c in built:
+            assert hash(c) == c.__hash__() == hash(BagV(c)) == hash_from_scratch(c)
+            assert hash(c) == hash(Bag.of(reversed(c.elements)))
+
+    @given(st.lists(merge_values, max_size=6))
+    def test_copies_compute_the_hash_anew(self, xs):
+        b = Bag.of(xs)
+        h = hash(b)
+        for twin in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b),
+                     pickle.loads(pickle.dumps(BagV(b))).bag, copy.deepcopy(BagV(b)).bag):
+            assert twin._hash is None
+            assert hash(twin) == h

@@ -11,7 +11,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, reject, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bagdb.algebra import eval_query
@@ -267,25 +267,37 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "fit a float" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("rules, query, stat, message", [
-        (RULES, "|> map (1e308)", "mean", "mean statistic overflows a float"),
-        (RULES, "|> map (inf) |> dunion (bag {-inf})", "mean", "mean statistic of inf and -inf is undefined"),
-        (RULES, "|> map (1e200) |> dunion (bag {-1e200})", "mean", "mean statistic overflows a float"),
-        (None, "|> project [v] |> dunion (bag {1.0}) |> agg sum", "dist",
+    @pytest.mark.parametrize("rules, query, stat, expect", [
+        (RULES, "alarm as (house) |> map (1e308)", "mean", {"mean": 1e308, "stddev": 0.0, "ci3": 0.0}),
+        (RULES, "alarm as (house) |> map (inf) |> dunion (bag {-inf})", "mean",
+         "mean statistic of inf and -inf is undefined"),
+        (RULES, "crimechance as (c, r) |> map (1e200) |> dunion (bag {-1e200})", "mean",
+         {"mean": 0.0, "stddev": pytest.approx(1e200 * math.sqrt(400 / 399), rel=1e-15),
+          "ci3": pytest.approx(3e200 / math.sqrt(399), rel=1e-15)}),
+        (RULES, "crimechance as (c, r) |> map (1.7976931348623157e308) |> dunion (bag {-1.7976931348623157e308})",
+         "mean", "mean statistic overflows a float"),
+        (None, "big as (h, v) |> project [v] |> dunion (bag {1.0}) |> agg sum", "dist",
          "sum of Ints and Reals needs an Int sum that fits a float"),
-    ], ids=["mean-sum", "mean-inf-minus-inf", "mean-variance", "agg-sum"])
-    def test_float_overflow(self, tmp_path, capsys, rules, query, stat, message):
-        # the sum in fsum, fsum of inf and -inf, a squared deviation, and
-        # an Int sum past the float range met by a Real
+    ], ids=["mean-sum", "mean-inf-minus-inf", "mean-variance", "mean-stddev", "agg-sum"])
+    def test_float_overflow(self, tmp_path, capsys, rules, query, stat, expect):
+        # a sum and squared deviations past the float range give their mean
+        # and stddev (each world has one crimechance row, so 200 copies of
+        # each value); fsum of inf and -inf, a stddev past the float range,
+        # and an Int sum past the float range met by a Real are errors
         if rules is None:
             rules = tmp_path / "big.rules"
             rules.write_text("big(x, %d) <- address(x, c)\n" % 10**400)
         q = tmp_path / "q.query"
-        q.write_text(f"table world |> match {'alarm as (house)' if stat == 'mean' else 'big as (h, v)'} {query}\n")
+        q.write_text(f"table world |> match {query}\n")
         code, out, err = run(capsys, "estimate", "--db", TOWN, "--program", str(rules), "--query", str(q),
                              "--stat", stat, "--samples", "200", "--seed", "1")
-        assert (code, out) == (3, "")
-        assert message in err and "Traceback" not in err
+        if isinstance(expect, str):
+            assert (code, out) == (3, "")
+            assert expect in err and "Traceback" not in err
+        else:
+            assert code == 0, err
+            payload = json.loads(out)
+            assert {k: payload[k] for k in expect} == expect
 
     def test_mean_of_infinite_results(self, tmp_path, capsys):
         # fsum of inf alone is inf, and each deviation from it is inf - inf:
@@ -381,6 +393,7 @@ class TestEstimate:
                     min_size=1, max_size=6))
     @example([math.inf, -math.inf, 1e308, -1e308, 1e308])  # fsum: "-inf + inf", or overflow when reordered
     @example([1e308, 1e308, -1e308])  # a partial sum overflows, the sum does not
+    @example([1e308, 1e308, -1e308, 1e292, 1.0])  # and the sum, rounded then divided, is not the mean rounded
     def test_mean_depends_only_on_the_numbers(self, nums):
         # a statistic is a function of the bag of results: every order of
         # the numbers gives the same payload, or the same error, although
@@ -392,6 +405,17 @@ class TestEstimate:
                 return str(e)
 
         assert len({outcome(xs) for xs in itertools.permutations(nums)}) == 1
+
+    @pytest.mark.parametrize("nums, mean, stddev", [
+        ([1e308, 1e308], 1e308, 0.0),  # the sum passes the float range
+        ([1e200, -1e200], 0.0, math.sqrt(2) * 1e200),  # the squared deviations do
+        ([1.79e308] + [-1e307] * 99, -8.11e306, 1.89e307),  # a deviation does
+        ([1e308, -1e308] * 5, 0.0, 1e308 * math.sqrt(10 / 9)),  # 3 * stddev does
+    ], ids=["sum", "squares", "deviation", "ci3"])
+    def test_mean_past_the_float_range(self, nums, mean, stddev):
+        got = _stat_mean([Real(x) for x in nums])
+        assert (got["mean"], got["stddev"]) == (pytest.approx(mean, rel=1e-15), pytest.approx(stddev, rel=1e-15))
+        assert got["ci3"] == pytest.approx(stddev / math.sqrt(len(nums)) * 3.0, rel=1e-15)
 
     def test_dist_stat(self, tmp_path, capsys):
         q = tmp_path / "count.query"
@@ -671,6 +695,15 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "ca64e8bfe38c16def23d6045d839f1eba03150be42bb62ab1803e93fc38c3e70")
 
+    def test_exact_stdout_five_houses(self, capsys):
+        # 3.6 MB, recorded before exact combinations were spliced into their
+        # worlds; town5.jsonl is perfbench/inputs.town with random.Random(5)
+        code, out, err = run(capsys, "generate", "--db", str(FIXTURES / "town5.jsonl"),
+                             "--program", RULES, "--backend", "exact")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "3eded594fe5c938e78f371cf520d20e7a2a75379799442363cee3f3988e66d94")
+
 
 class TestOutput:
     """``--output FILE`` gets the bytes stdout gets, and output is
@@ -852,8 +885,5 @@ class TestStreamedOutput:
         else:
             numbers = [r for r in results if isinstance(r, (Int, Real)) and abs(r.value) < 1e300]
             assume(numbers)
-            try:
-                payload.update(_stat_mean(numbers))
-            except EngineTypeError:  # a squared deviation past the float range (TestExitCodes)
-                reject()
+            payload.update(_stat_mean(numbers))
         assert self.emitted(payload) == self.dumped(payload)

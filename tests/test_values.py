@@ -45,6 +45,7 @@ from bagdb.values import (
     unify_schema,
 )
 
+from dual_routes import hash_from_scratch
 from strategies import json_edge_values, values
 
 
@@ -166,9 +167,10 @@ def _slot(v, name):
 
 
 class TestStoredKeyAndHash:
-    """Every value, a BagV included, sets its key at construction, and
-    stores ``hash(key)`` on the first ``hash``, each in a slot that is not a
-    field."""
+    """Every value, a BagV included, sets its key at construction, in a
+    slot that is not a field.  Every value but a BagV stores ``hash(key)``
+    on the first ``hash``, in another such slot; a BagV's hash is its
+    bag's multiset hash, which the bag stores (``TestMultisetHash``)."""
 
     @given(values, st.booleans())
     def test_hash_is_the_key_hash_whether_or_not_key_was_read(self, v, read_key_first):
@@ -177,8 +179,12 @@ class TestStoredKeyAndHash:
         assert _slot(a, "key") == v.key
         if read_key_first:
             assert a.key == v.key
-        assert hash(a) == hash(a.key) == hash(v.key)
-        assert _slot(a, "_hash") == hash(a) == hash(copy.deepcopy(a).key)
+        assert hash(a) == hash(v) == hash_from_scratch(v)
+        if isinstance(a, BagV):
+            assert _slot(a, "_hash") is None and a.bag._hash == hash(a)
+        else:
+            assert hash(a) == hash(a.key)
+            assert _slot(a, "_hash") == hash(a) == hash(copy.deepcopy(a).key)
 
     @given(values)
     def test_stored_key_is_a_fresh_key(self, v):
@@ -192,7 +198,8 @@ class TestStoredKeyAndHash:
         shown = (repr(a), json_text(a), to_json(a), a.__reduce__())
         eq = (a == v, v == a, a != v, a == w, a != w, compare(a, w))
         hash(a)
-        assert _slot(a, "key") is not None and _slot(a, "_hash") is not None
+        assert _slot(a, "key") is not None
+        assert (a.bag._hash if isinstance(a, BagV) else _slot(a, "_hash")) is not None
         assert (repr(a), json_text(a), to_json(a), a.__reduce__()) == shown
         assert (a == v, v == a, a != v, a == w, a != w, compare(a, w)) == eq
         assert eq[:3] == (True, True, False)
@@ -206,12 +213,14 @@ class TestStoredKeyAndHash:
         data = pickle.dumps(v)
         back = pickle.loads(data)
         assert all(_slot(x, "_hash") is None for x in (back, back.value, *back.value.items))
+        assert v.value.items[1].bag._hash is not None and back.value.items[1].bag._hash is None
         check = (
             "import pickle, sys\n"
             "from bagdb.bags import Bag\n"
             "from bagdb.values import BagV, Str, Tagged, Tuple\n"
             "v = pickle.loads(sys.stdin.buffer.read())\n"
             "ok = v in {Tagged('a', Tuple((Str('x'), BagV(Bag.of([Str('y')])))))}\n"
+            "ok = ok and v.value.items[1] in {BagV(Bag.of([Str('y')]))}\n"
             "sys.exit(not (ok and v.value.items[0] in {Str('x')}))\n"
         )
         for seed in ("1", "2"):
@@ -233,13 +242,14 @@ class TestFrozenSlots:
                 setattr(v, name, Int(1))
             with pytest.raises(FrozenInstanceError):
                 delattr(v, name)
-        assert hash(v) == hash(v.key) and _slot(v, "key") is not None
+        assert hash(v) == hash_from_scratch(v) and _slot(v, "key") is not None
 
     def test_bag_is_frozen_without_a_dict(self):
         b = Bag.of([Int(2), Str("a")])
         assert b.key == ((0, 2), (3, "a"))
         assert not hasattr(b, "__dict__") and weakref.ref(b)() is b
-        for name in ("elements", "key", "other"):
+        hash(b)
+        for name in ("elements", "key", "_hash", "other"):
             with pytest.raises(FrozenInstanceError):
                 setattr(b, name, ())
             with pytest.raises(FrozenInstanceError):
