@@ -28,7 +28,9 @@ bisection, and no world is re-sorted.  The mc backend adds a rule's heads
 to the world with ``Bag.merged``.  The exact backend splices each
 combination of heads into the one slice of the world that they can
 reach, and adds the heads' hashes to the world's multiset hash
-(``_distr_into``).
+(``_distr``).  Every exact operation passes its weighted values straight
+to ``ExactDist.from_weights``, the one place where the weights of equal
+values are summed.
 
 An atom with no arguments matches the rows that a head with no terms
 writes, ``tag()`` with a Unit payload, as well as an empty tuple payload.
@@ -42,10 +44,11 @@ from __future__ import annotations
 
 import _random
 from bisect import bisect_right
+from itertools import chain, starmap
 from itertools import product as iproduct
 from math import prod
 from operator import attrgetter, itemgetter, le
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .bags import EMPTY, Bag, tag_span, unit
 from .errors import EngineTypeError, ProgramError, ResourceLimitError
@@ -58,6 +61,7 @@ from .prob import (
     Poisson,
     SamplerExpr,
     Seed,
+    _world_bag,
     draw_from,
     exact_of,
     generator,
@@ -81,11 +85,12 @@ Options = Sequence[Sequence[tuple[Value, float]]]
 # Distributive law
 
 
-def _distr_into(out: dict[Value, float], options: Options, base: Bag, weight: float) -> None:
+def _distr(options: Options, base: Bag, weight: float) -> Iterator[tuple[Value, float]]:
     """The distributive law in product form: every choice of one option
-    per element, in lexicographic order, is added to ``base`` and weighs
-    ``weight * w1 * w2 * ...`` (multiplied left to right), summed into
-    ``out`` under the resulting bag, ``Bag.of`` of base and values.
+    per element, in lexicographic order, added to ``base``, yielded as the
+    resulting bag, ``Bag.of`` of base and values, with the weight
+    ``weight * w1 * w2 * ...`` (multiplied left to right).  Equal bags
+    are yielded once per combination, for ``ExactDist.from_weights`` to sum.
 
     Only the base elements whose keys lie between the smallest and the
     largest option's can move: each combination sorts that slice of the
@@ -97,8 +102,7 @@ def _distr_into(out: dict[Value, float], options: Options, base: Bag, weight: fl
     if not all(options):  # an element without options: no combination
         return
     if not options:
-        bv = BagV(base)
-        out[bv] = out.get(bv, 0.0) + weight
+        yield BagV(base), weight
         return
     keys = [x.key for opts in options for x, _ in opts]
     ordered = all(map(le, keys, keys[1:]))
@@ -112,8 +116,8 @@ def _distr_into(out: dict[Value, float], options: Options, base: Bag, weight: fl
     for combo in iproduct(*options):
         xs = tuple(map(_VALUE, combo))
         moved = xs if presorted else tuple(sorted(mid + xs, key=_KEY))
-        bv = BagV(Bag(pre + moved + suf, kpre + tuple(map(_KEY, moved)) + ksuf, h + sum(map(hash, xs))))
-        out[bv] = out.get(bv, 0.0) + prod(map(_WEIGHT, combo), start=weight)
+        yield (BagV(Bag(pre + moved + suf, kpre + tuple(map(_KEY, moved)) + ksuf, h + sum(map(hash, xs)))),
+               prod(map(_WEIGHT, combo), start=weight))
 
 
 def distr_exact(dists: Iterable[ExactDist]) -> ExactDist:
@@ -121,9 +125,7 @@ def distr_exact(dists: Iterable[ExactDist]) -> ExactDist:
     distributions, collected into bags.  Distributions are supplied as a
     sequence because they are not themselves data values; callers that
     start from a bag enumerate it in canonical order."""
-    out: dict[Value, float] = {}
-    _distr_into(out, [p.entries for p in dists], EMPTY, 1.0)
-    return ExactDist.from_weights(out)
+    return ExactDist.from_weights(_distr([p.entries for p in dists], EMPTY, 1.0))
 
 
 def distr_sample(samplers: Sequence[SamplerExpr], seed: Seed) -> Bag:
@@ -146,27 +148,18 @@ def pb_unit_dist(p: ExactDist) -> ExactDist:
 def pb_bind(f: Callable[[Value], ExactDist], m: ExactDist) -> ExactDist:
     """Kleisli extension: apply f to every element of every world,
     distribute the results, flatten per world, and mix by world weight."""
-    out: dict[Value, float] = {}
-    for bv, pw in m.entries:
-        if not isinstance(bv, BagV):
-            raise EngineTypeError("pb_bind needs a distribution over bags")
-        per_world = distr_exact([f(x) for x in bv.bag])
-        flattened = per_world.map(lambda b: BagV(b.bag.flatten()))  # type: ignore[union-attr]
-        for o, po in flattened.entries:
-            out[o] = out.get(o, 0.0) + pw * po
-    return ExactDist.from_weights(out)
+    def flattened(bv: Value) -> ExactDist:
+        per_world = distr_exact([f(x) for x in _world_bag(bv, "pb_bind needs a distribution over bags")])
+        return per_world.map(lambda b: BagV(b.bag.flatten()))  # type: ignore[union-attr]
+
+    return ExactDist.from_weights((o, pw * po) for bv, pw in m.entries for o, po in flattened(bv).entries)
 
 
 def pb_uplus(m1: ExactDist, m2: ExactDist) -> ExactDist:
     """Independent combination: convolution of world bags under uplus."""
-    out: dict[Value, float] = {}
-    for a, wa in m1.entries:
-        for b, wb in m2.entries:
-            if not isinstance(a, BagV) or not isinstance(b, BagV):
-                raise EngineTypeError("pb_uplus needs distributions over bags")
-            key = BagV(a.bag.uplus(b.bag))
-            out[key] = out.get(key, 0.0) + wa * wb
-    return ExactDist.from_weights(out)
+    msg = "pb_uplus needs distributions over bags"
+    return ExactDist.from_weights((BagV(_world_bag(a, msg).uplus(_world_bag(b, msg))), wa * wb)
+                                  for a, wa in m1.entries for b, wb in m2.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +608,7 @@ def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> Exac
     added to the world.  Every world is counted against ``max_worlds``
     before any is enumerated, so the rule that trips the limit enumerates
     nothing."""
-    todo: list[tuple[Bag, float, Options]] = []
+    todo: list[tuple[Options, Bag, float]] = []
     processed = 0
     for world_bv, pw in dist.entries:
         options = plan.options(world_bv.bag)  # type: ignore[union-attr]
@@ -624,11 +617,8 @@ def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> Exac
             raise ResourceLimitError(
                 f"exact enumeration exceeds {max_worlds} worlds; rerun with the mc backend"
             )
-        todo.append((world_bv.bag, pw, options))  # type: ignore[union-attr]
-    out: dict[Value, float] = {}
-    for world, pw, options in todo:
-        _distr_into(out, options, world, pw)
-    return ExactDist.from_weights(out)
+        todo.append((options, world_bv.bag, pw))  # type: ignore[union-attr]
+    return ExactDist.from_weights(chain.from_iterable(starmap(_distr, todo)))
 
 
 class _CompiledProgram:

@@ -131,11 +131,19 @@ class ExactDist(Node):
 
     @classmethod
     def from_weights(cls, weights: Iterable[tuple[Value, float]] | Mapping[Value, float]) -> "ExactDist":
+        """The one accumulator of weights: every operation that can give
+        equal values passes its ``(value, weight)`` pairs, often a
+        generator, straight here.  Equal values' weights are summed in the
+        order given, starting from ``0.0``; zero weights are dropped, a
+        weight that is not ``>= 0`` (negative or NaN) raises, the total
+        must be within ``WEIGHT_EPS`` of one, and the support is sorted by
+        key."""
         items = weights.items() if isinstance(weights, Mapping) else weights
         acc: dict[Value, float] = {}
         for v, w in items:
-            if w < 0:
-                raise NormalizationError(f"negative weight {w} for {v!r}")
+            if not w >= 0:
+                raise NormalizationError(f"negative weight {w} for {v!r}" if w < 0 else
+                                         f"weight {w} for {v!r} is not a number")
             if w == 0.0:
                 continue
             acc[v] = acc.get(v, 0.0) + w
@@ -166,11 +174,7 @@ class ExactDist(Node):
         return ExactDist.from_weights((g(v), w) for v, w in self.entries)
 
     def bind(self, f: Callable[[Value], "ExactDist"]) -> "ExactDist":
-        out: dict[Value, float] = {}
-        for v, w in self.entries:
-            for u, wu in f(v).entries:
-                out[u] = out.get(u, 0.0) + w * wu
-        return ExactDist.from_weights(out)
+        return ExactDist.from_weights((u, w * wu) for v, w in self.entries for u, wu in f(v).entries)
 
     def close_to(self, other: "ExactDist", eps: float = WEIGHT_EPS) -> bool:
         keys = {v for v, _ in self.entries} | {v for v, _ in other.entries}
@@ -374,10 +378,7 @@ def _world_bag(v: Value, message: str) -> Bag:
 def pushforward_exact(q: Query, d: ExactDist, table: str = "db") -> ExactDist:
     """Transport an exact distribution over database bags through a query."""
     worlds = (_world_bag(v, "pushforward needs a distribution over bags") for v, _ in d.entries)
-    out: dict[Value, float] = {}
-    for r, (_, w) in zip(pushforward(q, worlds, table), d.entries):
-        out[r] = out.get(r, 0.0) + w
-    return ExactDist.from_weights(out)
+    return ExactDist.from_weights((r, w) for r, (_, w) in zip(pushforward(q, worlds, table), d.entries))
 
 
 def pushforward_mc(

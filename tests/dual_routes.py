@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable
+from itertools import product as iproduct
+from math import prod
+from typing import Callable, Iterable
 
-from bagdb.algebra import tuple_parts
+from bagdb.algebra import Query, tuple_parts
 from bagdb.bags import EMPTY, HASH_MOD, Bag, unit
+from bagdb.errors import EngineTypeError
 from bagdb.pbmonad import ConstT, Rule, _guard_holds, _no_fields
-from bagdb.prob import ExactDist, reseed
+from bagdb.prob import ExactDist, pushforward, reseed
 from bagdb.values import BagV, Tagged, Value
 
 
@@ -70,6 +73,71 @@ def distr_by_fold(dists: Iterable[ExactDist]) -> ExactDist:
     for p in reversed(list(dists)):
         acc = p.bind(lambda x: acc.map(lambda bv: BagV(bv.bag.add(x))))  # type: ignore[union-attr]
     return acc
+
+
+# Each exact operation as it summed the weights of equal values before
+# ``ExactDist.from_weights`` did it alone: into its own dict, in the order
+# of its loops, which it then handed to ``from_weights``.
+
+
+def distr_by_dict(dists: Iterable[ExactDist]) -> ExactDist:
+    """``pbmonad.distr_exact``: every combination of one outcome per
+    distribution, as ``Bag.of`` its outcomes, weighing the product of
+    theirs, multiplied left to right from 1.0."""
+    out: dict[Value, float] = {}
+    for combo in iproduct(*[p.entries for p in dists]):
+        bv = BagV(Bag.of([x for x, _ in combo]))
+        out[bv] = out.get(bv, 0.0) + prod([w for _, w in combo], start=1.0)
+    return ExactDist.from_weights(out)
+
+
+def pb_bind_by_dict(f: Callable[[Value], ExactDist], m: ExactDist) -> ExactDist:
+    """``pbmonad.pb_bind``."""
+    out: dict[Value, float] = {}
+    for bv, pw in m.entries:
+        if not isinstance(bv, BagV):
+            raise EngineTypeError("pb_bind needs a distribution over bags")
+        per_world = distr_by_dict([f(x) for x in bv.bag])
+        flattened = per_world.map(lambda b: BagV(b.bag.flatten()))  # type: ignore[union-attr]
+        for o, po in flattened.entries:
+            out[o] = out.get(o, 0.0) + pw * po
+    return ExactDist.from_weights(out)
+
+
+def pb_uplus_by_dict(m1: ExactDist, m2: ExactDist) -> ExactDist:
+    """``pbmonad.pb_uplus``."""
+    out: dict[Value, float] = {}
+    for a, wa in m1.entries:
+        for b, wb in m2.entries:
+            if not isinstance(a, BagV) or not isinstance(b, BagV):
+                raise EngineTypeError("pb_uplus needs distributions over bags")
+            key = BagV(a.bag.uplus(b.bag))
+            out[key] = out.get(key, 0.0) + wa * wb
+    return ExactDist.from_weights(out)
+
+
+def bind_by_dict(f: Callable[[Value], ExactDist], p: ExactDist) -> ExactDist:
+    """``ExactDist.bind``."""
+    out: dict[Value, float] = {}
+    for v, w in p.entries:
+        for u, wu in f(v).entries:
+            out[u] = out.get(u, 0.0) + w * wu
+    return ExactDist.from_weights(out)
+
+
+def pushforward_exact_by_dict(q: Query, d: ExactDist, table: str = "db") -> ExactDist:
+    """``prob.pushforward_exact``: every world's result is computed before
+    any weight is summed."""
+
+    def world_bag(v: Value) -> Bag:
+        if not isinstance(v, BagV):
+            raise EngineTypeError("pushforward needs a distribution over bags")
+        return v.bag
+
+    out: dict[Value, float] = {}
+    for r, (_, w) in zip(pushforward(q, (world_bag(v) for v, _ in d.entries), table), d.entries):
+        out[r] = out.get(r, 0.0) + w
+    return ExactDist.from_weights(out)
 
 
 def naive_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:

@@ -16,7 +16,7 @@ from bagdb.bags import (
     tag_span,
     unit,
 )
-from bagdb.pbmonad import _distr_into
+from bagdb.pbmonad import _distr
 from bagdb.values import BagV, Int, Real, Str, Tagged, Tuple
 
 from dual_routes import hash_from_scratch, uplus_by_fold
@@ -258,7 +258,7 @@ class TestStoredKeys:
 class TestMultisetHash:
     """A bag's hash, and its BagV's, is the sum of its elements' hashes
     modulo ``HASH_MOD``, whether it was carried to the bag by addition
-    (``pbmonad._distr_into``) or computed on the first ``hash``: so equal
+    (``pbmonad._distr``) or computed on the first ``hash``: so equal
     bags hash equal however they were built, and ``hash(b)`` is
     ``b.__hash__()``, which a bag nested in another relies on.  A copy
     computes its hash anew: a str's hash changes with ``PYTHONHASHSEED``."""
@@ -274,9 +274,8 @@ class TestMultisetHash:
         b = Bag.of(xs)
         if base_hashed:  # else the step computes it
             hash(b)
-        out = {}
-        _distr_into(out, options, b, 1.0)
-        built = [EMPTY, b, Bag.of(ys), b.merged(ys), b.uplus(Bag.of(ys)), *(bv.bag for bv in out)]
+        carried = [bv.bag for bv, _ in _distr(options, b, 1.0)]
+        built = [EMPTY, b, Bag.of(ys), b.merged(ys), b.uplus(Bag.of(ys)), *carried]
         built.append(Bag.of([BagV(c) for c in built]))
         for c in built:
             assert hash(c) == c.__hash__() == hash(BagV(c)) == hash_from_scratch(c)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bagdb.algebra import Cmp, Const
+from bagdb.algebra import Agg, Cmp, Const, Table
 from bagdb.bags import EMPTY, Bag, tag_span
 from bagdb.errors import (
     EngineError,
@@ -47,13 +47,21 @@ from bagdb.pbmonad import (
     validate_program,
 )
 from bagdb import pbmonad
-from bagdb.pbmonad import _RulePlan, _dist_sampler, _distr_into, _guard_holds, _resolve
-from bagdb.prob import Bernoulli, Dirac, ExactDist, Normal, Seed, dirac, draw_from, exact_of
+from bagdb.pbmonad import _RulePlan, _dist_sampler, _distr, _guard_holds, _resolve
+from bagdb.prob import Bernoulli, Dirac, ExactDist, Normal, Seed, dirac, draw_from, exact_of, pushforward_exact
 from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple, deserialize, tagged
 
 import reference_algebra as ref
-from dual_routes import distr_by_fold, naive_matches
-from strategies import exact_dists, values
+from dual_routes import (
+    bind_by_dict,
+    distr_by_dict,
+    distr_by_fold,
+    naive_matches,
+    pb_bind_by_dict,
+    pb_uplus_by_dict,
+    pushforward_exact_by_dict,
+)
+from strategies import bags, exact_dists, values
 
 
 def ints(*ns):
@@ -554,8 +562,8 @@ class TestRunExact:
         import bagdb.pbmonad as pbmonad
 
         calls = []
-        enumerate_law = pbmonad._distr_into
-        monkeypatch.setattr(pbmonad, "_distr_into", lambda *a: calls.append(1) or enumerate_law(*a))
+        enumerate_law = pbmonad._distr
+        monkeypatch.setattr(pbmonad, "_distr", lambda *a: calls.append(1) or enumerate_law(*a))
         facts = Bag.of([Tagged("src", Int(i)) for i in range(10)])
         prog = parse_rules("coin(bernoulli(0.5)) <-\nflip(x, bernoulli(0.5)) <- src(x)")
         with pytest.raises(ResourceLimitError, match="exceeds 2000 worlds"):
@@ -1162,6 +1170,65 @@ class TestCompiledExact:
 
 
 # ---------------------------------------------------------------------------
+# One accumulator: every exact operation sums equal values in from_weights
+
+# Few small outcomes, so that different choices often give equal values,
+# and now and then a world that is not a bag, which the bag operations reject
+few_ints = st.sampled_from([Int(0), Int(1), Int(2)])
+few_bags = bags(st.sampled_from([Int(0), Int(1)]), max_size=2).map(BagV)
+int_dists = exact_dists(few_ints, max_support=3)
+bag_dists = exact_dists(few_bags, max_support=6)
+world_dists = st.one_of(bag_dists, bag_dists, bag_dists, exact_dists(few_bags | few_ints, max_support=4))
+# a kernel on Int(0), Int(1) and Int(2): the distribution at the value's
+# index, or, now and then, a type error
+kernels = st.lists(st.one_of(int_dists, int_dists, int_dists, st.none()), min_size=3, max_size=3)
+bag_kernels = st.lists(st.one_of(world_dists, world_dists, world_dists, st.none()), min_size=3, max_size=3)
+
+
+def kernel(table):
+    def f(x):
+        d = table[x.value]
+        if d is None:
+            raise EngineTypeError(f"no distribution for {x!r}")
+        return d
+    return f
+
+
+class TestOneAccumulator:
+    """Each exact operation gives the support, bit-identical weights and
+    first error that it gave when it summed equal values into its own dict
+    (``dual_routes``): ``ExactDist.from_weights`` sums them, in the same
+    order and from the same 0.0.  The rule step's own law is
+    ``TestCompiledExact.test_exact_equals_reference_loop``."""
+
+    @given(st.lists(int_dists, max_size=4))
+    def test_distr_exact(self, ds):
+        assert exact_outcome(distr_exact, ds) == exact_outcome(distr_by_dict, ds)
+
+    @given(bag_kernels, world_dists)
+    def test_pb_bind(self, table, m):
+        f = kernel(table)
+        assert exact_outcome(pb_bind, f, m) == exact_outcome(pb_bind_by_dict, f, m)
+
+    # up to four pairs give one world, and their sum can depend on its order
+    @settings(max_examples=300)
+    @given(world_dists, world_dists)
+    def test_pb_uplus(self, m1, m2):
+        assert exact_outcome(pb_uplus, m1, m2) == exact_outcome(pb_uplus_by_dict, m1, m2)
+
+    @given(kernels, int_dists)
+    def test_bind(self, table, p):
+        f = kernel(table)
+        assert exact_outcome(p.bind, f) == exact_outcome(bind_by_dict, f, p)
+
+    # "the" fails on every world but those with one row, "sum" on none
+    @given(st.sampled_from([Agg("size", Table("db")), Agg("sum", Table("db")), Agg("the", Table("db"))]),
+           world_dists)
+    def test_pushforward_exact(self, q, d):
+        assert exact_outcome(pushforward_exact, q, d) == exact_outcome(pushforward_exact_by_dict, q, d)
+
+
+# ---------------------------------------------------------------------------
 # The incremental exact rule step: rows by tag, options memoised, heads inserted
 
 
@@ -1234,9 +1301,10 @@ class TestIncrementalExact:
     def test_insertion_equals_resorting(self, base, options):
         # the same bags, element for element (an inserted value follows the
         # base's equal elements, as the stable sort leaves it), with their
-        # keys, and bit-identical weights
+        # keys, and bit-identical weights, summed in yield order
         got = {}
-        _distr_into(got, options, base, 0.7)
+        for bv, w in _distr(options, base, 0.7):
+            got[bv] = got.get(bv, 0.0) + w
         want = {}
         for combo in iproduct(*options):
             p = 0.7

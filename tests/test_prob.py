@@ -136,8 +136,15 @@ class TestExactDist:
         assert d.support == (Int(1),)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(NormalizationError, match=r"^negative weight -0\.5 for Int\(2\)$"):
             ExactDist.from_weights([(Int(1), 1.5), (Int(2), -0.5)])
+
+    @pytest.mark.parametrize("weights", [{Int(1): math.nan}, [(Int(1), 0.5), (Int(2), 0.5), (Int(1), math.nan)],
+                                         [(Int(1), 0.5), (Int(2), 0.5), (Int(3), -math.nan)]])
+    def test_nan_weight_rejected(self, weights):
+        # nan < 0 is false, and so is abs(nan - 1.0) > WEIGHT_EPS
+        with pytest.raises(NormalizationError, match=r"^weight nan for Int\(\d\) is not a number$"):
+            ExactDist.from_weights(weights)
 
     def test_bad_total_rejected(self):
         with pytest.raises(NormalizationError):
