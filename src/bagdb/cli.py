@@ -8,10 +8,12 @@ the values and bags it reads tables into; each command imports the
 modules it runs.  ``query`` loads the query engine (``algebra`` and
 ``dsl``), ``generate`` the probabilistic layer (``prob`` and
 ``pbmonad``, which reads rule programs with ``lex``), and ``estimate``
-both.  All output is deterministic given inputs, seed and flags, and
-all-or-nothing: it is written only after the last step that can fail.
-``--workers`` is validated but worlds are generated sequentially, so it
-cannot change results.
+both.  ``estimate`` folds the query results in one loop into the
+accumulator of its statistic (see ``STATS``) and finishes it once.  All
+output is deterministic given inputs, seed and flags, and all-or-nothing:
+it is written only after the last step that can fail.  ``--workers`` is
+validated but worlds are generated sequentially, so it cannot change
+results.
 
 Exit codes: 0 ok, 1 usage, 2 parse error, 3 type/schema error,
 4 resource limit, 5 infinite-support request on the exact backend.
@@ -22,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
@@ -98,8 +101,8 @@ def load_table(path: Path) -> tuple[Optional[Schema], Bag]:
         except EngineTypeError as e:
             raise SchemaError(f"{path.name}:{lineno}: {e}") from None
         rows.append(v)
-        s = infer_schema(v)
-        try:
+        try:  # a nested row's own elements may not unify either
+            s = infer_schema(v)
             schema = s if schema is None else unify_schema(schema, s)
         except SchemaError as e:
             raise SchemaError(f"{path.name}:{lineno}: {e}") from None
@@ -205,51 +208,40 @@ def cmd_estimate(args) -> int:
     sampler = run_rule_program(prog, _merged_input(catalog), "mc", seed=seed)
     assert isinstance(sampler, PBSampler)
     n = args.samples
-    results = pushforward(ast, (sampler.world(i) for i in range(n)), WORLD_TABLE)
-    payload = {"stat": args.stat, "samples": n, "seed": args.seed}
-    if args.stat == "tuple-prob":
-        payload["results"] = _stat_tuple_prob(results, n)
-    elif args.stat == "mean":
-        payload.update(_stat_mean(results))
-    else:
-        payload["results"] = _stat_dist(results, n)
-    _emit(args.output, payload)
+    empty, add, finish = STATS[args.stat]
+    acc = empty()
+    for r in pushforward(ast, (sampler.world(i) for i in range(n)), WORLD_TABLE):
+        add(acc, r)
+    _emit(args.output, {"stat": args.stat, "samples": n, "seed": args.seed, **finish(acc, n)})
     return 0
 
 
-def _ci3(phat: float, n: int) -> float:
-    return 3.0 * math.sqrt(phat * (1.0 - phat) / n)
+def _add_present(tally: Counter, r: Value) -> None:
+    tally.update(set(r.bag.elements) if isinstance(r, BagV) else (r,))
 
 
-def _tally_rows(tally: dict[Value, int], n: int) -> list[dict]:
-    """One row per value in canonical order: its share of the n worlds."""
-    out = []
-    for v in sorted(tally, key=lambda v: v.key):
-        phat = tally[v] / n
-        out.append({"value": to_json(v), "p": phat, "ci3": _ci3(phat, n)})
-    return out
+def _add_whole(tally: Counter, r: Value) -> None:
+    tally[r] += 1
 
 
-def _stat_tuple_prob(results: Iterable[Value], n: int) -> list[dict]:
-    presence: dict[Value, int] = {}
-    for r in results:
-        distinct = set(r.bag.elements) if isinstance(r, BagV) else {r}
-        for v in distinct:
-            presence[v] = presence.get(v, 0) + 1
-    return _tally_rows(presence, n)
+def _finish_tally(tally: Counter, n: int) -> dict:
+    """One row per value in canonical order: its share p of the n worlds,
+    and three standard errors of p."""
+    shares = [(v, tally[v] / n) for v in sorted(tally, key=lambda v: v.key)]
+    return {"results": [{"value": to_json(v), "p": p, "ci3": 3.0 * math.sqrt(p * (1.0 - p) / n)} for v, p in shares]}
 
 
-def _stat_mean(results: Iterable[Value]) -> dict:
-    nums: list[float] = []
-    for r in results:
-        elems = r.bag.elements if isinstance(r, BagV) else (r,)
-        for el in elems:
-            if not isinstance(el, (Int, Real)):
-                raise EngineTypeError(f"mean statistic needs numeric results, got {el!r}")
-            try:
-                nums.append(float(el.value))
-            except OverflowError:
-                raise EngineTypeError(f"mean statistic needs numbers that fit a float, got {el!r}") from None
+def _add_numbers(nums: list[float], r: Value) -> None:
+    for el in r.bag.elements if isinstance(r, BagV) else (r,):
+        if not isinstance(el, (Int, Real)):
+            raise EngineTypeError(f"mean statistic needs numeric results, got {el!r}")
+        try:
+            nums.append(float(el.value))
+        except OverflowError:
+            raise EngineTypeError(f"mean statistic needs numbers that fit a float, got {el!r}") from None
+
+
+def _finish_mean(nums: list[float], n: int) -> dict:
     if not nums:
         raise EngineTypeError("mean statistic over no numeric data")
     count = len(nums)
@@ -305,11 +297,16 @@ def _scaled_stddev(nums: list[float], mean: float) -> float:
     return stddev
 
 
-def _stat_dist(results: Iterable[Value], n: int) -> list[dict]:
-    tally: dict[Value, int] = {}
-    for r in results:
-        tally[r] = tally.get(r, 0) + 1
-    return _tally_rows(tally, n)
+# The statistics by --stat name, each a fold over the query results of n
+# worlds: (empty accumulator, add one result, finish with n into payload
+# fields).  Accumulators are Counters or lists, so those of any split of the
+# results merge with +=, and finish gives the same fields whatever order
+# the results were added in.
+STATS = {
+    "tuple-prob": (Counter, _add_present, _finish_tally),
+    "mean": (list, _add_numbers, _finish_mean),
+    "dist": (Counter, _add_whole, _finish_tally),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +343,8 @@ def _bag_text(b: Bag, memo: dict, keep: bool) -> str:
 def _exact_payload(entries) -> dict:
     """Output of ``generate --backend exact``; each world is encoded as it is
     written.  Nearly every element is the same object in many worlds (the
-    input rows, and the heads that each rule plan's memo keeps one of per value), so each distinct
-    element is encoded once."""
+    input rows, and recurring heads, of which the program's one head table
+    keeps one object per value), so each distinct element is encoded once."""
     memo: dict = {}
     worlds = ('{"weight": ' + _ENCODER.encode(w) + ', "world": ' + _bag_text(v.bag, memo, keep=True) + "}"
               for v, w in entries)
@@ -442,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"query over the per-world table named {WORLD_TABLE!r}")
     e.add_argument("--samples", type=int, default=10000, metavar="N")
     e.add_argument("--seed", type=int, default=0, metavar="U64")
-    e.add_argument("--stat", choices=("tuple-prob", "mean", "dist"), default="tuple-prob")
+    e.add_argument("--stat", choices=tuple(STATS), default="tuple-prob")
     e.add_argument("--workers", type=int, default=1, metavar="K")
     e.set_defaults(fn=cmd_estimate)
     return parser

@@ -20,9 +20,7 @@ from bagdb.cli import (
     _emit,
     _exact_payload,
     _mc_payload,
-    _stat_dist,
-    _stat_mean,
-    _stat_tuple_prob,
+    STATS,
     load_table,
     main,
 )
@@ -46,6 +44,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def accumulate(stat, results):
+    """The accumulator of ``STATS[stat]`` with ``results`` added in order."""
+    empty, add, _ = STATS[stat]
+    acc = empty()
+    for r in results:
+        add(acc, r)
+    return acc
+
+
+def fold(stat, results):
+    """The payload fields of ``STATS[stat]`` over ``results``, one per world."""
+    return STATS[stat][2](accumulate(stat, results), len(results))
 
 
 class TestQuery:
@@ -219,6 +231,20 @@ class TestExitCodes:
         q = tmp_path / "q.query"
         q.write_text("table mixed\n")
         assert run(capsys, "query", "--db", str(t), "--query", str(q))[0] == 3
+
+    @pytest.mark.parametrize("row, reason", [
+        ('{"bag": [1, "a"]}', "cannot unify IntT() with StrT()"),
+        ('{"bag": [[1], [1, 2]]}', "tuple arity mismatch: 1 vs 2"),
+    ], ids=["scalars", "arity"])
+    def test_type_error_nested_schema_mismatch(self, tmp_path, capsys, row, reason):
+        # the elements of one row do not unify: named by file and line, as
+        # rows that do not unify with each other are
+        t = tmp_path / "m2.jsonl"
+        t.write_text('{"bag": [1]}\n' + row + "\n")
+        q = tmp_path / "q.query"
+        q.write_text("table m2\n")
+        code, out, err = run(capsys, "query", "--db", str(t), "--query", str(q))
+        assert (code, out, err) == (3, "", f"bagdb: m2.jsonl:2: {reason}\n")
 
     def test_type_error_empty_aggregate(self, tmp_path, capsys):
         q = tmp_path / "q.query"
@@ -400,7 +426,7 @@ class TestEstimate:
         # fsum's partial sums overflow in some orders only
         def outcome(xs):
             try:
-                return repr(_stat_mean([Real(x) for x in xs]))
+                return repr(fold("mean", [Real(x) for x in xs]))
             except EngineTypeError as e:
                 return str(e)
 
@@ -413,7 +439,7 @@ class TestEstimate:
         ([1e308, -1e308] * 5, 0.0, 1e308 * math.sqrt(10 / 9)),  # 3 * stddev does
     ], ids=["sum", "squares", "deviation", "ci3"])
     def test_mean_past_the_float_range(self, nums, mean, stddev):
-        got = _stat_mean([Real(x) for x in nums])
+        got = fold("mean", [Real(x) for x in nums])
         assert (got["mean"], got["stddev"]) == (pytest.approx(mean, rel=1e-15), pytest.approx(stddev, rel=1e-15))
         assert got["ci3"] == pytest.approx(stddev / math.sqrt(len(nums)) * 3.0, rel=1e-15)
 
@@ -874,16 +900,35 @@ class TestStreamedOutput:
         assert all(r() is None for old in refs for r in old)
         assert self.emitted(payload).count('{"tag": "address", "value": "H1"}') == 4
 
-    @given(st.lists(json_edge_values, min_size=1, max_size=6), st.sampled_from(["tuple-prob", "dist", "mean"]))
+    @staticmethod
+    def stat_results(results, stat):
+        """``results`` as a statistic can take them: numbers only for mean."""
+        if stat == "mean":
+            results = [r for r in results if isinstance(r, (Int, Real)) and abs(r.value) < 1e300]
+            assume(results)
+        return results
+
+    @given(st.lists(json_edge_values, min_size=1, max_size=6), st.sampled_from(sorted(STATS)))
     def test_estimate(self, results, stat):
-        n = len(results)
-        payload = {"stat": stat, "samples": n, "seed": 7}
-        if stat == "tuple-prob":
-            payload["results"] = _stat_tuple_prob(results, n)
-        elif stat == "dist":
-            payload["results"] = _stat_dist(results, n)
-        else:
-            numbers = [r for r in results if isinstance(r, (Int, Real)) and abs(r.value) < 1e300]
-            assume(numbers)
-            payload.update(_stat_mean(numbers))
+        results = self.stat_results(results, stat)
+        payload = {"stat": stat, "samples": len(results), "seed": 7, **fold(stat, results)}
         assert self.emitted(payload) == self.dumped(payload)
+
+    @given(st.lists(json_edge_values, min_size=1, max_size=6), st.sampled_from(sorted(STATS)),
+           st.lists(st.integers(0, 6), max_size=2))
+    @example([Real(1e16), Real(1.0), Real(-1e16)], "mean", [1, 2])  # a float sum depends on the order
+    def test_estimate_shares_merge_in_any_order(self, results, stat, cuts):
+        # a statistic's accumulator is a monoid under +=: folding up to 3
+        # contiguous shares of the results from empty and merging them, in
+        # any order, gives the payload of the serial fold, byte for byte
+        results = self.stat_results(results, stat)
+        n = len(results)
+        bounds = [0, *sorted(min(c, n) for c in cuts), n]
+        accs = [accumulate(stat, results[a:b]) for a, b in zip(bounds, bounds[1:])]
+        empty, _, finish = STATS[stat]
+        serial = self.emitted(fold(stat, results))
+        for order in itertools.permutations(accs):
+            merged = empty()
+            for acc in order:
+                merged += acc
+            assert self.emitted(finish(merged, n)) == serial
