@@ -12,7 +12,8 @@ Each row expression is compiled once into nested closures
 ``eval_expr(e, row)`` is ``compile_expr(e)(row)``.  A predicate built from
 comparisons, ``istag``, ``not``, ``and`` and ``or`` yields a Python bool
 per row, not a Bool value.  Comparisons go through the per-operator
-table of ``values``, whose ``cmp_holds`` rule guards call.
+table of ``values``, whose ``cmp_holds`` rule guards call; a comparison
+with a constant operand binds the constant.
 
 ``eval_query`` reads ``match t as (...)``, the payloads of a
 ``select istag(row, t)``, as the payloads of the sorted bag's one run of
@@ -23,7 +24,9 @@ one field from each side, provided that no conjunct before it can raise:
 each is built from comparisons, ``istag``, ``not``, ``and``, ``or``,
 constants, the row and fields in range (``_cannot_raise``).  Its cost
 grows with the input plus the output instead of with the full product.
-The equality matches numbers across Int and Real, as ``=`` does.  Every
+The equality matches numbers across Int and Real, as ``=`` does, so it
+holds on every pair the join builds, and only the other conjuncts are
+evaluated on those pairs, in order.  Every
 other ``select`` over a ``product`` still builds the full product.  The
 tree-walking interpreter these replace, with ``eval_query`` running every
 operator as written, is kept as the test oracle in
@@ -35,7 +38,7 @@ treated as a one-field row, so ``.1`` on a scalar row is the row itself.
 from __future__ import annotations
 
 from itertools import compress
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterator, Mapping, Optional
 
 from .bags import EMPTY, Bag, counts, unit
@@ -215,7 +218,7 @@ def _predicate(e: Expr) -> Optional[RowTest]:
             b = e.value.value
             test = lambda row: b
     elif isinstance(e, Cmp):
-        test = _cmp(e.op, compile_expr(e.left), compile_expr(e.right))
+        test = _cmp(e.op, e.left, e.right)
     elif isinstance(e, (And, Or)):
         what = f"{'and' if isinstance(e, And) else 'or'} needs a boolean"
         first = _predicate(e.left) or _checked(e.left, what)
@@ -247,10 +250,19 @@ def _checked(e: Expr, what: str) -> RowTest:
     return checked
 
 
-def _cmp(op: str, left: Compiled, right: Compiled) -> RowTest:
+def _cmp(op: str, a: Expr, b: Expr) -> RowTest:
+    """A known operator with a Const operand binds the constant, so each
+    row evaluates only the other operand."""
     holds = _COMPARISONS.get(op)
+    left, right = compile_expr(a), compile_expr(b)
     if holds is None:  # raises once both operands are evaluated
         return lambda row: cmp_holds(op, left(row), right(row))
+    if isinstance(b, Const):
+        v = b.value
+        return lambda row: holds(left(row), v)
+    if isinstance(a, Const):
+        v = a.value
+        return lambda row: holds(v, right(row))
     return lambda row: holds(left(row), right(row))
 
 
@@ -424,49 +436,44 @@ def q_map(fn: Expr, b: Bag) -> Bag:
 def q_product(b1: Bag, b2: Bag) -> Bag:
     """All pairings, concatenating fields.  Rows of each side must agree
     on arity within that side."""
-    _check_uniform_arity(b1, "product (left)")
-    _check_uniform_arity(b2, "product (right)")
-    out = []
-    for x in b1:
-        px = tuple_parts(x)
-        for y in b2:
-            out.append(Tuple(px + tuple_parts(y)))
-    return Bag.of(out)
+    left = _uniform_parts(b1, "product (left)")
+    right = _uniform_parts(b2, "product (right)")
+    return Bag.of([Tuple(px + py) for px in left for py in right])
 
 
 def q_equijoin(pred: Expr, b1: Bag, b2: Bag) -> Bag:
     """``q_select(pred, q_product(b1, b2))``, building only the pairs that
     satisfy the equality ``_join_fields`` finds in ``pred``, if any: every
     other pair makes ``pred`` false without raising, so the result and the
-    errors are those of the full product."""
-    _check_uniform_arity(b1, "product (left)")
-    _check_uniform_arity(b2, "product (right)")
-    if b1.is_empty or b2.is_empty:
+    errors are those of the full product.  The equality holds on every
+    built pair, and the conjuncts before it cannot raise, so only the other
+    conjuncts are evaluated, in order, on the built pairs."""
+    left = _uniform_parts(b1, "product (left)")
+    right = _uniform_parts(b2, "product (right)")
+    if not (left and right):
         return EMPTY
-    n1 = len(tuple_parts(b1.elements[0]))
-    n2 = len(tuple_parts(b2.elements[0]))
-    fields = _join_fields(pred, n1, n2)
-    if fields is None:
+    join = _join_fields(pred, len(left[0]), len(right[0]))
+    if join is None:
         return q_select(pred, q_product(b1, b2))
-    i, j = fields
+    i, j, rest = join
     index: dict[object, list[tuple[Value, ...]]] = {}
-    for y in b2:
-        py = tuple_parts(y)
+    for py in right:
         index.setdefault(_join_key(py[j]), []).append(py)
-    matched = []
-    for x in b1:
-        px = tuple_parts(x)
-        for py in index.get(_join_key(px[i]), ()):
-            matched.append(Tuple(px + py))
-    return q_select(pred, Bag.of(matched))
+    built = Bag.of([Tuple(px + py) for px in left for py in index.get(_join_key(px[i]), ())])
+    if not rest:
+        return built
+    tests = [_predicate(c) or _checked(c, "and needs a boolean") for c in rest]
+    return _kept(lambda row: all(t(row) for t in tests), built)
 
 
-def _join_fields(pred: Expr, n1: int, n2: int) -> Optional[tuple[int, int]]:
+def _join_fields(pred: Expr, n1: int, n2: int) -> Optional[tuple[int, int, list[Expr]]]:
     """For rows of ``n1`` fields joined with rows of ``n2``: the 0-based
     field on each side of the first conjunct of ``pred`` that is ``.i = .j``
     with one field from each side, provided that no conjunct evaluated
-    before it can raise (``_cannot_raise``).  Else None."""
-    for c in _conjuncts(pred):
+    before it can raise (``_cannot_raise``), and the other conjuncts, in
+    the order ``pred`` evaluates them.  Else None."""
+    conjuncts = list(_conjuncts(pred))
+    for k, c in enumerate(conjuncts):
         if (
             isinstance(c, Cmp)
             and c.op == "="
@@ -475,7 +482,7 @@ def _join_fields(pred: Expr, n1: int, n2: int) -> Optional[tuple[int, int]]:
         ):
             i, j = sorted((c.left.index, c.right.index))
             if 1 <= i <= n1 < j <= n1 + n2:
-                return i - 1, j - n1 - 1
+                return i - 1, j - n1 - 1, conjuncts[:k] + conjuncts[k + 1:]
         if not _cannot_raise(c, n1 + n2):
             return None
     return None
@@ -534,32 +541,40 @@ def _join_key(v: Value) -> tuple:
     return v.key
 
 
-def _check_uniform_arity(b: Bag, where: str) -> None:
-    arity = None
-    for row in b:
-        a = len(tuple_parts(row))
-        if arity is None:
-            arity = a
-        elif a != arity:
-            raise EngineTypeError(f"{where}: rows mix arity {arity} and {a}")
+def _uniform_parts(b: Bag, where: str) -> list[tuple[Value, ...]]:
+    """The fields of each row of ``b``, in order; every row must have as
+    many as the first."""
+    parts = list(map(tuple_parts, b.elements))
+    if parts:
+        arity = len(parts[0])
+        for p in parts:
+            if len(p) != arity:
+                raise EngineTypeError(f"{where}: rows mix arity {arity} and {len(p)}")
+    return parts
 
 
 def q_project(indices: tuple[int, ...], b: Bag) -> Bag:
     if not indices:
         raise EngineTypeError("project needs at least one field")
+    lo, hi = min(indices), max(indices)
+    pick = itemgetter(*[i - 1 for i in indices])
+    single = len(indices) == 1
     out = []
-    for row in b:
+    for row in b.elements:
         parts = tuple_parts(row)
-        for i in indices:
-            if not (1 <= i <= len(parts)):
-                raise EngineTypeError(f"project field .{i} out of range for a {len(parts)}-field row")
-        picked = tuple(parts[i - 1] for i in indices)
-        out.append(picked[0] if len(picked) == 1 else Tuple(picked))
+        if lo < 1 or hi > len(parts):
+            bad = next(i for i in indices if not 1 <= i <= len(parts))
+            raise EngineTypeError(f"project field .{bad} out of range for a {len(parts)}-field row")
+        out.append(pick(parts) if single else Tuple(pick(parts)))
     return Bag.of(out)
 
 
 def q_select(pred: Expr, b: Bag) -> Bag:
-    keep = _predicate(pred) or _checked(pred, "select predicate must return a boolean")
+    return _kept(_predicate(pred) or _checked(pred, "select predicate must return a boolean"), b)
+
+
+def _kept(keep: RowTest, b: Bag) -> Bag:
+    """The rows of ``b`` that pass ``keep``, tested in order."""
     kept = list(map(keep, b.elements))  # a subsequence of a sorted tuple stays sorted
     return Bag(tuple(compress(b.elements, kept)), tuple(compress(b.key, kept)))
 

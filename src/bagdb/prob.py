@@ -124,10 +124,50 @@ def _entry_key(entry: tuple[Value, float]) -> tuple:
     return entry[0].key
 
 
+def _bad_weight(v: Value, w: float) -> NormalizationError:
+    """The error for a weight ``w`` of ``v`` that is not ``> 0``."""
+    if w < 0:
+        return NormalizationError(f"negative weight {w} for {v!r}")
+    if w == 0:
+        return NormalizationError(f"zero weight for {v!r}")
+    return NormalizationError(f"weight {w} for {v!r} is not a number")
+
+
+def _check_total(weights: Iterable[float]) -> None:
+    total = math.fsum(weights)
+    if abs(total - 1.0) > WEIGHT_EPS:
+        raise NormalizationError(f"weights sum to {total!r}, not 1")
+
+
 class ExactDist(Node):
-    """Finite-support distribution over values, canonical by construction."""
+    """Finite-support distribution over values, canonical by construction:
+    every weight is positive, the support is strictly increasing by key,
+    and the total is within ``WEIGHT_EPS`` of one.  ``ExactDist(entries)``
+    checks this and raises ``NormalizationError`` otherwise; ``from_weights``
+    and ``dirac`` build canonical entries and skip the check."""
 
     entries: tuple[tuple[Value, float], ...]
+
+    def __init__(self, entries: Iterable[tuple[Value, float]]):
+        # its own __init__, not Node's: the entries come from outside
+        entries = tuple(entries)
+        last = None
+        for v, w in entries:
+            if not w > 0:
+                raise _bad_weight(v, w)
+            if last is not None and not last.key < v.key:
+                raise NormalizationError(f"support is not strictly increasing by key: {last!r} then {v!r}")
+            last = v
+        _check_total([w for _, w in entries])
+        _setattr(self, "entries", entries)
+
+    @classmethod
+    def _canonical(cls, entries: tuple[tuple[Value, float], ...]) -> "ExactDist":
+        """A distribution on ``entries`` that are already canonical, built
+        without the check of ``__init__``."""
+        d = object.__new__(cls)
+        _setattr(d, "entries", entries)
+        return d
 
     @classmethod
     def from_weights(cls, weights: Iterable[tuple[Value, float]] | Mapping[Value, float]) -> "ExactDist":
@@ -142,20 +182,16 @@ class ExactDist(Node):
         acc: dict[Value, float] = {}
         for v, w in items:
             if not w >= 0:
-                raise NormalizationError(f"negative weight {w} for {v!r}" if w < 0 else
-                                         f"weight {w} for {v!r} is not a number")
+                raise _bad_weight(v, w)
             if w == 0.0:
                 continue
             acc[v] = acc.get(v, 0.0) + w
-        total = math.fsum(acc.values())
-        if abs(total - 1.0) > WEIGHT_EPS:
-            raise NormalizationError(f"weights sum to {total!r}, not 1")
-        entries = tuple(sorted(acc.items(), key=_entry_key))
-        return cls(entries)
+        _check_total(acc.values())
+        return cls._canonical(tuple(sorted(acc.items(), key=_entry_key)))
 
     @classmethod
     def dirac(cls, x: Value) -> "ExactDist":
-        return cls(((x, 1.0),))
+        return cls._canonical(((x, 1.0),))
 
     @property
     def support(self) -> tuple[Value, ...]:

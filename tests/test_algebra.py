@@ -61,6 +61,7 @@ from bagdb.errors import (
 )
 from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple
 
+import reference_algebra as ref
 from dual_routes import dedup_by_fold, difference_by_fold, powerbag_by_fold
 from strategies import conjunction, small_bags_st, small_ints
 
@@ -185,6 +186,14 @@ class TestPrimitives:
     def test_project_out_of_range(self):
         with pytest.raises(EngineTypeError):
             q_project((3,), rows(("a", 1)))
+
+    @pytest.mark.parametrize("indices, bad", [
+        ((1, 3, 0), 3), ((0, 3), 0), ((2, -1, 5), -1), ((5, 1, 0), 5), ((1, 2, 2, 3), 3),
+    ])
+    def test_project_names_the_first_bad_index(self, indices, bad):
+        # in the order of the list, not the smallest or largest index
+        with pytest.raises(EngineTypeError, match=rf"^project field \.{bad} out of range for a 2-field row$"):
+            q_project(indices, rows(("a", 1), ("b", 2)))
 
     def test_select(self):
         pred = Cmp(">", Field(2), Const(Int(1)))
@@ -520,6 +529,28 @@ class TestEquijoin:
         assert join == naive and join[0] is EngineTypeError
         assert built
 
+    @pytest.mark.parametrize("residual", [
+        None,
+        Cmp("<", Field(1), Const(Str("z"))),
+        Or(IsTag(Field(4), "a"), Cmp(">=", Field(2), Const(Int(2)))),
+        Field(4),  # not a boolean: raises on the first built pair
+    ])
+    def test_the_join_conjunct_is_evaluated_on_no_built_pair(self, monkeypatch, residual):
+        import bagdb.algebra as algebra
+
+        def fresh():  # a new predicate per call: compiled forms are kept per node
+            eq = Cmp("=", Field(3), Field(2))
+            return eq if residual is None else And(eq, residual)
+
+        a = Bag.of([Tuple((Str("x"), Int(1))), Tuple((Str("y"), Int(2))), Tuple((Str("z"), Int(1)))])
+        b = Bag.of([Tuple((Real(1.0), Str("p"))), Tuple((Int(2), Str("q"))), Tuple((Int(3), Str("r")))])
+        naive = outcome(lambda: BagV(q_select(fresh(), q_product(a, b))))
+        calls = []
+        equal = algebra._COMPARISONS["="]
+        monkeypatch.setitem(algebra._COMPARISONS, "=", lambda x, y: calls.append((x, y)) or equal(x, y))
+        join = outcome(lambda: eval_query(Select(fresh(), Product(Lit(a), Lit(b))), {}))
+        assert join == naive and calls == []
+
     def test_numbers_join_by_magnitude(self):
         a = Bag.of([Int(1), Real(-0.0), Int(2**53 + 1)])
         b = Bag.of([Real(1.0), Int(0), Real(2.0**53)])
@@ -554,3 +585,30 @@ class TestEquijoin:
         b = Bag.of([Tuple((Int(1), Int(2))), Tuple((Real(2.0), Real(2.0)))])
         join, naive = both_routes(pred, a, b)
         assert join == naive
+
+
+class TestConstantComparisons:
+    """A compiled ``Cmp`` with a Const operand and a known operator binds the
+    constant; an unknown operator still raises after both operands."""
+
+    ROWS = [
+        Int(1), Real(1.0), Real(-0.0), Str("a"), Tagged("a", Int(1)),
+        Tuple((Int(0), Str("a"))), Tuple((Real(1.0), Int(2))), Tuple((Tagged("a", Int(0)), UNIT)),
+    ]
+
+    @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">=", "~"])
+    @pytest.mark.parametrize("left, right", [
+        (Field(1), Const(Int(1))),
+        (Const(Real(1.0)), Field(2)),
+        (Const(Str("a")), Field(1)),
+        (Field(2), Const(Str("a"))),
+        (Payload(Field(1), "a"), Const(Int(0))),  # raises before the comparison
+        (Const(Int(0)), Payload(RowRef(), "a")),
+        (Const(Int(1)), Const(Real(1.0))),
+    ])
+    def test_matches_the_tree_walk(self, op, left, right):
+        e = Cmp(op, left, right)
+        for row in self.ROWS:
+            assert outcome(lambda: eval_expr(e, row)) == outcome(lambda: ref.eval_expr(e, row))
+        q = Select(e, Lit(Bag.of(self.ROWS)))
+        assert outcome(lambda: eval_query(q, {})) == outcome(lambda: ref.eval_query(q, {}))

@@ -150,6 +150,24 @@ class TestExactDist:
         with pytest.raises(NormalizationError):
             ExactDist.from_weights([(Int(1), 0.7)])
 
+    @pytest.mark.parametrize("entries, message", [
+        (((Int(0), -0.5), (Int(1), 1.5)), r"^negative weight -0\.5 for Int\(0\)$"),
+        (((Int(0), 0.0), (Int(1), 1.0)), r"^zero weight for Int\(0\)$"),
+        (((Int(0), 0.5), (Int(1), math.nan)), r"^weight nan for Int\(1\) is not a number$"),
+        (((Int(1), 0.5), (Int(0), 0.5)), r"^support is not strictly increasing by key: Int\(1\) then Int\(0\)$"),
+        (((Int(1), 0.5), (Int(1), 0.5)), r"^support is not strictly increasing by key: Int\(1\) then Int\(1\)$"),
+        (((Int(1), 0.7),), r"^weights sum to 0\.7, not 1$"),
+        ((), r"^weights sum to 0\.0, not 1$"),
+    ], ids=["negative", "zero", "nan", "unsorted", "repeated", "total", "empty"])
+    def test_constructor_rejects_what_is_not_canonical(self, entries, message):
+        with pytest.raises(NormalizationError, match=message):
+            ExactDist(entries)
+
+    @given(exact_dists(values, max_support=6))
+    def test_constructor_accepts_what_from_weights_builds(self, d):
+        assert ExactDist(d.entries) == d
+        assert ExactDist(list(d.entries)).entries == d.entries
+
     def test_total_within_epsilon_accepted(self):
         ExactDist.from_weights([(Int(1), 0.5), (Int(2), 0.5 + 5e-10)])
 
