@@ -9,17 +9,20 @@ to a bag through ``Bag.merged``, which places them without re-sorting it.
 A bag is frozen and slotted, like a value, and its constructor sets its
 ``key``, the tuple of its elements' keys: built from the elements, or
 passed in by a caller that already has it (``merged``, ``payload_run``,
-``algebra.q_select``).  A bag's hash is a multiset hash: the sum of its
-elements' hashes modulo ``HASH_MOD`` (Clarke, Devadas, van Dijk, Gassend
-and Suh, "Incremental Multiset Hash Functions", ASIACRYPT 2003).  A
-caller that adds values to a bag whose hash it knows has the new bag's
-hash by addition and passes it to the constructor (``pbmonad``'s exact
-step); any other bag computes its hash on the first ``hash`` and stores
-it.  Only this module and ``values`` know that every Tagged key starts
-with ``(6, tag)``: a bag's rows of one tag are one contiguous run of its
-elements (``tag_span``); and that every BagV key starts with 7 and every
-other value hashes as its key, so that a bag hashes its elements' keys
-in C and calls only its BagVs' ``__hash__``.
+``tag_runs``, ``pbmonad``'s mc world, ``algebra.q_select``).  A bag's
+hash is a multiset hash: the sum of its elements' hashes modulo
+``HASH_MOD`` (Clarke, Devadas, van Dijk, Gassend and Suh, "Incremental
+Multiset Hash Functions", ASIACRYPT 2003).  A caller that adds values to
+a bag whose hash it knows has the new bag's hash by addition and passes
+it to the constructor (``pbmonad``'s exact step); any other bag computes
+its hash on the first ``hash`` and stores it.  Only this module and
+``values`` know that every Tagged key starts with ``(6, tag)``: a bag's
+rows of one tag are one contiguous run of its elements (``tag_span``,
+``tag_rows``), and a bag splits into its elements before its tagged
+rows, one run per tag and its elements after them (``tag_runs``); and
+that every BagV key starts with 7 and every other value hashes as its
+key, so that a bag hashes its elements' keys in C and calls only its
+BagVs' ``__hash__``.
 """
 from __future__ import annotations
 
@@ -110,6 +113,8 @@ class Bag(Frozen):
         if not new:
             return self
         elements, keys = self.elements, self.key
+        if not keys or not new[0].key < keys[-1]:  # every item goes after self's elements
+            return Bag(elements + tuple(new), keys + tuple(map(_KEY, new)))
         n = len(keys)
         elems: list[Value] = []
         ks: list[tuple] = []
@@ -188,6 +193,30 @@ def tag_span(bag: Bag, tag: str) -> slice:
     keys = bag.key
     lo = bisect_left(keys, (6, tag), key=_TAG_PREFIX)
     return slice(lo, bisect_right(keys, (6, tag), lo, key=_TAG_PREFIX))
+
+
+def tag_rows(bag: Bag, tag: str) -> tuple[Value, ...]:
+    """The elements of ``tag_span``, bisected here rather than through it:
+    the exact rule step reads a tag's rows this way in every world."""
+    keys = bag.key
+    lo = bisect_left(keys, (6, tag), key=_TAG_PREFIX)
+    return bag.elements[lo:bisect_right(keys, (6, tag), lo, key=_TAG_PREFIX)]
+
+
+def tag_runs(bag: Bag) -> tuple[Bag, dict[str, Bag], Bag]:
+    """A bag split at its tagged rows: its elements before them, one run
+    per tag, in tag order, and its elements after them, the BagVs.  The
+    three, runs in tag order, concatenate back to the bag."""
+    elements, keys = bag.elements, bag.key
+    start, end = bisect_left(keys, (6,)), bisect_left(keys, (7,))
+    runs: dict[str, Bag] = {}
+    lo = start
+    while lo < end:
+        tag = keys[lo][1]
+        hi = bisect_right(keys, (6, tag), lo, end, key=_TAG_PREFIX)
+        runs[tag] = Bag(elements[lo:hi], keys[lo:hi])
+        lo = hi
+    return Bag(elements[:start], keys[:start]), runs, Bag(elements[end:], keys[end:])
 
 
 def unit(x: Value) -> Bag:

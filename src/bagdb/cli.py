@@ -475,6 +475,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as e:
         print(f"bagdb: {e}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("bagdb: interrupted", file=sys.stderr)
+        return 130
 
 
 # The exit code and stderr line of each kind of engine error, most specific first.

@@ -22,10 +22,14 @@ The exact backend applies a rule to a world as the Kleisli extension
 through the distributive law, in product form: every choice of one head
 option per match, added to the world, with the product of their weights.
 
-Both backends step one canonical world bag through the same plans.  A
-world's rows of one tag are one run of its sorted elements, found by
-bisection, and no world is re-sorted.  The mc backend adds a rule's heads
-to the world with ``Bag.merged``.  The exact backend splices each
+Both backends step worlds through the same plans, and no world is
+re-sorted.  A world's rows of one tag are one run of its sorted
+elements, and the bag of a sum of tags is the product of their bags, so
+a rule reads only the runs of its body tags and writes only the run of
+its head tag.  An mc world is stepped as one run per tag, between the
+input's untagged elements, and its bag is built once, by concatenation
+(``_CompiledProgram``).  The exact backend steps one canonical world
+bag, finds a tag's run by bisection (``tag_rows``), splices each
 combination of heads into the one slice of the world that they can
 reach, and adds the heads' hashes to the world's multiset hash
 (``_distr``).  Every exact operation passes its weighted values straight
@@ -48,9 +52,9 @@ from itertools import chain, starmap
 from itertools import product as iproduct
 from math import prod
 from operator import attrgetter, itemgetter, le
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .bags import EMPTY, Bag, tag_span, unit
+from .bags import EMPTY, Bag, tag_rows, tag_runs, unit
 from .errors import EngineTypeError, ProgramError, ResourceLimitError
 from .lex import Token, _Parser, tokenize
 from .node import Node
@@ -62,6 +66,7 @@ from .prob import (
     SamplerExpr,
     Seed,
     _world_bag,
+    child_hasher,
     draw_from,
     exact_of,
     generator,
@@ -71,6 +76,9 @@ from .prob import (
     sample,
 )
 from .values import BagV, Int, Real, Tuple, Unit, Value, cmp_holds, tagged, tuple_parts
+
+if TYPE_CHECKING:
+    import hashlib
 
 DEFAULT_WORLD_LIMIT = 10**6
 
@@ -518,18 +526,19 @@ class _RulePlan:
         self.keeps = not any(ap.varying for ap in self.atoms)
         self.kept: Optional[list[_Match]] = None
 
-    def matches(self, world: Bag) -> list[_Match]:
-        """The entries of the matches whose guards hold against a canonical
-        world, in canonical order: each atom's rows in bag order, earlier
-        atoms varying slowest.  An atom whose index is not kept reads its
-        tag's run of the world, ``tag_span``."""
+    def matches(self, world: object, rows: Callable[[object, str], Sequence[Value]]) -> list[_Match]:
+        """The entries of the matches whose guards hold against a world, in
+        canonical order: each atom's rows in bag order, earlier atoms
+        varying slowest.  An atom whose index is not kept reads its tag's
+        rows as ``rows(world, tag)``: those of a canonical world bag
+        (``tag_rows``), or an mc world's run (``_run_rows``)."""
         if self.kept is not None:
             return self.kept
         envs: list[tuple[Value, ...]] = [()]
         for n, ap in enumerate(self.atoms):
             index = self.fixed_index[n]
             if index is None:
-                index = ap.index(world.elements[tag_span(world, ap.tag)])
+                index = ap.index(rows(world, ap.tag))
                 if not ap.varying:
                     self.fixed_index[n] = index
             nxt = []
@@ -575,22 +584,29 @@ class _RulePlan:
         match order.  For each match the parameter check comes before the
         ``NotFiniteError`` of a continuous head."""
         out = []
-        for m in self.matches(world):
+        for m in self.matches(world, tag_rows):
             if m.options is None:
                 m.options = [(self.head(m), 1.0)] if self.dist < 0 else \
                     [(self.head(m, z), w) for z, w in exact_of(self.sampler(m)).entries]
             out.append(m.options)
         return out
 
-    def fire(self, world: Bag, seed: Seed, i: int, gen: _random.Random) -> list[Value]:
-        """The heads this rule adds to world i, in match order.  The draw
-        of match j reseeds ``gen`` to the stream of seed/(rule, i, j)."""
-        matches = self.matches(world)
+    def fire(self, runs: dict[str, Bag], prefix: "hashlib._Hash", i: int, gen: _random.Random) -> list[Value]:
+        """The heads this rule adds to world i, whose runs are ``runs``, in
+        match order.  Given ``prefix``, the hasher of seed/rule, the draw of
+        match j reseeds ``gen`` to the stream of seed/(rule, i, j)."""
+        matches = self.matches(runs, _run_rows)
         if self.dist < 0 or not matches:
             return [self.head(m) for m in matches]
-        prefix = seed.child(self.k).child(i).hasher()  # raises for i >= 2**64, before a bad parameter
-        return [self.head(m, draw_from(self.sampler(m), reseed(gen, prefix, j)))
-                for j, m in enumerate(matches)]
+        world = child_hasher(prefix, i)  # raises for i >= 2**64, before a bad parameter
+        # a match's sampler and heads, once kept, are read here rather than
+        # through ``sampler`` and ``head``: this runs once per draw
+        return [m.heads.get(z := draw_from(m.sampler or self.sampler(m), reseed(gen, world, j)))
+                or self.head(m, z) for j, m in enumerate(matches)]
+
+
+def _run_rows(runs: dict[str, Bag], tag: str) -> tuple[Value, ...]:
+    return runs.get(tag, EMPTY).elements
 
 
 def rule_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
@@ -599,7 +615,7 @@ def rule_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
     slowest), leaving out those whose guards fail: ``_RulePlan.matches``
     of a plan that no earlier rule feeds.  The position in this list is
     the match ordinal used for seed derivation."""
-    return [m.env for m in _RulePlan(0, rule, {}).matches(bag)]
+    return [m.env for m in _RulePlan(0, rule, {}).matches(bag, tag_rows)]
 
 
 def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> ExactDist:
@@ -624,7 +640,17 @@ def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> Exac
 class _CompiledProgram:
     """A rule program compiled once: the exact backend steps every world
     through its plans, and ``world(i)`` samples mc world i by stepping the
-    input bag through them, adding each rule's heads with ``Bag.merged``.
+    input's runs through them.
+
+    The input is split once (``tag_runs``) into its elements before the
+    tagged rows, one run per tag and its elements after the tagged rows.
+    An mc world is a map from each tag that can appear, an input tag or a
+    head tag, to its run: it starts as a copy of the input's map, each
+    rule reads the runs of its body tags and adds its heads to the run of
+    its head tag alone (``Bag.merged``), and the world bag is built once,
+    at the end, by concatenating the elements before, the runs in tag
+    order and the elements after.  The hasher of each rule's seed prefix,
+    seed/rule, is computed here, once per program.
 
     What the plans keep is decided once per tag, in program order, by
     ``recurs``: each head tag written so far maps to whether its heads
@@ -644,8 +670,6 @@ class _CompiledProgram:
     carries from one draw to the next, but one world is sampled at a time."""
 
     def __init__(self, prog: RuleProgram, b: Bag, seed: Optional[Seed] = None):
-        self.base = b
-        self.seed = seed
         self.gen = None if seed is None else generator()
         self.plans: list[_RulePlan] = []
         recurs: dict[str, bool] = {}
@@ -654,12 +678,19 @@ class _CompiledProgram:
             plan = _RulePlan(k, rule, recurs, table)
             self.plans.append(plan)
             recurs[rule.head_tag] = plan.recurs and recurs.get(rule.head_tag, True)
+        self.prefixes = None if seed is None else [seed.child(k).hasher() for k in range(len(self.plans))]
+        self.pre, runs, self.post = tag_runs(b)
+        self.runs = dict.fromkeys(recurs, EMPTY) | runs
+        self.tags = sorted(self.runs)
 
     def world(self, i: int) -> Bag:
-        world = self.base
-        for plan in self.plans:
-            world = world.merged(plan.fire(world, self.seed, i, self.gen))
-        return world
+        runs = self.runs.copy()
+        for plan, prefix in zip(self.plans, self.prefixes):  # type: ignore[arg-type]
+            tag = plan.rule.head_tag
+            runs[tag] = runs[tag].merged(plan.fire(runs, prefix, i, self.gen))  # type: ignore[arg-type]
+        parts = [self.pre, *[runs[t] for t in self.tags], self.post]
+        return Bag(tuple(chain.from_iterable([p.elements for p in parts])),
+                   tuple(chain.from_iterable([p.key for p in parts])))
 
 
 # ---------------------------------------------------------------------------

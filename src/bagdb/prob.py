@@ -68,8 +68,8 @@ class Seed(Node):
 
     def hasher(self) -> "hashlib._Hash":
         """sha256 fed the master and then each path entry (``_fed``).
-        ``rng`` digests it; ``reseed`` extends a copy, so siblings share the
-        hashing of their common prefix."""
+        ``rng`` digests it; ``child_hasher`` and ``reseed`` extend a copy,
+        so siblings share the hashing of their common prefix."""
         h = _fed(hashlib.sha256(), self.master)
         for p in self.path:
             _fed(h, p)
@@ -106,13 +106,26 @@ def generator() -> _random.Random:
     return _random.Random(0)
 
 
+def child_hasher(prefix: "hashlib._Hash", index: int) -> "hashlib._Hash":
+    """``seed.child(index).hasher()``, given ``prefix = seed.hasher()``,
+    which is copied, not changed.  An index outside 64 bits raises as
+    ``Seed`` does."""
+    if not (0 <= index < 2**64):
+        raise EngineTypeError("seed path entries must be unsigned 64-bit integers")
+    return _fed(prefix.copy(), index)
+
+
 def reseed(gen: _random.Random, prefix: "hashlib._Hash", index: int) -> _random.Random:
     """``gen`` reseeded to the stream of ``seed.child(index)``, given
     ``prefix = seed.hasher()``: the stream of ``seed.child(index).rng()``,
-    whatever ``gen`` drew before.  ``prefix`` is copied, not changed."""
+    whatever ``gen`` drew before.  ``prefix`` is copied, not changed.  It
+    runs once per draw, so it feeds and digests inline (``child_hasher``,
+    ``_stream_int``)."""
     if not (0 <= index < 2**64):
         raise EngineTypeError("seed path entries must be unsigned 64-bit integers")
-    _seed_mt(gen, _stream_int(_fed(prefix.copy(), index)))
+    h = prefix.copy()
+    h.update(index.to_bytes(8, "little"))
+    _seed_mt(gen, int.from_bytes(h.digest(), "little"))
     return gen
 
 

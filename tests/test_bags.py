@@ -3,7 +3,7 @@ import copy
 import pickle
 import random
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bagdb.algebra import Cmp, Const, IsTag, Not, RowRef, q_select
@@ -13,6 +13,8 @@ from bagdb.bags import (
     counts,
     free_extend,
     strength,
+    tag_rows,
+    tag_runs,
     tag_span,
     unit,
 )
@@ -69,6 +71,8 @@ class TestCanonicalForm:
         assert b.remove(Int(9)) is b
 
     @given(st.lists(merge_values, max_size=6), st.lists(merge_values, max_size=6))
+    @example([Int(0), Int(1)], [Real(1.0), Int(1)])  # every item at or past the last key: appended
+    @example([], [Int(1), Int(0)])
     def test_merged_is_of_without_resorting(self, xs, ys):
         # the same element objects in the same order as the stable sort:
         # an item follows the base's elements with an equal key
@@ -222,11 +226,23 @@ class TestTagRuns:
     @given(st.lists(run_rows, max_size=10).map(Bag.of), st.sampled_from(["a", "a0", "ab", "b"]))
     def test_runs_are_the_tags_rows_and_payloads(self, b, tag):
         rows = [v for v in b if isinstance(v, Tagged) and v.tag == tag]
-        assert list(b.elements[tag_span(b, tag)]) == rows
+        assert list(b.elements[tag_span(b, tag)]) == list(tag_rows(b, tag)) == rows
         payloads = b.payload_run(tag)
         assert payloads == Bag.of(v.value for v in rows)
         assert payloads.elements == Bag.of(v.value for v in rows).elements
         assert payloads.key == tuple(v.value.key for v in rows)
+
+    @given(st.lists(run_rows, max_size=10).map(Bag.of))
+    def test_split_concatenates_back_to_the_bag(self, b):
+        pre, runs, post = tag_runs(b)
+        assert list(runs) == sorted(runs)
+        for tag, run in runs.items():
+            span = tag_span(b, tag)
+            assert run.elements == b.elements[span] and run.key == b.key[span] and run
+        assert not any(isinstance(v, Tagged) for v in pre) and all(isinstance(v, BagV) for v in post)
+        parts = [pre, *runs.values(), post]
+        assert sum((p.elements for p in parts), ()) == b.elements
+        assert sum((p.key for p in parts), ()) == b.key
 
 
 class TestStoredKeys:

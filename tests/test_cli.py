@@ -125,6 +125,19 @@ class TestExitCodes:
         )[0]
         assert code == 1
 
+    @pytest.mark.parametrize("module, name, argv", [
+        ("bagdb.cli", "load_catalog", ["query", "--db", DB, "--query", BLOCKBUSTERS]),
+        ("bagdb.pbmonad", "draw_from", ["generate", "--db", TOWN, "--program", RULES, "--backend", "mc"]),
+    ], ids=["loading", "sampling"])
+    def test_interrupt_prints_one_line(self, capsys, monkeypatch, module, name, argv):
+        # Ctrl-C raises KeyboardInterrupt wherever the command is: no
+        # traceback, one line on stderr, and the shell's exit code for SIGINT
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(f"{module}.{name}", interrupted)
+        assert run(capsys, *argv) == (130, "", "bagdb: interrupted\n")
+
     def test_parse_error(self, tmp_path, capsys):
         q = tmp_path / "bad.query"
         q.write_text("table |>\n")

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bagdb.algebra import Agg, Cmp, Const, Table
-from bagdb.bags import EMPTY, Bag, tag_span
+from bagdb.bags import EMPTY, Bag, tag_rows, tag_runs, tag_span
 from bagdb.errors import (
     EngineError,
     EngineTypeError,
@@ -809,8 +809,13 @@ def plan_and_worlds(draw):
     return rule, varying, worlds
 
 
-def plan_matches(plan, world):
-    return [m.env for m in plan.matches(world)]
+def plan_matches(plan, world, runs=False):
+    """The envs of a plan's matches against a world bag, whose tags' rows
+    the plan reads as the exact backend does, ``tag_rows`` of the bag, or
+    with ``runs`` as the mc backend does, its tag runs."""
+    if runs:
+        return [m.env for m in plan.matches(tag_runs(world)[1], pbmonad._run_rows)]
+    return [m.env for m in plan.matches(world, tag_rows)]
 
 
 # flip's heads recur, and pair joins them into up to n * n distinct matches;
@@ -825,15 +830,17 @@ class TestCompiledSampler:
     @settings(max_examples=150)
     @given(plan_and_worlds())
     def test_plan_matches_every_world_as_rule_matches(self, cap, marked, rule_varying_worlds):
-        # one plan steps through the worlds with its row caches, memo and
-        # kept list warm; with the cap at 2 the full-cache paths run too, and
-        # with its varying tags marked as not recurring, the paths that
-        # cache nothing
+        # one plan per way of reading rows steps through the worlds with its
+        # row caches, memo and kept list warm; with the cap at 2 the
+        # full-cache paths run too, and with its varying tags marked as not
+        # recurring, the paths that cache nothing
         rule, varying, worlds = rule_varying_worlds
         with mock.patch.object(pbmonad, "_CACHE_CAP", cap or pbmonad._CACHE_CAP):
-            plan = _RulePlan(0, rule, dict.fromkeys(varying, not marked))
+            spans, runs = [_RulePlan(0, rule, dict.fromkeys(varying, not marked)) for _ in range(2)]
             for world in worlds:
-                assert outcome(plan_matches, plan, world) == outcome(naive_matches, rule, world)
+                want = outcome(naive_matches, rule, world)
+                assert outcome(plan_matches, spans, world) == want
+                assert outcome(plan_matches, runs, world, True) == want
 
     @settings(max_examples=150)
     @given(programs_and_bags(), mc_seeds)
@@ -1072,6 +1079,67 @@ class TestCompiledSampler:
             sampler = run_rule_program(prog, town(houses), "mc", seed=seed)
             for i in range(25):
                 assert sampler.world(i) == reference_world(prog, town(houses), seed, i)
+
+
+class TestWorldRuns:
+    """An mc world is stepped as one run per tag, between the input's
+    elements before its tagged rows and those after them, and its bag is
+    built once, by concatenation: it must be the world that merging each
+    rule's heads into the whole world gives, element for element and key
+    for key, and a canonical bag."""
+
+    # untagged scalar rows before the tagged rows and BagV rows after them
+    ENDS = [Int(3), Str("u"), Real(-0.0), BagV(Bag.of([Int(1)])), BagV(EMPTY)]
+    SRC = [Tagged("src", Int(n)) for n in range(4)]
+
+    def assert_worlds_as_reference(self, prog, base, seeds=(Seed(0), Seed(7, (2,)))):
+        for seed in seeds:
+            sampler = run_rule_program(prog, base, "mc", seed=seed)
+            for i in range(25):
+                w, want = sampler.world(i), reference_world(prog, base, seed, i)
+                assert w.elements == want.elements and w.key == want.key
+                assert Bag.of(w.elements).key == w.key
+
+    @pytest.mark.parametrize("program, rows", [
+        # the input already holds rows of the head tag a, on both sides of the heads
+        ("a(x, bernoulli(0.5)) <- src(x)",
+         [Tagged("a", Tuple((Int(0), Int(0)))), Tagged("a", Tuple((Int(9), Int(1)))), Tagged("a", Int(2))]),
+        # two rules write t, as trigger in burglary.rules, and a third reads it
+        ("t(x, bernoulli(0.6)) <- src(x)\nt(x, bernoulli(0.9)) <- src(x)\nout(x) <- t(x, 1)", []),
+        # heads m and then a, in program order, around the input's z: not their sorted order
+        ("m(x, bernoulli(0.5)) <- z(x)\na(x) <- m(x, 1)\na(x, 7) <- z(x), x > 1",
+         [Tagged("z", Int(n)) for n in range(3)]),
+        # never and after stay empty, and nothing is a body tag no run holds
+        ("never(x) <- src(x), x > 100\nafter(x) <- never(x)\nnone(x) <- nothing(x)\nhit(x) <- src(x)", []),
+    ], ids=["input-holds-head", "two-writers", "unsorted-heads", "empty-run"])
+    def test_world_is_the_merged_world(self, program, rows):
+        base = Bag.of(self.SRC + rows + self.ENDS)
+        self.assert_worlds_as_reference(parse_rules(program), base)
+
+    def test_input_without_tagged_rows_or_ends(self):
+        prog = parse_rules("a(x) <- src(x)\nb(bernoulli(0.5)) <- ")
+        for rows in ([], self.ENDS, self.ENDS[:3], self.ENDS[3:], self.SRC):
+            self.assert_worlds_as_reference(prog, Bag.of(rows))
+
+    def test_world_that_raises_leaves_the_next_one_whole(self):
+        # bad's parameter 1.5 raises in the worlds where flip drew 1, after
+        # flip has added its heads to the world's runs: the next world
+        # starts again from the input's runs
+        prog = parse_rules("flip(x, bernoulli(0.5)) <- src(x)\n"
+                           "bad(x, bernoulli(r)) <- flip(x, 1), rate(x, r)\nlate(x) <- flip(x, 0)")
+        base = Bag.of([Tagged("src", Int(1)), Tagged("rate", Tuple((Int(1), Real(1.5))))] + self.ENDS)
+        sampler = run_rule_program(prog, base, "mc", seed=Seed(3))
+        compiled = sampler.world_fn.__self__
+        runs = dict(compiled.runs)
+        raised = []
+        for i in range(30):
+            got, want = outcome(sampler.world, i), outcome(reference_world, prog, base, Seed(3), i)
+            assert got == want
+            raised.append(isinstance(got, tuple))
+            if not raised[-1]:
+                assert got.key == want.key and Bag.of(got.elements).key == got.key
+            assert compiled.runs == runs and all(compiled.runs[t] is r for t, r in runs.items())
+        assert any(a and not b for a, b in zip(raised, raised[1:]))  # a good world right after a bad one
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from bagdb.prob import (
     Seed,
     WEIGHT_EPS,
     bind_exact,
+    child_hasher,
     dirac,
     draw_from,
     exact_of,
@@ -117,6 +118,25 @@ class TestStreamLaw:
         assert reseed(gen, s.hasher(), j) is gen
         want = s.child(j).rng()
         assert [gen.random().hex() for _ in range(3)] == [want.random().hex() for _ in range(3)]
+
+    @given(seeds, st.lists(st.integers(0, 2**64 - 1), max_size=2), st.integers(0, 2**64 - 1),
+           st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+    def test_prefix_fed_i_then_j_is_the_grandchild_stream(self, master, path, k, i, j):
+        # the mc sampler hashes seed/rule once per program, feeds it the
+        # world index once per world, and reseeds from that per draw
+        s = Seed(master, tuple(path))
+        prefix = s.child(k).hasher()
+        world = child_hasher(prefix, i)
+        assert world.digest() == s.child(k).child(i).hasher().digest()
+        assert prefix.digest() == s.child(k).hasher().digest()  # the prefix is not consumed
+        gen = reseed(self.shared, world, j)
+        want = s.child(k).child(i).child(j).rng()
+        assert [gen.random().hex() for _ in range(3)] == [want.random().hex() for _ in range(3)]
+
+    def test_child_hasher_index_bounds(self):
+        for bad in (-1, 2**64):
+            with pytest.raises(EngineTypeError, match="^seed path entries must be unsigned 64-bit integers$"):
+                child_hasher(Seed(1).hasher(), bad)
 
     @given(seeds, st.floats(0.0, 1.0))
     def test_bernoulli_outcomes_are_shared(self, master, p):
