@@ -17,12 +17,11 @@ a bag whose hash it knows has the new bag's hash by addition and passes
 it to the constructor (``pbmonad``'s exact step); any other bag computes
 its hash on the first ``hash`` and stores it.  Only this module and
 ``values`` know that every Tagged key starts with ``(6, tag)``: a bag's
-rows of one tag are one contiguous run of its elements (``tag_span``,
-``tag_rows``), and a bag splits into its elements before its tagged
-rows, one run per tag and its elements after them (``tag_runs``); and
-that every BagV key starts with 7 and every other value hashes as its
-key, so that a bag hashes its elements' keys in C and calls only its
-BagVs' ``__hash__``.
+rows of one tag are one contiguous run of its elements (``tag_rows``),
+and a bag splits into its elements before its tagged rows, one run per
+tag and its elements after them (``tag_runs``); and that every BagV key
+starts with 7 and every other value hashes as its key, so that a bag
+hashes its elements' keys in C and calls only its BagVs' ``__hash__``.
 """
 from __future__ import annotations
 
@@ -135,9 +134,9 @@ class Bag(Frozen):
     def payload_run(self, tag: str) -> "Bag":
         """The payloads of the rows tagged ``tag``.  Those rows' keys are
         ``(6, tag, payload key)``, so the payloads come out in key order."""
-        span = tag_span(self, tag)
-        return Bag(tuple([row.value for row in self.elements[span]]),  # type: ignore[attr-defined]
-                   tuple([k[2] for k in self.key[span]]))
+        rows = tag_rows(self, tag)
+        return Bag(tuple([row.value for row in rows]),  # type: ignore[attr-defined]
+                   tuple([row.key[2] for row in rows]))
 
     def add(self, x: Value) -> "Bag":
         """Insert one copy of ``x``, keeping the canonical order."""
@@ -187,17 +186,9 @@ class Bag(Frozen):
 EMPTY = Bag(())
 
 
-def tag_span(bag: Bag, tag: str) -> slice:
-    """Where a bag's rows of one tag lie in its elements: every Tagged key
-    is ``(6, tag, payload key)``, so they form one run, in bag order."""
-    keys = bag.key
-    lo = bisect_left(keys, (6, tag), key=_TAG_PREFIX)
-    return slice(lo, bisect_right(keys, (6, tag), lo, key=_TAG_PREFIX))
-
-
 def tag_rows(bag: Bag, tag: str) -> tuple[Value, ...]:
-    """The elements of ``tag_span``, bisected here rather than through it:
-    the exact rule step reads a tag's rows this way in every world."""
+    """A bag's rows of one tag, in bag order: every Tagged key is
+    ``(6, tag, payload key)``, so they form one run of its elements."""
     keys = bag.key
     lo = bisect_left(keys, (6, tag), key=_TAG_PREFIX)
     return bag.elements[lo:bisect_right(keys, (6, tag), lo, key=_TAG_PREFIX)]

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from .algebra import (
+    AGG_KINDS,
     Agg,
     And,
     Arith,
@@ -161,8 +162,8 @@ class _QueryParser(_Parser):
             vals, _ = self.parse_fields(cols)
             return Group(keys, vals, q), None
         if op == "agg":
-            if not self.at_keyword("size", "the", "sum"):
-                raise self.error("expected an aggregate kind", ("size", "the", "sum"))
+            if not self.at_keyword(*AGG_KINDS):
+                raise self.error("expected an aggregate kind", AGG_KINDS)
             kind = str(self.next().value)
             return Agg(kind, q), None
         if op == "match":

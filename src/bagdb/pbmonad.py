@@ -14,9 +14,9 @@ with them the match ordinals that address the draws, come out in
 canonical order: each atom's rows in bag order, earlier atoms varying
 slowest, and only the matches whose guards hold (``rule_matches`` lists
 them for one world).  Fields compare by ``Value``'s ``!=``, so ``Int(1)``
-does not match ``Real(1.0)``.  A match's guard outcome, draw distribution
-and heads depend only on the values it binds, so a plan can keep them
-across worlds, and both backends read them through the same plans.
+does not match ``Real(1.0)``.  A match is its env, the tuple of values it
+binds; its guard outcome, draw distribution and heads depend only on that
+tuple, so a plan keeps them across worlds, keyed by it, for both backends.
 What each plan keeps is decided once per tag, in ``_CompiledProgram``.
 The exact backend applies a rule to a world as the Kleisli extension
 through the distributive law, in product form: every choice of one head
@@ -333,34 +333,29 @@ def _no_fields(payload: Value) -> tuple[Value, ...]:
     return () if isinstance(payload, Unit) else tuple_parts(payload)
 
 
-def _guard_holds(g: Guard, env: dict[str, Value]) -> bool:
-    lv = _resolve(g.left, env)
-    rv = _resolve(g.right, env)
-    return cmp_holds(g.op, lv, rv)
-
-
-def _resolve(t: SimpleTerm, env: dict[str, Value]) -> Value:
+def _reader(t: SimpleTerm, slot_of: dict[str, int]) -> Callable[[tuple[Value, ...]], Value]:
+    """A term compiled to a reader of env tuples: its constant, or the
+    value in its variable's slot.  A plan compiles its terms in
+    ``validate_program``'s order, so the first unbound name raises."""
     if isinstance(t, ConstT):
-        return t.value
-    v = env.get(t.name)
-    if v is None:
+        return lambda env, value=t.value: value
+    if t.name not in slot_of:
         raise ProgramError(f"unbound variable {t.name!r}")
-    return v
+    return itemgetter(slot_of[t.name])
 
 
-def _dist_sampler(d: DistT, env: dict[str, Value]) -> SamplerExpr:
+def _dist_sampler(kind: str, values: Iterable[Value]) -> SamplerExpr:
     params: list[float] = []
-    for p in d.params:
-        v = _resolve(p, env) if isinstance(p, VarT) else p.value
+    for v in values:
         if not isinstance(v, (Int, Real)):
             raise EngineTypeError(f"distribution parameter {v!r} is not numeric")
         try:
             params.append(float(v.value))
         except OverflowError:
             raise EngineTypeError(f"distribution parameter {v!r} does not fit a float") from None
-    if d.kind == "bernoulli":
+    if kind == "bernoulli":
         return Bernoulli(params[0])
-    if d.kind == "normal":
+    if kind == "normal":
         return Normal(params[0], params[1])
     return Poisson(params[0])
 
@@ -405,9 +400,9 @@ class _AtomPlan:
     atom with no arguments also accepts a Unit payload (``_no_fields``).
     Accepted rows go into buckets keyed by the fields of the variables
     that earlier atoms bound (the probe), in row order; an entry holds
-    the values of the variables this atom binds first.  Fields compare by
-    ``Value.key``, which is exactly ``Value``'s ``!=``: ``Int(1)`` does not
-    match ``Real(1.0)``, nor ``0.0`` ``-0.0``.
+    the values of the variables this atom binds first, a match's next env
+    slots.  Fields compare by ``Value.key``, which is exactly ``Value``'s
+    ``!=``: ``Int(1)`` does not match ``Real(1.0)``, nor ``0.0`` ``-0.0``.
 
     ``recurs`` is the program's entry for the tag (``_CompiledProgram``):
     ``None`` for an input tag, whose index the rule plan keeps.  Otherwise
@@ -474,13 +469,13 @@ class _AtomPlan:
 
 
 class _Match:
-    """One accepted match's memo entry: its named env and, once computed,
+    """One accepted match's memo entry: its env tuple and, once computed,
     the sampler of its draw, its heads per drawn value (key ``None``
     without a draw; kept only if they recur, so two at most) and options."""
 
     __slots__ = ("env", "sampler", "heads", "options")
 
-    def __init__(self, env: Optional[dict[str, Value]]):
+    def __init__(self, env: Optional[tuple[Value, ...]]):
         self.env = env
         self.sampler: Optional[SamplerExpr] = None
         self.heads: dict[Optional[Value], Value] = {}
@@ -497,10 +492,11 @@ class _RulePlan:
     of one row per atom, each atom's rows in bag order and earlier atoms
     varying slowest, whose fields equal the atom's constants and agree
     wherever they bind one variable (no field is ``!=`` another), and
-    whose guards hold.  What a match yields depends only on the values it
-    binds, so ``memo`` maps their keys, in env slot order, to the match's
-    ``_Match``, or to ``_REJECTED`` when its guards fail.  What the plan
-    keeps follows from the program's ``recurs`` map (``_CompiledProgram``):
+    whose guards hold.  A match is its env, the values it binds in slot
+    order, which its head ``terms``, draw parameters and ``guards`` read
+    (``_reader``), and what it yields depends only on its env: ``memo``
+    maps the env itself to the match's ``_Match``, or to ``_REJECTED``
+    when its guards fail.  What it keeps follows from the program's ``recurs``:
     a ``fresh`` rule reads a tag whose heads do not recur, so its memo has
     ``room`` 0; a rule that ``keeps`` reads only input tags and keeps the
     list that ``matches`` returns; and a rule whose heads recur
@@ -516,9 +512,12 @@ class _RulePlan:
         slot_of: dict[str, int] = {}
         self.atoms = [_AtomPlan(a, slot_of, recurs.get(a.tag)) for a in rule.atoms]
         self.names = tuple(slot_of)  # variables in env slot order
+        self.terms = [(t.kind, [_reader(p, slot_of) for p in t.params]) if isinstance(t, DistT)
+                      else _reader(t, slot_of) for t in rule.head_terms]
+        self.guards = [(g.op, _reader(g.left, slot_of), _reader(g.right, slot_of)) for g in rule.guards]
         self.fixed_index: list[Optional[dict]] = [None] * len(self.atoms)
         self.dist = next((n for n, t in enumerate(rule.head_terms) if isinstance(t, DistT)), -1)
-        self.memo: dict[tuple, _Match] = {}
+        self.memo: dict[tuple[Value, ...], _Match] = {}
         fresh = any(recurs.get(a.tag) is False for a in rule.atoms)  # new matches in every world
         self.room = 0 if fresh else _CACHE_CAP
         self.recurs = not fresh and (self.dist < 0 or rule.head_terms[self.dist].kind == "bernoulli")
@@ -547,15 +546,13 @@ class _RulePlan:
                 if bucket:
                     nxt.extend([env + vals for vals in bucket])
             envs = nxt
-        memo, room, guards, out = self.memo, self.room, self.rule.guards, []
+        memo, room, guards, out = self.memo, self.room, self.guards, []
         for env in envs:
-            key = tuple([v.key for v in env])
-            m = memo.get(key)
+            m = memo.get(env) if room else None  # a fresh plan's memo stays empty
             if m is None:
-                named = dict(zip(self.names, env))
-                m = _Match(named) if all(_guard_holds(g, named) for g in guards) else _REJECTED
+                m = _Match(env) if all(cmp_holds(op, a(env), b(env)) for op, a, b in guards) else _REJECTED
                 if len(memo) < room:
-                    memo[key] = m
+                    memo[env] = m
             if m is not _REJECTED:
                 out.append(m)
         if self.keeps:
@@ -564,14 +561,15 @@ class _RulePlan:
 
     def sampler(self, m: _Match) -> SamplerExpr:
         if m.sampler is None:
-            m.sampler = _dist_sampler(self.rule.head_terms[self.dist], m.env)  # type: ignore[arg-type]
+            kind, params = self.terms[self.dist]  # type: ignore[misc]
+            m.sampler = _dist_sampler(kind, [read(m.env) for read in params])
         return m.sampler
 
     def head(self, m: _Match, drawn: Optional[Value] = None) -> Value:
         h = m.heads.get(drawn)
         if h is None:
-            parts = [drawn if n == self.dist else _resolve(t, m.env)  # type: ignore[arg-type]
-                     for n, t in enumerate(self.rule.head_terms)]
+            parts = [drawn if n == self.dist else read(m.env)  # type: ignore[operator]
+                     for n, read in enumerate(self.terms)]
             h = tagged(self.rule.head_tag, parts)  # type: ignore[arg-type]
             if self.table is not None:
                 h = self.table.get(h, h) if len(self.table) >= _CACHE_CAP else self.table.setdefault(h, h)
@@ -610,12 +608,14 @@ def _run_rows(runs: dict[str, Bag], tag: str) -> tuple[Value, ...]:
 
 
 def rule_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
-    """The envs of the rule's matches against a canonical world, in
+    """The rule's matches against a canonical world as named envs, in
     canonical order (rows per atom in bag order, earlier atoms vary
     slowest), leaving out those whose guards fail: ``_RulePlan.matches``
     of a plan that no earlier rule feeds.  The position in this list is
-    the match ordinal used for seed derivation."""
-    return [m.env for m in _RulePlan(0, rule, {}).matches(bag, tag_rows)]
+    the match ordinal used for seed derivation.  An unbound variable
+    raises ``ProgramError`` when the rule is compiled, whatever the bag."""
+    plan = _RulePlan(0, rule, {})
+    return [dict(zip(plan.names, m.env)) for m in plan.matches(bag, tag_rows)]
 
 
 def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> ExactDist:

@@ -54,7 +54,9 @@ class Seed(Node):
     path: tuple[int, ...]
 
     def __init__(self, master: int, path: tuple[int, ...] = ()):
-        # its own __init__, not Node's: ``child`` builds seeds on the draw path
+        # its own __init__, not Node's, for the default ``path=()`` and the
+        # 64-bit checks; the mc draw path reseeds from hashed prefixes and
+        # builds no Seed (``reseed``)
         if not (0 <= master < 2**64):
             raise EngineTypeError("seed master must be an unsigned 64-bit integer")
         for p in path:

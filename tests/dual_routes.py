@@ -16,9 +16,9 @@ from typing import Callable, Iterable
 from bagdb.algebra import Query, tuple_parts
 from bagdb.bags import EMPTY, HASH_MOD, Bag, unit
 from bagdb.errors import EngineTypeError
-from bagdb.pbmonad import ConstT, Rule, _guard_holds, _no_fields
+from bagdb.pbmonad import ConstT, Rule, SimpleTerm, _no_fields
 from bagdb.prob import ExactDist, pushforward, reseed
-from bagdb.values import BagV, Tagged, Value
+from bagdb.values import BagV, Tagged, Value, cmp_holds
 
 
 def uplus_by_fold(b1: Bag, b2: Bag) -> Bag:
@@ -175,7 +175,13 @@ def naive_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
                 if ok:
                     nxt.append(env2)
         envs = nxt
-    return [env for env in envs if all(_guard_holds(g, env) for g in rule.guards)]
+    return [env for env in envs
+            if all(cmp_holds(g.op, resolve(g.left, env), resolve(g.right, env)) for g in rule.guards)]
+
+
+def resolve(t: SimpleTerm, env: dict[str, Value]) -> Value:
+    """A rule term's value in a named env: its constant or its variable's."""
+    return t.value if isinstance(t, ConstT) else env[t.name]
 
 
 def child_rng(prefix: "hashlib._Hash", index: int) -> random.Random:

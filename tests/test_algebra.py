@@ -471,6 +471,7 @@ def both_routes(pred, a, b):
     return join, naive
 
 
+@pytest.mark.hashseed
 class TestEquijoin:
     @given(join_operands())
     def test_select_over_product_law(self, case):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bagdb.algebra import Agg, Cmp, Const, Table
-from bagdb.bags import EMPTY, Bag, tag_rows, tag_runs, tag_span
+from bagdb.bags import EMPTY, Bag, tag_rows, tag_runs
 from bagdb.errors import (
     EngineError,
     EngineTypeError,
@@ -47,7 +47,7 @@ from bagdb.pbmonad import (
     validate_program,
 )
 from bagdb import pbmonad
-from bagdb.pbmonad import _RulePlan, _dist_sampler, _distr, _guard_holds, _resolve
+from bagdb.pbmonad import _RulePlan, _dist_sampler, _distr
 from bagdb.prob import Bernoulli, Dirac, ExactDist, Normal, Seed, dirac, draw_from, exact_of, pushforward_exact
 from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple, deserialize, tagged
 
@@ -60,6 +60,7 @@ from dual_routes import (
     pb_bind_by_dict,
     pb_uplus_by_dict,
     pushforward_exact_by_dict,
+    resolve,
 )
 from strategies import bags, exact_dists, values
 
@@ -419,8 +420,11 @@ CMP_OPS = ["=", "!=", "<", "<=", ">", ">="]
 
 
 def guard_agrees(op, a, b):
+    # the engine's compiled guard, on a one-atom rule whose one row binds y
+    # to b (wrapped in a one-field tuple, so a tuple b is one field too)
     want = ref.eval_expr(Cmp(op, Const(a), Const(b)), UNIT)
-    return _guard_holds(Guard(op, ConstT(a), VarT("y")), {"y": b}) is want.value
+    rule = Rule("out", (), (Atom("t", (VarT("y"),)),), (Guard(op, ConstT(a), VarT("y")),))
+    return (len(rule_matches(rule, Bag.of([Tagged("t", Tuple((b,)))]))) == 1) is want.value
 
 
 class TestGuards:
@@ -433,6 +437,7 @@ class TestGuards:
         assert all(guard_agrees(op, a, b) for a in GUARD_VALUES for b in GUARD_VALUES)
 
 
+@pytest.mark.hashseed
 class TestRuleMatching:
     def test_atom_without_arguments_reads_a_head_without_terms(self):
         from oracle import enum_worlds
@@ -508,6 +513,30 @@ class TestRuleMatching:
         rule = parse_rules("out(x) <- src(x)").rules[0]
         bag = Bag.of([Tagged("src", Int(1)), Tagged("src", Int(1))])
         assert len(rule_matches(rule, bag)) == 2
+
+    @pytest.mark.parametrize("rows", [[Tagged("src", Int(1))], []], ids=["rows-match", "no-rows"])
+    def test_unbound_guard_variable_raises(self, rows):
+        # rule_matches does not validate its rule: an unbound variable
+        # raises when the rule is compiled, whether or not any row matches
+        rule = Rule("out", (VarT("x"),), (Atom("src", (VarT("x"),)),), (Guard("<", VarT("x"), VarT("z")),))
+        with pytest.raises(ProgramError) as ei:
+            rule_matches(rule, Bag.of(rows))
+        assert str(ei.value) == "unbound variable 'z'"
+
+    @pytest.mark.parametrize("head_terms, name", [
+        ((VarT("h"), DistT("bernoulli", (VarT("p"),))), "h"),
+        ((VarT("x"), DistT("bernoulli", (VarT("p"),)), VarT("h")), "p"),
+    ], ids=["head-term", "draw-parameter"])
+    def test_first_unbound_variable_in_validation_order(self, head_terms, name):
+        # head terms, their draw parameters, then guards (z): the name
+        # that validate_program reports first
+        rule = Rule("out", head_terms, (Atom("src", (VarT("x"),)),), (Guard("<", VarT("z"), VarT("x")),))
+        with pytest.raises(ProgramError) as ei:
+            validate_program(RuleProgram((rule,)))
+        assert repr(name) in str(ei.value)
+        with pytest.raises(ProgramError) as ei:
+            rule_matches(rule, Bag.of([Tagged("src", Int(1))]))
+        assert str(ei.value) == f"unbound variable {name!r}"
 
 
 class TestRunExact:
@@ -631,6 +660,12 @@ class TestRunMC:
 # The compiled mc sampler against the uncompiled loop
 
 
+def reference_sampler(d, env):
+    """The sampler of a draw term in a named env, through the engine's
+    parameter checks (``_dist_sampler``)."""
+    return _dist_sampler(d.kind, [resolve(p, env) for p in d.params])
+
+
 def reference_world(prog, base, seed, i):
     """World i as the mc backend built it before rule programs were
     compiled: each rule matched against the whole world by naive_matches, a
@@ -643,9 +678,9 @@ def reference_world(prog, base, seed, i):
             for t in rule.head_terms:
                 if isinstance(t, DistT):
                     rng = seed.child(k).child(i).child(j).rng()
-                    parts.append(draw_from(_dist_sampler(t, env), rng))
+                    parts.append(draw_from(reference_sampler(t, env), rng))
                 else:
-                    parts.append(_resolve(t, env))
+                    parts.append(resolve(t, env))
             heads.append(tagged(rule.head_tag, parts))
         w = w.uplus(Bag.of(heads))
     return w
@@ -810,12 +845,11 @@ def plan_and_worlds(draw):
 
 
 def plan_matches(plan, world, runs=False):
-    """The envs of a plan's matches against a world bag, whose tags' rows
-    the plan reads as the exact backend does, ``tag_rows`` of the bag, or
-    with ``runs`` as the mc backend does, its tag runs."""
-    if runs:
-        return [m.env for m in plan.matches(tag_runs(world)[1], pbmonad._run_rows)]
-    return [m.env for m in plan.matches(world, tag_rows)]
+    """The named envs of a plan's matches against a world bag, whose tags'
+    rows the plan reads as the exact backend does, ``tag_rows`` of the bag,
+    or with ``runs`` as the mc backend does, its tag runs."""
+    matches = plan.matches(tag_runs(world)[1], pbmonad._run_rows) if runs else plan.matches(world, tag_rows)
+    return [dict(zip(plan.names, m.env)) for m in matches]
 
 
 # flip's heads recur, and pair joins them into up to n * n distinct matches;
@@ -824,6 +858,7 @@ PAIRS = ("flip(x, bernoulli(0.5)) <- src(x)\npair(x, y) <- flip(x, 1), flip(y, 1
          "pair(x, y) <- flip(x, 0), flip(y, 1)")
 
 
+@pytest.mark.hashseed
 class TestCompiledSampler:
     @pytest.mark.parametrize("cap, marked", [(None, False), (2, False), (None, True), (2, True)],
                              ids=["None", "2", "None-marked", "2-marked"])
@@ -1036,14 +1071,16 @@ class TestCompiledSampler:
             assert sampler.world(i) == reference_world(prog, base, Seed(4), i)
         assert exact_outcome(run_rule_program, prog, base, "exact") == exact_outcome(reference_exact, prog, base)
         rejected = pbmonad._REJECTED
-        flip, out = [{key[0][1]: m for key, m in plan.memo.items()}  # x's key is (0, x)
-                     for plan in sampler.world_fn.__self__.plans]
+        plans = sampler.world_fn.__self__.plans
+        # a memo's key is the env itself, (x,), and an accepted match's env is that tuple
+        assert all(m is rejected or m.env is env for plan in plans for env, m in plan.memo.items())
+        flip, out = [{env[0].value: m for env, m in plan.memo.items()} for plan in plans]
         assert sorted(flip) == [0, 1, 2, 3, 4] and sorted(out) == [2, 3, 4]
         for memo, accepted in ((flip, {2, 3, 4}), (out, {2})):
             for x, m in memo.items():
                 assert (m is rejected) == (x not in accepted)
                 if m is not rejected:
-                    assert m.env == {"x": Int(x)} and m.heads
+                    assert m.env == (Int(x),) and m.heads
         assert rejected.env is None and not rejected.heads
         assert rejected.sampler is None and rejected.options is None
 
@@ -1081,6 +1118,7 @@ class TestCompiledSampler:
                 assert sampler.world(i) == reference_world(prog, town(houses), seed, i)
 
 
+@pytest.mark.hashseed
 class TestWorldRuns:
     """An mc world is stepped as one run per tag, between the input's
     elements before its tagged rows and those after them, and its bag is
@@ -1148,12 +1186,12 @@ class TestWorldRuns:
 
 def reference_head_options(rule, env):
     """Possible head values of one match with their probabilities."""
-    parts = [None if isinstance(t, DistT) else _resolve(t, env) for t in rule.head_terms]
+    parts = [None if isinstance(t, DistT) else resolve(t, env) for t in rule.head_terms]
     dist = next((n for n, t in enumerate(rule.head_terms) if isinstance(t, DistT)), None)
     if dist is None:
         return [(tagged(rule.head_tag, parts), 1.0)]
     options = []
-    for z, w in exact_of(_dist_sampler(rule.head_terms[dist], env)).entries:
+    for z, w in exact_of(reference_sampler(rule.head_terms[dist], env)).entries:
         parts[dist] = z
         options.append((tagged(rule.head_tag, parts), w))
     return options
@@ -1204,6 +1242,7 @@ prob_values = st.sampled_from([Real(0.3)] * 3 + [Real(0.7), Int(1)])
 EXACT_LIMIT = 300  # keeps the reference loop fast; both routes get it
 
 
+@pytest.mark.hashseed
 class TestCompiledExact:
     # two coins split every program into 9 worlds before its own rules run
     @settings(max_examples=300)
@@ -1262,6 +1301,7 @@ def kernel(table):
     return f
 
 
+@pytest.mark.hashseed
 class TestOneAccumulator:
     """Each exact operation gives the support, bit-identical weights and
     first error that it gave when it summed equal values into its own dict
@@ -1330,7 +1370,7 @@ def one_object_per_value(worlds):
 
 def _group_by_tag(rows):
     """Tagged rows per tag, in the order given: the reference for
-    ``tag_span``."""
+    ``tag_rows``."""
     groups = {}
     for v in rows:
         if isinstance(v, Tagged):
@@ -1359,10 +1399,11 @@ span_rows = st.one_of(
 span_worlds = st.lists(span_rows, max_size=12).map(Bag.of)
 
 
+@pytest.mark.hashseed
 class TestIncrementalExact:
     @given(span_worlds, st.sampled_from(SPAN_TAGS + ["A", "a1", "aa", "b"]))
-    def test_tag_span_is_the_tags_rows(self, world, tag):
-        assert list(world.elements[tag_span(world, tag)]) == _group_by_tag(world).get(tag, [])
+    def test_tag_rows_are_the_tags_rows(self, world, tag):
+        assert list(tag_rows(world, tag)) == _group_by_tag(world).get(tag, [])
 
     @given(span_worlds, st.lists(st.lists(st.tuples(span_rows, st.sampled_from([0.5, 0.3, 1.0])),
                                           min_size=1, max_size=2), max_size=3))
@@ -1444,6 +1485,7 @@ def raises_part_way(seed, i):
     return ks[0] <= 1 < max(ks)
 
 
+@pytest.mark.hashseed
 class TestInterleaving:
     @settings(max_examples=60)
     @given(mc_seeds, mc_seeds, st.lists(st.tuples(st.integers(0, 1), st.integers(0, 12)), max_size=20),

@@ -100,6 +100,7 @@ class TestSeed:
                 child_rng(Seed(1).hasher(), bad)
 
 
+@pytest.mark.hashseed
 class TestStreamLaw:
     """One generator, reseeded before each draw, reads the draw's own
     stream whatever it drew before: the stream that a new generator on

@@ -166,6 +166,7 @@ def _slot(v, name):
         return None
 
 
+@pytest.mark.hashseed
 class TestStoredKeyAndHash:
     """Every value, a BagV included, sets its key at construction, in a
     slot that is not a field.  Every value but a BagV stores ``hash(key)``
