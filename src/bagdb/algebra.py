@@ -26,8 +26,15 @@ constants, the row and fields in range (``_cannot_raise``).  Its cost
 grows with the input plus the output instead of with the full product.
 The equality matches numbers across Int and Real, as ``=`` does, so it
 holds on every pair the join builds, and only the other conjuncts are
-evaluated on those pairs, in order.  Every
-other ``select`` over a ``product`` still builds the full product.  The
+evaluated on those pairs, in order.  A ``select`` over such a join whose
+predicate cannot raise adds its conjuncts to the join's, after them; one
+that can raise runs over the join's result.  ``select`` is a monoid
+homomorphism and ``product`` is bilinear, so a conjunct that reads one
+side's fields only can test that side's rows before the pairs are built:
+while no conjunct up to it can raise, it runs as a ``select`` on that
+side, which drops exactly the pairs on which the whole predicate is false
+without raising.  Every other ``select`` over a ``product`` still builds
+the full product.  The
 tree-walking interpreter these replace, with ``eval_query`` running every
 operator as written, is kept as the test oracle in
 ``tests/reference_algebra.py``.
@@ -441,29 +448,115 @@ def q_product(b1: Bag, b2: Bag) -> Bag:
     return Bag.of([Tuple(px + py) for px in left for py in right])
 
 
-def q_equijoin(pred: Expr, b1: Bag, b2: Bag) -> Bag:
-    """``q_select(pred, q_product(b1, b2))``, building only the pairs that
-    satisfy the equality ``_join_fields`` finds in ``pred``, if any: every
-    other pair makes ``pred`` false without raising, so the result and the
-    errors are those of the full product.  The equality holds on every
-    built pair, and the conjuncts before it cannot raise, so only the other
-    conjuncts are evaluated, in order, on the built pairs."""
+def q_equijoin(pred: Expr, b1: Bag, b2: Bag, then: Optional[Expr] = None) -> Bag:
+    """``q_select(pred, q_product(b1, b2))``, then ``q_select(then, ...)``
+    of that if ``then`` is given, building only the pairs that satisfy the
+    equality ``_join_fields`` finds in ``pred``, if any: every other pair
+    makes ``pred`` false without raising, so the result and the errors are
+    those of the full product.  The equality holds on every built pair,
+    and the conjuncts before it cannot raise, so only the other conjuncts
+    are evaluated, in order, on the built pairs.  A ``then`` that cannot
+    raise is evaluated as more conjuncts of ``pred``, after its own; one
+    that can runs as a ``select`` over the join's result.  Some conjuncts
+    are evaluated on one side's rows before any pair is built
+    (``_side_filters``)."""
     left = _uniform_parts(b1, "product (left)")
     right = _uniform_parts(b2, "product (right)")
     if not (left and right):
         return EMPTY
-    join = _join_fields(pred, len(left[0]), len(right[0]))
+    n1, n2 = len(left[0]), len(right[0])
+    join = _join_fields(pred, n1, n2)
     if join is None:
-        return q_select(pred, q_product(b1, b2))
-    i, j, rest = join
-    index: dict[object, list[tuple[Value, ...]]] = {}
-    for py in right:
-        index.setdefault(_join_key(py[j]), []).append(py)
-    built = Bag.of([Tuple(px + py) for px in left for py in index.get(_join_key(px[i]), ())])
-    if not rest:
-        return built
-    tests = [_predicate(c) or _checked(c, "and needs a boolean") for c in rest]
-    return _kept(lambda row: all(t(row) for t in tests), built)
+        built = q_select(pred, q_product(b1, b2))
+    else:
+        i, j, rest = join
+        if then is not None and _cannot_raise(then, n1 + n2):
+            rest += _conjuncts(then)
+            then = None
+        on_left, on_right, rest = _side_filters(rest, n1, n1 + n2)
+        if on_left:
+            for c in on_left:
+                b1 = q_select(c, b1)
+            left = list(map(tuple_parts, b1.elements))
+        if on_right:
+            for c in on_right:
+                b2 = q_select(c, b2)
+            right = list(map(tuple_parts, b2.elements))
+        index: dict[object, list[tuple[Value, ...]]] = {}
+        for py in right:
+            index.setdefault(_join_key(py[j]), []).append(py)
+        built = Bag.of([Tuple(px + py) for px in left for py in index.get(_join_key(px[i]), ())])
+        if rest:
+            tests = [_predicate(c) or _checked(c, "and needs a boolean") for c in rest]
+            built = _kept(lambda row: all(t(row) for t in tests), built)
+    return built if then is None else q_select(then, built)
+
+
+def _side_filters(conjuncts: list[Expr], n1: int, arity: int) -> tuple[list[Expr], list[Expr], list[Expr]]:
+    """The residual conjuncts of a join of rows of ``n1`` fields with rows
+    of ``arity - n1``, split three ways: while every conjunct so far cannot
+    raise (``_cannot_raise``), each that reads fields of the left side only
+    is a test of a left row, and each that reads fields of the right side
+    only, renumbered (``_on_right``), of a right row; the others stay, in
+    order, to be evaluated on the built pairs.  A pair that a side's test
+    drops makes the whole predicate false without raising, as every
+    conjunct up to that test cannot raise."""
+    on_left: list[Expr] = []
+    on_right: list[Expr] = []
+    rest: list[Expr] = []
+    movable = True
+    for c in conjuncts:
+        movable = movable and _cannot_raise(c, arity)
+        read = set(_fields_read(c)) if movable else set()
+        if read and None not in read and max(read) <= n1:
+            on_left.append(c)
+        elif read and None not in read and min(read) > n1:
+            on_right.append(_on_right(c, n1))
+        else:
+            rest.append(c)
+    return on_left, on_right, rest
+
+
+def _fields_read(e: Expr) -> Iterator[Optional[int]]:
+    """The indices of the fields that ``e``, a node that ``_cannot_raise``
+    admits, reads, and None where it reads the whole row."""
+    if isinstance(e, Field):
+        yield e.index
+    elif isinstance(e, RowRef):
+        yield None
+    elif isinstance(e, (Not, IsTag)):
+        yield from _fields_read(e.inner)
+    elif isinstance(e, (Cmp, And, Or)):
+        yield from _fields_read(e.left)
+        yield from _fields_read(e.right)
+
+
+def _on_right(e: Expr, n1: int) -> Expr:
+    """``e``, a test of a pair that reads only fields past ``n1`` and not
+    the row, as the same test of the pair's right row: its fields
+    renumbered from 1.  Built once per conjunct and ``n1``, so its compiled
+    form is kept too."""
+    shifted = _memo(e).setdefault("_on_right", {})
+    out = shifted.get(n1)
+    if out is None:
+        out = shifted[n1] = _shifted(e, n1)
+    return out
+
+
+def _shifted(e: Expr, by: int) -> Expr:
+    """``e``, a node that ``_cannot_raise`` admits, with every field index
+    lowered by ``by``."""
+    if isinstance(e, Field):
+        return Field(e.index - by)
+    if isinstance(e, Not):
+        return Not(_shifted(e.inner, by))
+    if isinstance(e, IsTag):
+        return IsTag(_shifted(e.inner, by), e.tag)
+    if isinstance(e, Cmp):
+        return Cmp(e.op, _shifted(e.left, by), _shifted(e.right, by))
+    if isinstance(e, (And, Or)):
+        return type(e)(_shifted(e.left, by), _shifted(e.right, by))
+    return e  # a Const
 
 
 def _join_fields(pred: Expr, n1: int, n2: int) -> Optional[tuple[int, int, list[Expr]]]:
@@ -693,16 +786,30 @@ def eval_query(
 ) -> Value:
     """Evaluate a query against named input bags.  Bag-valued results come
     back wrapped in BagV; aggregates return their scalar."""
+    return _Evaluation(env, max_powerbag).go(q)
 
-    def go(node: Query) -> Value:
+
+class _Evaluation:
+    """One call of ``eval_query``: its inputs and its two mutually recursive
+    steps, methods rather than closures that name each other, so that a
+    call leaves no reference cycle behind for the collector."""
+
+    __slots__ = ("env", "max_powerbag")
+
+    def __init__(self, env: Mapping[str, Bag], max_powerbag: int):
+        self.env = env
+        self.max_powerbag = max_powerbag
+
+    def go(self, node: Query) -> Value:
+        bag_of = self.bag_of
         if isinstance(node, Table):
-            if node.name not in env:
+            if node.name not in self.env:
                 raise UnknownTableError(node.name)
-            return BagV(env[node.name])
+            return BagV(self.env[node.name])
         if isinstance(node, Lit):
             return BagV(node.bag)
         if isinstance(node, Singleton):
-            return BagV(q_singleton(go(node.q)))
+            return BagV(q_singleton(self.go(node.q)))
         if isinstance(node, Flatten):
             return BagV(q_flatten(bag_of(node.q)))
         if isinstance(node, MapQ):
@@ -715,15 +822,19 @@ def eval_query(
         if isinstance(node, Project):
             return BagV(q_project(node.indices, bag_of(node.q)))
         if isinstance(node, Select):
-            if isinstance(node.q, Product):
-                return BagV(q_equijoin(node.pred, bag_of(node.q.q1), bag_of(node.q.q2)))
-            return BagV(q_select(node.pred, bag_of(node.q)))
+            inner = node.q
+            if isinstance(inner, Product):
+                return BagV(q_equijoin(node.pred, bag_of(inner.q1), bag_of(inner.q2)))
+            if isinstance(inner, Select) and isinstance(inner.q, Product):
+                pair = inner.q
+                return BagV(q_equijoin(inner.pred, bag_of(pair.q1), bag_of(pair.q2), node.pred))
+            return BagV(q_select(node.pred, bag_of(inner)))
         if isinstance(node, DUnion):
             return BagV(q_dunion(bag_of(node.q1), bag_of(node.q2)))
         if isinstance(node, Difference):
             return BagV(q_difference(bag_of(node.q1), bag_of(node.q2)))
         if isinstance(node, PowerBag):
-            return BagV(q_powerbag(bag_of(node.q), max_powerbag))
+            return BagV(q_powerbag(bag_of(node.q), self.max_powerbag))
         if isinstance(node, Dedup):
             return BagV(q_dedup(bag_of(node.q)))
         if isinstance(node, UnionQ):
@@ -731,7 +842,7 @@ def eval_query(
         if isinstance(node, IntersectQ):
             return BagV(q_intersect(bag_of(node.q1), bag_of(node.q2)))
         if isinstance(node, PowerSet):
-            return BagV(q_powerset(bag_of(node.q), max_powerbag))
+            return BagV(q_powerset(bag_of(node.q), self.max_powerbag))
         if isinstance(node, Group):
             return BagV(q_group(node.key_indices, node.val_indices, bag_of(node.q)))
         if isinstance(node, GroupPrime):
@@ -747,13 +858,11 @@ def eval_query(
             raise EngineTypeError(f"unknown aggregate {node.kind!r}")
         raise EngineTypeError(f"unknown query node {node!r}")
 
-    def bag_of(node: Query) -> Bag:
-        v = go(node)
+    def bag_of(self, node: Query) -> Bag:
+        v = self.go(node)
         if not isinstance(v, BagV):
             raise EngineTypeError("expected a bag-valued subquery, got a scalar")
         return v.bag
-
-    return go(q)
 
 
 def _row_tag(pred: Expr) -> Optional[str]:

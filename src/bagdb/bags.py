@@ -20,29 +20,25 @@ its hash on the first ``hash`` and stores it.  Only this module and
 rows of one tag are one contiguous run of its elements (``tag_rows``),
 and a bag splits into its elements before its tagged rows, one run per
 tag and its elements after them (``tag_runs``); and that every BagV key
-starts with 7 and every other value hashes as its key, so that a bag
-hashes its elements' keys in C and calls only its BagVs' ``__hash__``.
+starts with 7 and every other value's hash is the square of its key's
+modulo ``HASH_MOD``, so that a bag hashes its elements' keys in C and calls
+only its BagVs' ``__hash__``.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .errors import EngineTypeError
 from .node import Frozen, _setattr
-from .values import BagV, Tuple, Value
+from .values import HASH_MOD, BagV, Tuple, Value
 
 A = TypeVar("A")
 
 _KEY = attrgetter("key")
 _TAG_PREFIX = itemgetter(slice(0, 2))
-
-
-# A Mersenne prime, the modulus of CPython's own numeric hashes: a sum
-# reduced by it is a valid hash, which ``hash`` returns unchanged.
-HASH_MOD = 2**61 - 1
 
 
 class Bag(Frozen):
@@ -73,11 +69,12 @@ class Bag(Frozen):
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            # every element's hash but a BagV's is its key's, and the BagVs,
-            # whose keys start with 7, come last
+            # every element's hash but a BagV's is its key's squared, and the
+            # BagVs, whose keys start with 7, come last
             keys = self.key
             i = bisect_left(keys, (7,))
-            h = (sum(map(hash, keys[:i])) + sum(map(hash, self.elements[i:]))) % HASH_MOD
+            hs = list(map(hash, keys[:i]))
+            h = (sum(map(mul, hs, hs)) + sum(map(hash, self.elements[i:]))) % HASH_MOD
             _setattr(self, "_hash", h)
         return h
 

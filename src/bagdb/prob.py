@@ -194,15 +194,20 @@ class ExactDist(Node):
         must be within ``WEIGHT_EPS`` of one, and the support is sorted by
         key."""
         items = weights.items() if isinstance(weights, Mapping) else weights
-        acc: dict[Value, float] = {}
+        index: dict[Value, int] = {}  # each distinct value's place in sums
+        sums: list[float] = []
         for v, w in items:
             if not w >= 0:
                 raise _bad_weight(v, w)
             if w == 0.0:
                 continue
-            acc[v] = acc.get(v, 0.0) + w
-        _check_total(acc.values())
-        return cls._canonical(tuple(sorted(acc.items(), key=_entry_key)))
+            i = index.setdefault(v, len(sums))  # one probe per pair
+            if i == len(sums):
+                sums.append(w)  # 0.0 + w is w
+            else:
+                sums[i] += w
+        _check_total(sums)
+        return cls._canonical(tuple(sorted(zip(index, sums), key=_entry_key)))
 
     @classmethod
     def dirac(cls, x: Value) -> "ExactDist":

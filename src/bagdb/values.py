@@ -8,10 +8,14 @@ injective ``key`` tuple so sorting and equality can use native tuple
 comparison instead of a comparator callback.  A value is frozen, and its
 fields are its class's own ``__slots__``.  Its ``__init__`` sets ``key``
 from them (a ``BagV`` from its bag's key, which the bag's constructor
-set), and ``hash(key)`` is stored on the first ``hash``.  Both are
-``Value`` slots, not fields, so ``==``, order, ``repr``, pickling and the
-codec never see them.  A ``BagV`` stores no hash of its own: its hash is
-its bag's multiset hash, which the bag stores (see ``bags``).
+set), and its hash, the square of ``hash(key)`` modulo ``HASH_MOD``, is
+stored on the first ``hash``.  Both are ``Value`` slots, not fields, so
+``==``, order, ``repr``, pickling and the codec never see them.  A bag's
+hash is the sum of its elements' (see ``bags``), and CPython's tuple hash
+is close to additive in one field that changes: summed as they are, the
+key hashes of two bags that swap a field's values between two rows would
+often be equal, and their squares are not.  A ``BagV`` stores no hash of
+its own: its hash is its bag's multiset hash, which the bag stores.
 """
 from __future__ import annotations
 
@@ -25,6 +29,10 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .errors import EngineTypeError, ParseError, SchemaError
 from .node import Frozen, Node, _setattr
+
+# A Mersenne prime, the modulus of CPython's own numeric hashes: a number
+# reduced by it is a valid hash, which ``hash`` returns unchanged.
+HASH_MOD = 2**61 - 1
 
 _TAG_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -58,7 +66,7 @@ class Value(Frozen):
         try:
             return self._hash
         except AttributeError:  # the first hash
-            h = hash(self.key)
+            h = hash(self.key) ** 2 % HASH_MOD
             _setattr(self, "_hash", h)
             return h
 

@@ -57,13 +57,13 @@ def dedup_by_fold(b: Bag) -> Bag:
 def hash_from_scratch(v: Value | Bag) -> int:
     """The hash of a value or bag computed without reading any stored
     hash: a bag's, and a ``BagV``'s, is the sum of its elements' modulo
-    ``HASH_MOD`` (``Bag.__hash__``), and any other value's is its key's
-    (``Value.__hash__``)."""
+    ``HASH_MOD`` (``Bag.__hash__``), and any other value's is the square
+    of its key's modulo ``HASH_MOD`` (``Value.__hash__``)."""
     if isinstance(v, BagV):
         v = v.bag
     if isinstance(v, Bag):
         return sum(map(hash_from_scratch, v.elements)) % HASH_MOD
-    return hash(v.key)
+    return pow(hash(v.key), 2, HASH_MOD)
 
 
 def distr_by_fold(dists: Iterable[ExactDist]) -> ExactDist:

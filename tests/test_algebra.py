@@ -1,6 +1,8 @@
 """Query algebra: expression evaluation, the primitive and derived
 operators, grouping, aggregation, and the multiplicity laws."""
+import gc
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -53,13 +55,14 @@ from bagdb.algebra import (
     q_union,
 )
 from bagdb.bags import EMPTY, Bag, counts
+from bagdb.dsl import parse
 from bagdb.errors import (
     EmptyAggregateError,
     EngineTypeError,
     ResourceLimitError,
     UnknownTableError,
 )
-from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple
+from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple, deserialize
 
 import reference_algebra as ref
 from dual_routes import dedup_by_fold, difference_by_fold, powerbag_by_fold
@@ -408,6 +411,22 @@ class TestEvalQuery:
         got = eval_query(GroupPrime(Lit(ints(1, 1, 2))), {})
         assert got == BagV(Bag.of([BagV(ints(1, 1)), BagV(ints(2))]))
 
+    def test_leaves_no_reference_cycle(self):
+        # with the collector off, no call leaves anything for it to free
+        fixtures = Path(__file__).parent / "fixtures"
+        text = (fixtures / "db.jsonl").read_text(encoding="utf-8")
+        env = {"db": Bag.of(deserialize(line) for line in text.splitlines() if line.strip())}
+        q = parse((fixtures / "blockbusters.query").read_text(encoding="utf-8"))
+        assert eval_query(q, env) == BagV(Bag.of([Str("A1"), Str("A2")]))  # compiles the predicates
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                eval_query(q, env)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 # Join fields that `=` equates across variants (1 and 1.0, 0.0 and -0.0)
 # or keeps apart despite a close float (2**53 + 1 and 2.0**53), plus
@@ -586,6 +605,147 @@ class TestEquijoin:
         b = Bag.of([Tuple((Int(1), Int(2))), Tuple((Real(2.0), Real(2.0)))])
         join, naive = both_routes(pred, a, b)
         assert join == naive
+
+
+@st.composite
+def select_over_join(draw, raising=()):
+    """Two bags whose rows have 1-3 fields a side (a 1-field row is a bare
+    value or a 1-tuple), an inner predicate with an equality between a
+    field of each side after 0-2 conjuncts that cannot raise and before
+    0-3 others, and an outer predicate of 1-3 conjuncts, each an ``and``
+    chain nested either way.  A conjunct reads fields of the left side
+    only, of the right side only, of both, the whole row (compared with a
+    row of either side), or constants.  For each of "inner" and "outer" in
+    ``raising``, one conjunct that can raise goes at a random place among
+    that predicate's conjuncts after the equality; the outer predicate may
+    then be that conjunct alone."""
+    n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    field = st.sampled_from(JOIN_FIELDS)
+
+    def side(n):
+        row = st.tuples(*[field] * n).map(Tuple)
+        return st.lists(field | row if n == 1 else row, max_size=5).map(Bag.of)
+
+    a, b = draw(side(n1)), draw(side(n2))
+    left, right = st.integers(1, n1).map(Field), st.integers(n1 + 1, n1 + n2).map(Field)
+    op, const = st.sampled_from(["=", "!=", "<", ">="]), field.map(Const)
+
+    def reading(fields):
+        return st.one_of(
+            st.builds(Cmp, op, fields, fields),
+            st.builds(Cmp, op, fields, const),
+            st.builds(lambda f: Not(IsTag(f, "a")), fields),
+            st.builds(lambda f, g: Or(Cmp("=", f, Const(Str("a"))), Cmp("<", g, Const(Int(1)))), fields, fields),
+        )
+
+    safe = st.one_of(
+        reading(left),
+        reading(right),
+        st.builds(Cmp, op, left, right),
+        st.builds(lambda f, g: And(Cmp(">=", f, Const(Int(0))), IsTag(g, "a")), right, left),
+        st.builds(lambda o, v: Cmp(o, RowRef(), Const(v)), op, st.sampled_from((*a, *b)) if a or b else field),
+        st.just(IsTag(RowRef(), "a")),
+        st.booleans().map(lambda v: Const(Bool(v))),
+        st.builds(Cmp, op, const, const),
+    )
+    anywhere = st.integers(1, n1 + n2).map(Field)
+    can_raise = st.one_of(
+        anywhere,  # not a boolean
+        st.builds(lambda f: Cmp("<", Arith("+", f, Const(Int(1))), Const(Int(5))), anywhere),
+        st.builds(lambda f: Cmp("=", Payload(f, "a"), Const(Int(1))), anywhere),
+    )
+    i, j = draw(left), draw(right)
+    eq = Cmp("=", i, j) if draw(st.booleans()) else Cmp("=", j, i)
+    rest = draw(st.lists(safe, max_size=3))
+    outer = draw(st.lists(safe, min_size=0 if "outer" in raising else 1, max_size=3))
+    for into in (rest,) * ("inner" in raising) + (outer,) * ("outer" in raising):
+        into.insert(draw(st.integers(0, len(into))), draw(can_raise))
+    inner = [*draw(st.lists(safe, max_size=2)), eq, *rest]
+    return conjunction(inner, draw(st.booleans())), conjunction(outer, draw(st.booleans())), a, b
+
+
+@pytest.mark.hashseed
+class TestSelectOverJoin:
+    """A select over the hash join, and a select over that, evaluates each
+    conjunct that reads one side's fields only on that side's rows, before
+    any pair is built, while no conjunct before it can raise: results and
+    first errors are those of the operators as written."""
+
+    @pytest.mark.parametrize("raising", [(), ("inner",), ("outer",), ("inner", "outer")])
+    @given(data=st.data())
+    def test_matches_the_reference(self, raising, data):
+        inner, outer, a, b = data.draw(select_over_join(raising))
+        joined = Select(inner, Product(Lit(a), Lit(b)))
+        for q in (joined, Select(outer, joined)):
+            assert outcome(lambda: eval_query(q, {})) == outcome(lambda: ref.eval_query(q, {}))
+
+    @pytest.mark.parametrize("stays", [
+        IsTag(RowRef(), "a"),  # false on every pair, true on a left row
+        Not(IsTag(RowRef(), "a")),
+        Cmp("!=", RowRef(), Const(Tagged("a", Int(1)))),
+        Cmp("<", Field(1), Field(2)),  # both sides
+        Const(Bool(False)),
+        Cmp("=", Const(Int(1)), Const(Real(1.0))),
+    ])
+    def test_conjuncts_on_the_row_on_both_sides_or_on_constants(self, stays):
+        # rows of one field, bare or 1-tuples, whose pairs are 2-tuples
+        a = Bag.of([Tagged("a", Int(1)), Int(1), Tuple((Int(1),))])
+        b = Bag.of([Int(1), Real(1.0), Tuple((Tagged("a", Int(1)),))])
+        eq, pairs = Cmp("=", Field(1), Field(2)), Product(Lit(a), Lit(b))
+        for q in (Select(And(eq, stays), pairs), Select(stays, Select(eq, pairs))):
+            assert outcome(lambda: eval_query(q, {})) == outcome(lambda: ref.eval_query(q, {}))
+
+    def test_moved_conjuncts_run_once_per_side_row_and_only_kept_pairs_are_built(self, monkeypatch):
+        import bagdb.algebra as algebra
+
+        cast = Bag.of([Tuple((Str(f"A{k}"), Int(k % 3))) for k in range(6)])  # (actor, movie)
+        gross = Bag.of([Tuple((Int(m), Int(10 * m))) for m in range(3)])  # (movie, gross)
+        inner = And(Cmp("=", Field(2), Field(3)), Cmp("!=", Field(1), Const(Str("A1"))))
+        q = Select(Cmp(">=", Field(4), Const(Int(10))), Select(inner, Product(Lit(cast), Lit(gross))))
+        want = ref.eval_query(q, {})
+        calls = []
+        for op in ("!=", ">="):
+            holds = algebra._COMPARISONS[op]
+            monkeypatch.setitem(algebra._COMPARISONS, op,
+                                lambda x, y, op=op, holds=holds: calls.append(op) or holds(x, y))
+        built = []
+        init = Tuple.__init__
+        monkeypatch.setattr(Tuple, "__init__", lambda t, items: built.append(1) or init(t, items))
+        got = eval_query(q, {})
+        assert got == want and len(got.bag) == 3
+        assert calls.count("!=") == len(cast) and calls.count(">=") == len(gross)
+        assert len(built) == len(got.bag)
+
+    def test_an_outer_predicate_that_can_raise_runs_over_the_join(self, monkeypatch):
+        import bagdb.algebra as algebra
+
+        a = Bag.of([Tuple((Str("x"), Int(1))), Tuple((Str("y"), Int(2)))])
+        b = Bag.of([Tuple((Int(1), Str("p"))), Tuple((Int(3), Str("q")))])
+        selected = []
+        select = algebra.q_select
+        monkeypatch.setattr(algebra, "q_select", lambda p, rows: selected.append(len(rows)) or select(p, rows))
+        joined = Select(Cmp("=", Field(2), Field(3)), Product(Lit(a), Lit(b)))
+        for outer in (Field(4), Cmp("<", Arith("+", Field(4), Const(Int(1))), Const(Int(5)))):
+            selected.clear()
+            q = Select(And(Cmp("!=", Field(1), Const(Str("z"))), outer), joined)
+            got = outcome(lambda: eval_query(q, {}))
+            assert got == outcome(lambda: ref.eval_query(q, {})) and got[0] is EngineTypeError
+            assert selected == [1]  # over the one joined pair: no conjunct moved
+
+    def test_a_residual_that_can_raise_keeps_later_conjuncts_on_the_pairs(self, monkeypatch):
+        import bagdb.algebra as algebra
+
+        a = Bag.of([Tuple((Tagged("a", Int(0)), Int(1))), Tuple((Int(2), Int(2)))])
+        b = Bag.of([Tuple((Int(1), Str("p"))), Tuple((Int(2), Str("q")))])
+        calls = []
+        holds = algebra._COMPARISONS["<"]
+        monkeypatch.setitem(algebra._COMPARISONS, "<", lambda x, y: calls.append(1) or holds(x, y))
+        risky = Cmp(">=", Payload(Field(1), "a"), Const(Int(0)))  # raises on Int(2), whose pair is first
+        moved = Cmp("<", Field(4), Const(Str("q")))  # right side only, after risky: stays
+        q = Select(And(And(Cmp("=", Field(2), Field(3)), risky), moved), Product(Lit(a), Lit(b)))
+        got = outcome(lambda: eval_query(q, {}))
+        assert got == outcome(lambda: ref.eval_query(q, {})) and got[0] is EngineTypeError
+        assert calls == []  # the first built pair raises before moved runs anywhere
 
 
 class TestConstantComparisons:

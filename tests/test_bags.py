@@ -2,6 +2,7 @@
 import copy
 import pickle
 import random
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import example, given
@@ -296,6 +297,15 @@ class TestMultisetHash:
         for c in built:
             assert hash(c) == c.__hash__() == hash(BagV(c)) == hash_from_scratch(c)
             assert hash(c) == hash(Bag.of(reversed(c.elements)))
+
+    def test_worlds_that_swap_outcomes_between_rows_hash_apart(self):
+        # one trigger row per house, outcome 0 or 1: CPython's tuple hash is
+        # close to additive in the changed field, so sums of the rows' key
+        # hashes put many of these 64 worlds on one hash; their squares not
+        houses = [Str(f"H{i:04d}") for i in range(6)]
+        worlds = [Bag.of([Tagged("trigger", Tuple((h, Int(b)))) for h, b in zip(houses, bits)])
+                  for bits in iproduct((0, 1), repeat=6)]
+        assert len({hash(w) for w in worlds}) == 64
 
     @given(st.lists(merge_values, max_size=6))
     def test_copies_compute_the_hash_anew(self, xs):

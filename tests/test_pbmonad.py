@@ -1443,6 +1443,25 @@ class TestIncrementalExact:
         for worlds in backend_worlds(prog):
             assert len(one_object_per_value(worlds)["city"]) == 1
 
+    def test_one_equality_call_per_merged_world(self, monkeypatch):
+        # from_weights probes its dict once per pair, and worlds that are
+        # not equal hash apart: a pair whose world is already there costs
+        # one BagV.__eq__, any other pair none
+        merges, calls = [], []
+        from_weights = ExactDist.from_weights.__func__
+
+        def counted(cls, weights):
+            pairs = [(v, w) for v, w in (weights.items() if isinstance(weights, dict) else weights) if w]
+            d = from_weights(cls, pairs)
+            merges.append(len(pairs) - len(d.entries))
+            return d
+
+        monkeypatch.setattr(ExactDist, "from_weights", classmethod(counted))
+        eq = BagV.__eq__
+        monkeypatch.setattr(BagV, "__eq__", lambda a, b: calls.append(1) or eq(a, b))
+        assert len(run_rule_program(parse_rules(BURGLARY), town4(), "exact").entries) == 706
+        assert len(calls) == sum(merges) > 0
+
     @pytest.mark.parametrize("limit", [300, 628, 636])
     def test_limit_trips_at_the_same_world(self, monkeypatch, limit):
         # rule 3 (trigger <- burglary) trips the limit at world t of its 272;

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bagdb.bags import EMPTY, Bag
+from bagdb.bags import EMPTY, HASH_MOD, Bag
 from bagdb.errors import EngineTypeError, ParseError, SchemaError
 from bagdb.prob import ExactDist, Seed
 from bagdb.values import (
@@ -169,9 +169,10 @@ def _slot(v, name):
 @pytest.mark.hashseed
 class TestStoredKeyAndHash:
     """Every value, a BagV included, sets its key at construction, in a
-    slot that is not a field.  Every value but a BagV stores ``hash(key)``
-    on the first ``hash``, in another such slot; a BagV's hash is its
-    bag's multiset hash, which the bag stores (``TestMultisetHash``)."""
+    slot that is not a field.  Every value but a BagV stores the square of
+    ``hash(key)`` modulo ``HASH_MOD`` on the first ``hash``, in another
+    such slot; a BagV's hash is its bag's multiset hash, which the bag
+    stores (``TestMultisetHash``)."""
 
     @given(values, st.booleans())
     def test_hash_is_the_key_hash_whether_or_not_key_was_read(self, v, read_key_first):
@@ -184,8 +185,8 @@ class TestStoredKeyAndHash:
         if isinstance(a, BagV):
             assert _slot(a, "_hash") is None and a.bag._hash == hash(a)
         else:
-            assert hash(a) == hash(a.key)
-            assert _slot(a, "_hash") == hash(a) == hash(copy.deepcopy(a).key)
+            assert hash(a) == hash(a.key) ** 2 % HASH_MOD
+            assert _slot(a, "_hash") == hash(a) == hash(copy.deepcopy(a).key) ** 2 % HASH_MOD
 
     @given(values)
     def test_stored_key_is_a_fresh_key(self, v):
