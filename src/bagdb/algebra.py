@@ -34,7 +34,11 @@ side's fields only can test that side's rows before the pairs are built:
 while no conjunct up to it can raise, it runs as a ``select`` on that
 side, which drops exactly the pairs on which the whole predicate is false
 without raising.  Every other ``select`` over a ``product`` still builds
-the full product.  The
+the full product.  ``project`` is the bag functor applied to a pick, so a
+``project`` over such a join picks its fields inside the pairing: when no
+conjunct is left to test on the pairs and every index is a field of the
+pair, each match is built as its projected row, and no pair is built,
+sorted or split again.  Otherwise the join's result is projected.  The
 tree-walking interpreter these replace, with ``eval_query`` running every
 operator as written, is kept as the test oracle in
 ``tests/reference_algebra.py``.
@@ -448,9 +452,11 @@ def q_product(b1: Bag, b2: Bag) -> Bag:
     return Bag.of([Tuple(px + py) for px in left for py in right])
 
 
-def q_equijoin(pred: Expr, b1: Bag, b2: Bag, then: Optional[Expr] = None) -> Bag:
+def q_equijoin(pred: Expr, b1: Bag, b2: Bag, then: Optional[Expr] = None,
+               indices: Optional[tuple[int, ...]] = None) -> Bag:
     """``q_select(pred, q_product(b1, b2))``, then ``q_select(then, ...)``
-    of that if ``then`` is given, building only the pairs that satisfy the
+    of that if ``then`` is given, then ``q_project(indices, ...)`` of that
+    if ``indices`` is given, building only the pairs that satisfy the
     equality ``_join_fields`` finds in ``pred``, if any: every other pair
     makes ``pred`` false without raising, so the result and the errors are
     those of the full product.  The equality holds on every built pair,
@@ -459,11 +465,14 @@ def q_equijoin(pred: Expr, b1: Bag, b2: Bag, then: Optional[Expr] = None) -> Bag
     raise is evaluated as more conjuncts of ``pred``, after its own; one
     that can runs as a ``select`` over the join's result.  Some conjuncts
     are evaluated on one side's rows before any pair is built
-    (``_side_filters``)."""
+    (``_side_filters``).  When no conjunct is left for the built pairs and
+    ``indices`` pick fields of the pair (``_projector``), each match is
+    built as its projected row, and no pair is: ``project`` is the bag
+    functor, so picking inside the pairing is picking after it."""
     left = _uniform_parts(b1, "product (left)")
     right = _uniform_parts(b2, "product (right)")
     if not (left and right):
-        return EMPTY
+        return EMPTY if indices is None else q_project(indices, EMPTY)
     n1, n2 = len(left[0]), len(right[0])
     join = _join_fields(pred, n1, n2)
     if join is None:
@@ -482,14 +491,19 @@ def q_equijoin(pred: Expr, b1: Bag, b2: Bag, then: Optional[Expr] = None) -> Bag
             for c in on_right:
                 b2 = q_select(c, b2)
             right = list(map(tuple_parts, b2.elements))
+        make: Callable[[tuple[Value, ...]], Value] = Tuple
+        if indices and not rest and then is None and 1 <= min(indices) and max(indices) <= n1 + n2:
+            make, indices = _projector(indices), None  # the rows built are the projected ones
         index: dict[object, list[tuple[Value, ...]]] = {}
         for py in right:
             index.setdefault(_join_key(py[j]), []).append(py)
-        built = Bag.of([Tuple(px + py) for px in left for py in index.get(_join_key(px[i]), ())])
+        built = Bag.of([make(px + py) for px in left for py in index.get(_join_key(px[i]), ())])
         if rest:
             tests = [_predicate(c) or _checked(c, "and needs a boolean") for c in rest]
             built = _kept(lambda row: all(t(row) for t in tests), built)
-    return built if then is None else q_select(then, built)
+    if then is not None:
+        built = q_select(then, built)
+    return built if indices is None else q_project(indices, built)
 
 
 def _side_filters(conjuncts: list[Expr], n1: int, arity: int) -> tuple[list[Expr], list[Expr], list[Expr]]:
@@ -650,16 +664,25 @@ def q_project(indices: tuple[int, ...], b: Bag) -> Bag:
     if not indices:
         raise EngineTypeError("project needs at least one field")
     lo, hi = min(indices), max(indices)
-    pick = itemgetter(*[i - 1 for i in indices])
-    single = len(indices) == 1
+    make = _projector(indices)
     out = []
     for row in b.elements:
         parts = tuple_parts(row)
         if lo < 1 or hi > len(parts):
             bad = next(i for i in indices if not 1 <= i <= len(parts))
             raise EngineTypeError(f"project field .{bad} out of range for a {len(parts)}-field row")
-        out.append(pick(parts) if single else Tuple(pick(parts)))
+        out.append(make(parts))
     return Bag.of(out)
+
+
+def _projector(indices: tuple[int, ...]) -> Callable[[tuple[Value, ...]], Value]:
+    """The row that ``project`` makes of a row's fields, for a non-empty
+    list of indices in range: the field itself for one index, else a tuple
+    of the fields picked."""
+    pick = itemgetter(*[i - 1 for i in indices])
+    if len(indices) == 1:
+        return pick
+    return lambda parts: Tuple(pick(parts))
 
 
 def q_select(pred: Expr, b: Bag) -> Bag:
@@ -790,7 +813,7 @@ def eval_query(
 
 
 class _Evaluation:
-    """One call of ``eval_query``: its inputs and its two mutually recursive
+    """One call of ``eval_query``: its inputs and its mutually recursive
     steps, methods rather than closures that name each other, so that a
     call leaves no reference cycle behind for the collector."""
 
@@ -820,15 +843,11 @@ class _Evaluation:
         if isinstance(node, Product):
             return BagV(q_product(bag_of(node.q1), bag_of(node.q2)))
         if isinstance(node, Project):
-            return BagV(q_project(node.indices, bag_of(node.q)))
+            joined = self.join(node.q, node.indices)
+            return BagV(q_project(node.indices, bag_of(node.q)) if joined is None else joined)
         if isinstance(node, Select):
-            inner = node.q
-            if isinstance(inner, Product):
-                return BagV(q_equijoin(node.pred, bag_of(inner.q1), bag_of(inner.q2)))
-            if isinstance(inner, Select) and isinstance(inner.q, Product):
-                pair = inner.q
-                return BagV(q_equijoin(inner.pred, bag_of(pair.q1), bag_of(pair.q2), node.pred))
-            return BagV(q_select(node.pred, bag_of(inner)))
+            joined = self.join(node)
+            return BagV(q_select(node.pred, bag_of(node.q)) if joined is None else joined)
         if isinstance(node, DUnion):
             return BagV(q_dunion(bag_of(node.q1), bag_of(node.q2)))
         if isinstance(node, Difference):
@@ -857,6 +876,20 @@ class _Evaluation:
                 return agg_sum(b)
             raise EngineTypeError(f"unknown aggregate {node.kind!r}")
         raise EngineTypeError(f"unknown query node {node!r}")
+
+    def join(self, node: Query, indices: Optional[tuple[int, ...]] = None) -> Optional[Bag]:
+        """``q_equijoin`` of ``node`` if it is a select over a product, or a
+        select over a select over a product, projected to ``indices`` if
+        given; else None, and nothing is evaluated."""
+        if not isinstance(node, Select):
+            return None
+        inner, bag_of = node.q, self.bag_of
+        if isinstance(inner, Product):
+            return q_equijoin(node.pred, bag_of(inner.q1), bag_of(inner.q2), None, indices)
+        if isinstance(inner, Select) and isinstance(inner.q, Product):
+            pair = inner.q
+            return q_equijoin(inner.pred, bag_of(pair.q1), bag_of(pair.q2), node.pred, indices)
+        return None
 
     def bag_of(self, node: Query) -> Bag:
         v = self.go(node)

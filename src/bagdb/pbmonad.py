@@ -501,9 +501,11 @@ class _RulePlan:
     ``room`` 0; a rule that ``keeps`` reads only input tags and keeps the
     list that ``matches`` returns; and a rule whose heads recur
     (``recurs``) keeps them per match, one object per value through the
-    program's head ``table``.  Entries, their fields and the kept list are
-    stored once computed without raising, so a world raises the same
-    errors, in the same order, whatever earlier worlds have cached."""
+    program's head ``table``; any other rule keeps no head, so ``head`` and
+    ``fire`` look none up and hash no drawn value.  Entries, their fields
+    and the kept list are stored once computed without raising, so a world
+    raises the same errors, in the same order, whatever earlier worlds have
+    cached."""
 
     def __init__(self, k: int, rule: Rule, recurs: dict[str, bool],
                  table: Optional[dict[Value, Value]] = None):
@@ -566,7 +568,7 @@ class _RulePlan:
         return m.sampler
 
     def head(self, m: _Match, drawn: Optional[Value] = None) -> Value:
-        h = m.heads.get(drawn)
+        h = m.heads.get(drawn) if self.recurs else None  # else none is kept: hash no fresh draw
         if h is None:
             parts = [drawn if n == self.dist else read(m.env)  # type: ignore[operator]
                      for n, read in enumerate(self.terms)]
@@ -599,6 +601,9 @@ class _RulePlan:
         world = child_hasher(prefix, i)  # raises for i >= 2**64, before a bad parameter
         # a match's sampler and heads, once kept, are read here rather than
         # through ``sampler`` and ``head``: this runs once per draw
+        if not self.recurs:  # no heads are kept, so no draw is looked up
+            return [self.head(m, draw_from(m.sampler or self.sampler(m), reseed(gen, world, j)))
+                    for j, m in enumerate(matches)]
         return [m.heads.get(z := draw_from(m.sampler or self.sampler(m), reseed(gen, world, j)))
                 or self.head(m, z) for j, m in enumerate(matches)]
 

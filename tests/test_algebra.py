@@ -62,7 +62,7 @@ from bagdb.errors import (
     ResourceLimitError,
     UnknownTableError,
 )
-from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple, deserialize
+from bagdb.values import UNIT, BagV, Bool, Int, Real, Str, Tagged, Tuple, deserialize, tuple_parts
 
 import reference_algebra as ref
 from dual_routes import dedup_by_fold, difference_by_fold, powerbag_by_fold
@@ -746,6 +746,96 @@ class TestSelectOverJoin:
         got = outcome(lambda: eval_query(q, {}))
         assert got == outcome(lambda: ref.eval_query(q, {})) and got[0] is EngineTypeError
         assert calls == []  # the first built pair raises before moved runs anywhere
+
+
+@st.composite
+def project_over_join(draw, raising=()):
+    """A ``select_over_join`` case and a list of 0-4 field indices, each
+    from 0 to two past the pairs' arity (3 fields for an empty side)."""
+    inner, outer, a, b = draw(select_over_join(raising))
+    arity = sum(len(tuple_parts(s.elements[0])) if s else 3 for s in (a, b))
+    return inner, outer, a, b, tuple(draw(st.lists(st.integers(0, arity + 2), max_size=4)))
+
+
+@pytest.mark.hashseed
+class TestProjectOverJoin:
+    """A project over the hash join builds each match as its projected row
+    when no conjunct is left for the pairs and the indices are in range;
+    otherwise it projects the join's result.  Results and first errors are
+    those of the operators as written."""
+
+    CAST = Bag.of([Tuple((Str(f"A{k}"), Int(k % 3))) for k in range(6)])  # (actor, movie)
+    GROSS = Bag.of([Tuple((Int(m), Int(10 * m))) for m in range(3)])  # (movie, gross)
+
+    @staticmethod
+    def check(q):
+        got = outcome(lambda: eval_query(q, {}))
+        assert got == outcome(lambda: ref.eval_query(q, {}))
+        return got
+
+    @pytest.mark.parametrize("raising", [(), ("inner",), ("outer",), ("inner", "outer")])
+    @given(data=st.data())
+    def test_matches_the_reference(self, raising, data):
+        inner, outer, a, b, idx = data.draw(project_over_join(raising))
+        joined = Select(inner, Product(Lit(a), Lit(b)))
+        for q in (joined, Select(outer, joined)):
+            self.check(Project(idx, q))
+
+    @pytest.mark.parametrize("a, b, idx, pred", [
+        (EMPTY, ints(1), (), None),  # an empty side still needs a field
+        (ints(1), EMPTY, (), None),
+        (ints(1), ints(2), (5,), None),  # no match: out of range on no row
+        (ints(1), ints(1), (3,), None),  # out of range on the one match
+        (ints(1), ints(1), (0, 1), None),
+        (rows(("a", 1), ("b", 2)), Bag.of([Tuple((Int(1), Str("p")))]), (1, 1), None),
+        (ints(1, 2), Bag.of([Real(1.0), Real(2.0), Int(3)]), (2,), None),  # bare scalars, Int/Real keys
+        (Bag.of([Tuple((Int(1),)), Tuple((Int(2),))]), Bag.of([Tuple((Real(2.0),))]), (2, 1), None),  # 1-tuples
+        (Bag.of([Tuple((Int(1),)), Int(2)]), Bag.of([Real(1.0), Tuple((Int(2),))]), (1,), None),  # both kinds
+        (rows(("a", 1), ("a", 1), ("b", 1)), Bag.of([Tuple((Int(1), Str("p")))] * 2), (1,), None),  # duplicates
+        (rows(("a", 1), ("a", 1), ("b", 1)), Bag.of([Tuple((Real(1.0), Str("p")))]), (4, 1), None),
+        (rows(("a", 1), ("b", 2)), Bag.of([Tuple((Int(1), Str("p")))]), (1,), Cmp("<", Field(1), Field(4))),
+        (rows(("a", 1), ("b", 2)), Bag.of([Tuple((Int(1), Str("p")))]), (1,), Payload(Field(1), "a")),
+    ])
+    def test_fixed_cases_match_the_reference(self, a, b, idx, pred):
+        n1 = len(tuple_parts(a.elements[0])) if a else 1
+        eq = Cmp("=", Field(n1), Field(n1 + 1))
+        joined = Select(eq if pred is None else And(eq, pred), Product(Lit(a), Lit(b)))
+        got = self.check(Project(idx, joined))
+        if not idx:
+            assert got == (EngineTypeError, "project needs at least one field")
+
+    @pytest.mark.parametrize("idx, tuples", [((1,), 0), ((4, 1), 1)])
+    def test_fused_join_builds_only_projected_rows(self, monkeypatch, idx, tuples):
+        import bagdb.algebra as algebra
+
+        def no_project(indices, b):
+            raise AssertionError("project ran over the built pairs")
+
+        monkeypatch.setattr(algebra, "q_project", no_project)
+        joined = Select(Cmp("=", Field(2), Field(3)), Product(Lit(self.CAST), Lit(self.GROSS)))
+        q = Project(idx, Select(Cmp(">=", Field(4), Const(Int(10))), joined))
+        want = ref.eval_query(q, {})
+        built = []
+        init = Tuple.__init__
+        monkeypatch.setattr(Tuple, "__init__", lambda t, items: built.append(1) or init(t, items))
+        got = eval_query(q, {})
+        assert got == want and len(got.bag) == 4
+        assert len(built) == tuples * len(got.bag)
+
+    @pytest.mark.parametrize("outer", [
+        Cmp("!=", Field(1), Field(4)),  # reads both sides: a residual conjunct
+        Cmp("<", Arith("+", Field(4), Const(Int(1))), Const(Int(100))),  # can raise
+    ])
+    def test_a_conjunct_left_for_the_pairs_projects_them(self, monkeypatch, outer):
+        import bagdb.algebra as algebra
+
+        projected = []
+        project = algebra.q_project
+        monkeypatch.setattr(algebra, "q_project", lambda i, rows: projected.append(len(rows)) or project(i, rows))
+        joined = Select(Cmp("=", Field(2), Field(3)), Product(Lit(self.CAST), Lit(self.GROSS)))
+        q = Project((1,), Select(outer, joined))
+        assert self.check(q) == BagV(Bag.of([Str(f"A{k}") for k in range(6)]))
+        assert projected == [6]
 
 
 class TestConstantComparisons:

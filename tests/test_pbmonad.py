@@ -970,6 +970,19 @@ class TestCompiledSampler:
             assert sampler.world(i) == reference_world(prog, base, Seed(8, (3,)), i)
         assert all(not m.heads for plan in sampler.world_fn.__self__.plans for m in plan.memo.values())
 
+    def test_fresh_draws_are_not_hashed(self):
+        # a normal head does not recur, so no head is kept per draw and no
+        # drawn value is hashed to look one up
+        fixtures = Path(__file__).parent / "fixtures"
+        text = (fixtures / "town20.jsonl").read_text(encoding="utf-8")
+        base = Bag.of(deserialize(line) for line in text.splitlines() if line.strip())
+        prog = parse_rules((fixtures / "noise.rules").read_text(encoding="utf-8"))
+        sampler = run_rule_program(prog, base, "mc", seed=Seed(5))
+        for i in range(3):
+            drawn = [row.value.items[1] for row in sampler.world(i) if row.tag == "noise"]
+            assert len(drawn) == 20 and all(isinstance(z, Real) for z in drawn)
+            assert not any(hasattr(z, "_hash") for z in drawn)
+
     def test_memo_stays_bounded(self, monkeypatch):
         # 3 src rows: each pair rule has up to 9 distinct matches, and its
         # memo fills at the cap and then stores nothing new
