@@ -29,12 +29,15 @@ a rule reads only the runs of its body tags and writes only the run of
 its head tag.  An mc world is stepped as one run per tag, between the
 input's untagged elements, and its bag is built once, by concatenation
 (``_CompiledProgram``).  The exact backend steps one canonical world
-bag, finds a tag's run by bisection (``tag_rows``), splices each
-combination of heads into the one slice of the world that they can
-reach, and adds the heads' hashes to the world's multiset hash
-(``_distr``).  Every exact operation passes its weighted values straight
-to ``ExactDist.from_weights``, the one place where the weights of equal
-values are summed.
+bag and finds a tag's run by bisection (``tag_rows``).  When a rule's
+head options come in key order, each is placed in the world once, a
+head with one option of weight 1.0 is spliced into it once, and the
+combinations are built from shared prefixes, so none is sorted;
+otherwise each combination's heads are sorted into the one slice of the
+world that they can reach.  Either way the heads' hashes are added to
+the world's multiset hash (``_distr``).  Every exact operation passes
+its weighted values straight to ``ExactDist.from_weights``, the one
+place where the weights of equal values are summed.
 
 An atom with no arguments matches the rows that a head with no terms
 writes, ``tag()`` with a Unit payload, as well as an empty tuple payload.
@@ -99,33 +102,70 @@ def _distr(options: Options, base: Bag, weight: float) -> Iterator[tuple[Value, 
     resulting bag, ``Bag.of`` of base and values, with the weight
     ``weight * w1 * w2 * ...`` (multiplied left to right).  Equal bags
     are yielded once per combination, for ``ExactDist.from_weights`` to sum.
+    A value goes after the base elements equal to it and after the equal
+    values of earlier elements, as the stable sort leaves them, and the new
+    bag's multiset hash is the base's plus its values' (``bags``).
 
-    Only the base elements whose keys lie between the smallest and the
-    largest option's can move: each combination sorts that slice of the
-    base with its values, base elements before equal values as the stable
-    sort leaves them, and splices it between the fixed ends.  When that
-    slice is empty and the options, read in element order, are sorted, so
-    is every combination, and nothing is sorted.  The new bag's multiset
-    hash is the base's plus its values' (``bags``)."""
+    When the options, read in element order, are ordered by key, so is
+    every combination, and nothing is sorted: each option is placed once,
+    after the base elements whose keys are not above its own, and the
+    combinations are built level by level, element by element, each prefix
+    (its elements and keys up to its last value, hash and weight) shared by
+    every combination that extends it.  An element whose one option has
+    weight 1.0 is in every combination and changes no weight bit: it is
+    spliced into the base once.  When the options are not ordered, only
+    the base elements whose keys lie between the smallest and the largest
+    option's can move: each combination sorts that slice with its values
+    and splices it between the fixed ends."""
     if not all(options):  # an element without options: no combination
         return
     if not options:
         yield BagV(base), weight
         return
-    keys = [x.key for opts in options for x, _ in opts]
-    ordered = all(map(le, keys, keys[1:]))
     elements, bkeys = base.elements, base.key
-    lo = bisect_right(bkeys, keys[0] if ordered else min(keys))
-    hi = bisect_right(bkeys, keys[-1] if ordered else max(keys), lo)
-    pre, mid, suf = elements[:lo], elements[lo:hi], elements[hi:]
-    kpre, ksuf = bkeys[:lo], bkeys[hi:]
-    presorted = ordered and not mid
     h = hash(base)
-    for combo in iproduct(*options):
-        xs = tuple(map(_VALUE, combo))
-        moved = xs if presorted else tuple(sorted(mid + xs, key=_KEY))
-        yield (BagV(Bag(pre + moved + suf, kpre + tuple(map(_KEY, moved)) + ksuf, h + sum(map(hash, xs)))),
-               prod(map(_WEIGHT, combo), start=weight))
+    keys = [x.key for opts in options for x, _ in opts]
+    if not all(map(le, keys, keys[1:])):
+        lo = bisect_right(bkeys, min(keys))
+        hi = bisect_right(bkeys, max(keys), lo)
+        pre, mid, suf = elements[:lo], elements[lo:hi], elements[hi:]
+        kpre, ksuf = bkeys[:lo], bkeys[hi:]
+        for combo in iproduct(*options):
+            xs = tuple(map(_VALUE, combo))
+            moved = tuple(sorted(mid + xs, key=_KEY))
+            yield (BagV(Bag(pre + moved + suf, kpre + tuple(map(_KEY, moved)) + ksuf, h + sum(map(hash, xs)))),
+                   prod(map(_WEIGHT, combo), start=weight))
+        return
+    # each option's place in the base with the Dirac values spliced in: after
+    # the base elements not above it and after the Dirac values of earlier
+    # elements, which are the ones spliced in before it
+    levels: list[list[tuple[int, tuple[Value], tuple, int, float]]] = []
+    dirac: list[tuple[int, Value]] = []
+    for opts in options:
+        if len(opts) == 1 and opts[0][1] == 1.0:
+            x = opts[0][0]
+            dirac.append((bisect_right(bkeys, x.key) + len(dirac), x))
+        else:
+            levels.append([(bisect_right(bkeys, x.key) + len(dirac), (x,), (x.key,), hash(x), w) for x, w in opts])
+    if dirac:
+        es, ks = list(elements), list(bkeys)
+        for p, x in dirac:
+            es.insert(p, x)
+            ks.insert(p, x.key)
+            h += hash(x)
+        elements, bkeys = tuple(es), tuple(ks)
+    if not levels:
+        yield BagV(Bag(elements, bkeys, h)), weight
+        return
+    prefixes = [((), (), h, weight, 0)]  # elements and keys up to the last value, hash, weight, place
+    *inner, last = levels
+    for opts in inner:
+        prefixes = [(pe + elements[q:p] + x, pk + bkeys[q:p] + k, s + hx, w * wx, p)
+                    for pe, pk, s, w, q in prefixes for p, x, k, hx, wx in opts]
+    tails = [(p, x + elements[p:], k + bkeys[p:], hx, wx) for p, x, k, hx, wx in last]
+    for pe, pk, s, w, q in prefixes:
+        for p, x, k, hx, wx in tails:
+            yield BagV(Bag(pe + elements[q:p] + x, pk + bkeys[q:p] + k, s + hx)), w * wx
 
 
 def distr_exact(dists: Iterable[ExactDist]) -> ExactDist:
@@ -686,7 +726,7 @@ class _CompiledProgram:
         self.prefixes = None if seed is None else [seed.child(k).hasher() for k in range(len(self.plans))]
         self.pre, runs, self.post = tag_runs(b)
         self.runs = dict.fromkeys(recurs, EMPTY) | runs
-        self.tags = sorted(self.runs)
+        self.tags = None if seed is None else sorted(self.runs)  # only an mc world is built from runs
 
     def world(self, i: int) -> Bag:
         runs = self.runs.copy()

@@ -747,6 +747,16 @@ class TestGoldenOutput:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "3eded594fe5c938e78f371cf520d20e7a2a75379799442363cee3f3988e66d94")
 
+    def test_exact_stdout_six_houses(self, capsys):
+        # 16 354 worlds, 20.8 MB, recorded before exact combinations were
+        # built from shared prefixes: worlds with up to six matches per rule;
+        # town6.jsonl is perfbench/inputs.town with random.Random(1)
+        code, out, err = run(capsys, "generate", "--db", str(FIXTURES / "town6.jsonl"),
+                             "--program", RULES, "--backend", "exact")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "0cce2f7b7278e543c93fdc13d474bc1935d86b6cbe0f8e177ecfcc3194b5eb5f")
+
 
 class TestOutput:
     """``--output FILE`` gets the bytes stdout gets, and output is

@@ -11,7 +11,7 @@ from statistics import NormalDist
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bagdb.algebra import Agg, Cmp, Const, Table
@@ -1410,6 +1410,34 @@ span_rows = st.one_of(
     st.lists(pool_values, max_size=2).map(lambda xs: BagV(Bag.of(xs))),
 )
 span_worlds = st.lists(span_rows, max_size=12).map(Bag.of)
+span_options = st.lists(st.lists(st.tuples(span_rows, st.sampled_from([0.5, 0.3, 1.0])), min_size=1, max_size=2),
+                        max_size=3)
+
+
+@st.composite
+def ordered_options(draw):
+    """A base and options that, read in element order, are ordered by key,
+    so that ``_distr`` places them without sorting: base elements fall
+    between and next to the options (some are the same values as options,
+    some equal copies), and one-option elements weigh 1.0 (a Dirac factor)
+    or 0.5."""
+    rows = sorted(draw(st.lists(span_rows, min_size=1, max_size=10)), key=lambda v: v.key)
+    base, values = [], []
+    for x in rows:
+        role = draw(st.sampled_from(["base", "option", "both", "copy"]))
+        if role != "option":
+            base.append(x)
+        if role != "base":
+            values.append(copy.deepcopy(x) if role == "copy" else x)
+    options = []
+    while values:
+        n = draw(st.integers(1, 2))
+        chunk, values = values[:n], values[n:]
+        if len(chunk) == 1:
+            options.append([(chunk[0], draw(st.sampled_from([1.0, 1.0, 0.5])))])
+        else:
+            options.append([(x, draw(st.sampled_from([0.5, 0.3, 1.0]))) for x in chunk])
+    return Bag.of(base), options
 
 
 @pytest.mark.hashseed
@@ -1418,12 +1446,15 @@ class TestIncrementalExact:
     def test_tag_rows_are_the_tags_rows(self, world, tag):
         assert list(tag_rows(world, tag)) == _group_by_tag(world).get(tag, [])
 
-    @given(span_worlds, st.lists(st.lists(st.tuples(span_rows, st.sampled_from([0.5, 0.3, 1.0])),
-                                          min_size=1, max_size=2), max_size=3))
-    def test_insertion_equals_resorting(self, base, options):
+    @given(st.one_of(st.tuples(span_worlds, span_options), ordered_options()))
+    # a Dirac factor's value goes after the equal value of an earlier element
+    @example((EMPTY, [[(Int(1), 0.5), (Int(2), 0.5)], [(Int(2), 1.0)]]))
+    def test_insertion_equals_resorting(self, case):
         # the same bags, element for element (an inserted value follows the
-        # base's equal elements, as the stable sort leaves it), with their
-        # keys, and bit-identical weights, summed in yield order
+        # base's equal elements and the equal values of earlier elements, as
+        # the stable sort leaves it), with their keys and multiset hashes, and
+        # bit-identical weights, summed in yield order
+        base, options = case
         got = {}
         for bv, w in _distr(options, base, 0.7):
             got[bv] = got.get(bv, 0.0) + w
@@ -1438,6 +1469,17 @@ class TestIncrementalExact:
         for g, w in zip(got, want):
             assert len(g.bag) == len(w.bag) and all(x is y for x, y in zip(g.bag, w.bag))
             assert g.bag.key == tuple(e.key for e in w.bag)
+            assert hash(g.bag) == hash(Bag(g.bag.elements))
+
+    def test_no_combination_is_sorted(self, monkeypatch):
+        # every rule step of burglary.rules has ordered options, so the
+        # exact run sorts nothing in this module; unordered options still do
+        calls = []
+        monkeypatch.setattr(pbmonad, "sorted", lambda *a, **k: calls.append(1) or sorted(*a, **k),
+                            raising=False)
+        assert len(run_rule_program(parse_rules(BURGLARY), town4(), "exact").entries) == 706
+        assert calls == []
+        assert len(list(_distr([[(Int(2), 1.0)], [(Int(1), 1.0)]], EMPTY, 1.0))) == len(calls) == 1
 
     def test_equal_heads_are_shared(self):
         # heads of one value are one object in all 706 exact worlds and
