@@ -21,6 +21,7 @@ Exit codes: 0 ok, 1 usage, 2 parse error, 3 type/schema error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -183,16 +184,23 @@ def cmd_generate(args) -> int:
     prog = parse_file(Path(args.program), parse_rules)
     base = _merged_input(catalog)
     if args.backend == "exact":
-        dist = run_rule_program(prog, base, "exact")
-        assert isinstance(dist, ExactDist)
-        payload = _exact_payload(dist.entries)
+        # the collector stays paused, as in run_rule_program, while the
+        # world texts are built as they are written
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            dist = run_rule_program(prog, base, "exact")
+            assert isinstance(dist, ExactDist)
+            _emit(args.output, _exact_payload(dist.entries))
+        finally:
+            if enabled:
+                gc.enable()
     else:
         seed = Seed(args.seed)
         sampler = run_rule_program(prog, base, "mc", seed=seed)
         assert isinstance(sampler, PBSampler)
         worlds = (sampler.world(i) for i in range(args.samples))
-        payload = _mc_payload(worlds, base, args.samples, args.seed)
-    _emit(args.output, payload)
+        _emit(args.output, _mc_payload(worlds, base, args.samples, args.seed))
     return 0
 
 

@@ -50,8 +50,9 @@ module loads neither ``algebra`` nor ``dsl``.
 from __future__ import annotations
 
 import _random
+import gc
 from bisect import bisect_right
-from itertools import chain, starmap
+from itertools import chain
 from itertools import product as iproduct
 from math import prod
 from operator import attrgetter, itemgetter, le
@@ -352,19 +353,21 @@ def validate_program(prog: RuleProgram) -> None:
 
     # recursion = a cycle among head tags (self-loops included)
     state: dict[str, int] = {}
-
-    def visit(tag: str, trail: tuple[str, ...]) -> None:
-        if state.get(tag) == 2:
-            return
-        if state.get(tag) == 1:
-            raise ProgramError(f"recursion detected through tag {tag!r} ({' -> '.join(trail + (tag,))})")
-        state[tag] = 1
-        for nxt in deps.get(tag, ()):
-            visit(nxt, trail + (tag,))
-        state[tag] = 2
-
     for tag in deps:
-        visit(tag, ())
+        _visit(tag, (), deps, state)
+
+
+def _visit(tag: str, trail: tuple[str, ...], deps: dict[str, dict[str, None]], state: dict[str, int]) -> None:
+    # depth-first search for recursion through ``tag``, at module level: a
+    # nested function that calls itself is a reference cycle
+    if state.get(tag) == 2:
+        return
+    if state.get(tag) == 1:
+        raise ProgramError(f"recursion detected through tag {tag!r} ({' -> '.join(trail + (tag,))})")
+    state[tag] = 1
+    for nxt in deps.get(tag, ()):
+        _visit(nxt, trail + (tag,), deps, state)
+    state[tag] = 2
 
 
 def _no_fields(payload: Value) -> tuple[Value, ...]:
@@ -408,13 +411,29 @@ def run_rule_program(
     max_worlds: int = DEFAULT_WORLD_LIMIT,
 ) -> Union[ExactDist, PBSampler]:
     """Sequential accumulation: each rule joins its body against the bag
-    built so far, draws once per match, and appends its heads."""
+    built so far, draws once per match, and appends its heads.
+
+    The exact backend holds one generation of worlds: each step is handed
+    the previous step's entries and lets each world go as it enumerates
+    it.  It pauses the cyclic collector, process-wide, and restores its
+    earlier state on every exit: the worlds form no cycle, and each full
+    pass would walk every live one.  Nothing is allocated between the
+    restore and the return, so a caller that drops the result at once
+    frees it before the collector can run."""
     validate_program(prog)
     if backend == "exact":
-        dist = pb_unit_bag(b)
-        for plan in _CompiledProgram(prog, b).plans:
-            dist = _apply_rule_exact(plan, dist, max_worlds)
-        return dist
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            dist = pb_unit_bag(b)
+            for plan in _CompiledProgram(prog, b).plans:
+                entries = list(dist.entries)
+                del dist  # the step's list is now the only holder of the worlds
+                dist = _apply_rule_exact(plan, entries, max_worlds)
+            return dist
+        finally:
+            if enabled:
+                gc.enable()
     if backend == "mc":
         if seed is None:
             raise EngineTypeError("the mc backend needs a seed")
@@ -663,15 +682,19 @@ def rule_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
     return [dict(zip(plan.names, m.env)) for m in plan.matches(bag, tag_rows)]
 
 
-def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> ExactDist:
-    """One rule over every world: each world's per-match head options,
-    read through the plan's memo, go through the distributive law and are
-    added to the world.  Every world is counted against ``max_worlds``
-    before any is enumerated, so the rule that trips the limit enumerates
-    nothing."""
+def _apply_rule_exact(plan: _RulePlan, entries: list[tuple[Value, float]], max_worlds: int) -> ExactDist:
+    """One rule over every world of ``entries``: each world's per-match
+    head options, read through the plan's memo, go through the
+    distributive law and are added to the world.  Every world is counted
+    against ``max_worlds`` before any is enumerated, so the rule that trips
+    the limit enumerates nothing.  Then ``entries`` is cleared and each
+    world's bag is let go as soon as ``_distr`` has consumed it, so a
+    caller that holds no other reference keeps one generation alive.  It
+    runs inside ``run_rule_program``'s pause of the cyclic collector,
+    which is process-wide and restored on exit."""
     todo: list[tuple[Options, Bag, float]] = []
     processed = 0
-    for world_bv, pw in dist.entries:
+    for world_bv, pw in entries:
         options = plan.options(world_bv.bag)  # type: ignore[union-attr]
         processed += prod(map(len, options))
         if processed > max_worlds:
@@ -679,7 +702,9 @@ def _apply_rule_exact(plan: _RulePlan, dist: ExactDist, max_worlds: int) -> Exac
                 f"exact enumeration exceeds {max_worlds} worlds; rerun with the mc backend"
             )
         todo.append((options, world_bv.bag, pw))  # type: ignore[union-attr]
-    return ExactDist.from_weights(chain.from_iterable(starmap(_distr, todo)))
+    entries.clear()
+    todo.reverse()
+    return ExactDist.from_weights(chain.from_iterable(_distr(*todo.pop()) for _ in range(len(todo))))
 
 
 class _CompiledProgram:

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, and reproducibility."""
+import gc
 import hashlib
 import io
 import itertools
@@ -390,6 +391,31 @@ class TestGenerate:
         )
         outs = {run(capsys, *base, "--workers", w)[1] for w in ("1", "4", "8")}
         assert len(outs) == 1
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_exact_pauses_the_collector_and_restores_it(self, tmp_path, capsys, monkeypatch, enabled):
+        # the exact run and its write, which builds the world texts as it
+        # goes, run with the cyclic collector paused; a run that succeeds
+        # and one that exits 4 leave it as it was, and mc does not touch it
+        import bagdb.cli as cli
+
+        emit, paused = cli._emit, []
+        monkeypatch.setattr(cli, "_emit", lambda *a: paused.append(not gc.isenabled()) or emit(*a))
+        db = tmp_path / "coins.jsonl"
+        db.write_text("".join(f'{{"tag": "coin", "value": {i}}}\n' for i in range(21)))
+        rules = tmp_path / "flip.rules"
+        rules.write_text("flip(x, bernoulli(0.5)) <- coin(x)\n")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            codes = [run(capsys, "generate", "--db", TOWN, "--program", RULES)[0], gc.isenabled(),
+                     run(capsys, "generate", "--db", str(db), "--program", str(rules))[0], gc.isenabled(),
+                     run(capsys, "generate", "--db", TOWN, "--program", RULES, "--backend", "mc",
+                         "--samples", "5")[0], gc.isenabled()]
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert codes == [0, enabled, 4, enabled, 0, enabled]
+        assert paused == [True, not enabled]
 
     def test_mc_payload_shape(self, capsys):
         _, out, _ = run(

@@ -3,7 +3,9 @@ bag-level generators, and generative rule programs."""
 import copy
 import gc
 import math
+import os
 import tracemalloc
+import weakref
 from collections import Counter
 from itertools import product as iproduct
 from pathlib import Path
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from bagdb.algebra import Agg, Cmp, Const, Table
 from bagdb.bags import EMPTY, Bag, tag_rows, tag_runs
+from bagdb.cli import _emit, _exact_payload, load_table
 from bagdb.errors import (
     EngineError,
     EngineTypeError,
@@ -1287,6 +1290,88 @@ class TestCompiledExact:
         base = town(tuple(f"H{n}" for n in range(houses)))
         prog = parse_rules(BURGLARY)
         assert exact_outcome(run_rule_program, prog, base, "exact") == exact_outcome(reference_exact, prog, base)
+
+
+class TestOneGeneration:
+    """The exact backend holds one generation of worlds and runs with the
+    cyclic collector paused; every exit restores the collector's state."""
+
+    @pytest.fixture(autouse=True)
+    def collector(self):
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case", ["done", "limit", "interrupt"])
+    def test_collector_state_is_restored(self, monkeypatch, case, enabled):
+        paused = []
+        law = pbmonad._distr
+
+        def distr(*args):
+            paused.append(not gc.isenabled())
+            if case == "interrupt":
+                raise KeyboardInterrupt
+            return law(*args)
+
+        monkeypatch.setattr(pbmonad, "_distr", distr)
+        (gc.enable if enabled else gc.disable)()
+        prog = parse_rules(BURGLARY)
+        if case == "done":
+            assert len(run_rule_program(prog, town4(), "exact").entries) == 706
+        else:
+            with pytest.raises(ResourceLimitError if case == "limit" else KeyboardInterrupt):
+                run_rule_program(prog, town4(), "exact", max_worlds=100)
+        assert gc.isenabled() is enabled
+        assert paused and all(paused)
+
+    def test_step_lets_each_world_go_once_enumerated(self, monkeypatch):
+        # a world's bag dies as soon as _distr has consumed it: neither the
+        # step's list nor the caller's distribution holds it.  A world that
+        # no match extends is carried unchanged, its bag reused in the next
+        # generation, and a later step lets it go.  The test holds the input.
+        base, consumed, alive = town4(), [], []
+        law = pbmonad._distr
+
+        def distr(options, world, weight):
+            alive.append(sum(r() is not None for r in consumed))
+            ref = weakref.ref(world)
+            yield from law(options, world, weight)
+            if options and world is not base:
+                consumed.append(ref)
+
+        monkeypatch.setattr(pbmonad, "_distr", distr)
+        assert len(run_rule_program(parse_rules(BURGLARY), base, "exact").entries) == 706
+        assert len(consumed) > 100 and len(alive) > len(consumed)
+        assert not any(alive)
+        assert all(r() is None for r in consumed)
+
+    @pytest.mark.parametrize("town", ["town", "town4"])
+    def test_run_and_write_leave_no_cycle(self, tmp_path, town):
+        # the exact counterpart of eval_query's law: with the collector
+        # off, nothing the exact run and its writer build is left for it
+        fixtures = Path(__file__).parent / "fixtures"
+        prog = parse_rules((fixtures / "burglary.rules").read_text(encoding="utf-8"))
+        base = load_table(fixtures / f"{town}.jsonl")[1]
+        out = tmp_path / "out.json"
+        gc.collect()
+        gc.disable()
+        _emit(str(out), _exact_payload(run_rule_program(prog, base, "exact").entries))
+        assert gc.collect() == 0
+        if town == "town":
+            assert out.read_bytes() == (fixtures / "golden" / "generate-exact-town.json").read_bytes()
+
+    @settings(max_examples=100)
+    @given(programs_and_bags(prob_values, ("bernoulli", None), (1, 2, 1), min_rank=1, split=True))
+    def test_random_programs_leave_no_cycle(self, prog_base):
+        prog, base = prog_base
+        gc.collect()
+        gc.disable()
+        try:
+            _emit(os.devnull, _exact_payload(run_rule_program(prog, base, "exact", max_worlds=EXACT_LIMIT).entries))
+        except EngineError:  # a run that fails leaves none either
+            pass
+        assert gc.collect() == 0
 
 
 # ---------------------------------------------------------------------------
