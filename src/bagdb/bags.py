@@ -4,31 +4,29 @@ and unit/map/bind/flatten/strength.
 
 A Bag stores its elements as a tuple sorted in the canonical value order,
 so equal bags are equal tuples and every operation that returns a Bag
-returns a canonical one.  Construct through ``Bag.of``, and add elements
-to a bag through ``Bag.merged``, which places them without re-sorting it.
-A bag is frozen and slotted, like a value, and its constructor sets its
-``key``, the tuple of its elements' keys: built from the elements, or
-passed in by a caller that already has it (``merged``, ``payload_run``,
-``tag_runs``, ``pbmonad``'s mc world, ``algebra.q_select``).  A bag's
-hash is a multiset hash: the sum of its elements' hashes modulo
-``HASH_MOD`` (Clarke, Devadas, van Dijk, Gassend and Suh, "Incremental
-Multiset Hash Functions", ASIACRYPT 2003).  A caller that adds values to
-a bag whose hash it knows has the new bag's hash by addition and passes
-it to the constructor (``pbmonad``'s exact step); any other bag computes
-its hash on the first ``hash`` and stores it.  Only this module and
-``values`` know that every Tagged key starts with ``(6, tag)``: a bag's
-rows of one tag are one contiguous run of its elements (``tag_rows``),
-and a bag splits into its elements before its tagged rows, one run per
-tag and its elements after them (``tag_runs``); and that every BagV key
-starts with 7 and every other value's hash is the square of its key's
-modulo ``HASH_MOD``, so that a bag hashes its elements' keys in C and calls
-only its BagVs' ``__hash__``.
+returns a canonical one.  Construct through ``Bag.of``; a sum of bags is
+``Bag.of`` of their concatenation, whose stable sort places each added
+element after the elements equal to it.  A bag is frozen and slotted,
+like a value, and its constructor sets its ``key``, the tuple of its
+elements' keys: built from the elements, or passed in by a caller that
+already has it (``payload_run``, ``tag_runs``, ``pbmonad``'s mc world,
+``algebra.q_select``).  A bag's hash is a multiset hash: the sum of its
+elements' hashes modulo ``HASH_MOD`` (Clarke, Devadas, van Dijk, Gassend
+and Suh, "Incremental Multiset Hash Functions", ASIACRYPT 2003).  A
+caller that adds values to a bag whose hash it knows has the new bag's
+hash by addition and passes it to the constructor (``pbmonad``'s exact
+step); any other bag computes its hash on the first ``hash`` and stores
+it.  Only this module and ``values`` know that every Tagged key starts
+with ``(6, tag)`` and every BagV key with 7: a bag's rows of one tag are
+one contiguous run of its elements (``tag_rows``), and a bag splits into
+its elements before its tagged rows, one run per tag and its elements
+after them (``tag_runs``).
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import groupby
-from operator import attrgetter, itemgetter, mul
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .errors import EngineTypeError
@@ -69,12 +67,7 @@ class Bag(Frozen):
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            # every element's hash but a BagV's is its key's squared, and the
-            # BagVs, whose keys start with 7, come last
-            keys = self.key
-            i = bisect_left(keys, (7,))
-            hs = list(map(hash, keys[:i]))
-            h = (sum(map(mul, hs, hs)) + sum(map(hash, self.elements[i:]))) % HASH_MOD
+            h = sum(map(hash, self.elements)) % HASH_MOD
             _setattr(self, "_hash", h)
         return h
 
@@ -100,34 +93,6 @@ class Bag(Frozen):
         k = x.key
         return bisect_right(self.key, k) - bisect_left(self.key, k)
 
-    def merged(self, items: Iterable[Value]) -> "Bag":
-        """``Bag.of([*self, *items])`` without re-sorting self: the items,
-        sorted by key, are spliced in after the elements equal to them, as
-        the stable sort would place them, and the new bag's key is spliced
-        from this one's."""
-        new = sorted(items, key=_KEY)
-        if not new:
-            return self
-        elements, keys = self.elements, self.key
-        if not keys or not new[0].key < keys[-1]:  # every item goes after self's elements
-            return Bag(elements + tuple(new), keys + tuple(map(_KEY, new)))
-        n = len(keys)
-        elems: list[Value] = []
-        ks: list[tuple] = []
-        start = 0  # self's elements before it are placed
-        for x in new:
-            k = x.key
-            if start < n and not k < keys[start]:  # else x goes at start: no bisect
-                pos = bisect_right(keys, k, start + 1)
-                elems += elements[start:pos]
-                ks += keys[start:pos]
-                start = pos
-            elems.append(x)
-            ks.append(k)
-        elems += elements[start:]
-        ks += keys[start:]
-        return Bag(tuple(elems), tuple(ks))
-
     def payload_run(self, tag: str) -> "Bag":
         """The payloads of the rows tagged ``tag``.  Those rows' keys are
         ``(6, tag, payload key)``, so the payloads come out in key order."""
@@ -137,7 +102,7 @@ class Bag(Frozen):
 
     def add(self, x: Value) -> "Bag":
         """Insert one copy of ``x``, keeping the canonical order."""
-        return self.merged((x,))
+        return Bag.of(self.elements + (x,))
 
     def remove(self, x: Value) -> "Bag":
         """Drop one copy of ``x`` if present, else return self unchanged."""
@@ -156,7 +121,7 @@ class Bag(Frozen):
 
     def uplus(self, other: "Bag") -> "Bag":
         """Multiset sum; multiplicities add."""
-        return self.merged(other.elements)
+        return Bag.of(self.elements + other.elements)
 
     def map(self, f: Callable[[Value], Value]) -> "Bag":
         return Bag.of(f(x) for x in self.elements)

@@ -49,7 +49,7 @@ from .values import (
     infer_schema,
     json_text,
     to_json,
-    typecheck,
+    typecheck,  # not called here; perfbench/probe.py wraps ``cli.typecheck`` by name
     unify_schema,
 )
 
@@ -87,8 +87,8 @@ def parse_file(path: Path, parse_text):
 
 
 def load_table(path: Path) -> tuple[Optional[Schema], Bag]:
-    """Read one JSONL file: a Value per line.  The row schema is inferred
-    from all rows, then every row is checked against it."""
+    """Read one JSONL file: a Value per line.  The row schema is the
+    unification of the rows' inferred schemas, which every row inhabits."""
     rows: list[Value] = []
     schema: Optional[Schema] = None
     text = read_text(path)
@@ -107,10 +107,6 @@ def load_table(path: Path) -> tuple[Optional[Schema], Bag]:
             schema = s if schema is None else unify_schema(schema, s)
         except SchemaError as e:
             raise SchemaError(f"{path.name}:{lineno}: {e}") from None
-    if schema is not None:
-        for v in rows:
-            if not typecheck(v, schema):
-                raise SchemaError(f"{path.name}: row {v!r} does not match the inferred schema")
     return schema, Bag.of(rows)
 
 
@@ -191,7 +187,7 @@ def cmd_generate(args) -> int:
         try:
             dist = run_rule_program(prog, base, "exact")
             assert isinstance(dist, ExactDist)
-            _emit(args.output, _exact_payload(dist.entries))
+            _emit(args.output, _exact_payload(dist.entries, base))
         finally:
             if enabled:
                 gc.enable()
@@ -331,30 +327,38 @@ class _Texts:
         self.items = items
 
 
-def _bag_text(b: Bag, memo: dict, keep: bool) -> str:
+# the most element texts a writer's memo keeps, as many as a rule plan's
+# row cache (pbmonad._CACHE_CAP): it bounds what the memo holds when every
+# draw is new, as with a normal draw
+_MEMO_CAP = 4096
+
+
+def _bag_text(b: Bag, memo: dict) -> str:
     """Text of ``{"bag": [...]}`` for ``b``.  Element texts are looked up in
     ``memo`` by object identity, as ``id -> (element, text)``: holding the
     element keeps its id from being reused while the entry lives.  A new
-    element's entry is added to ``memo`` only when ``keep``."""
+    element's entry is added while ``memo`` holds fewer than ``_MEMO_CAP``."""
     get = memo.get
     parts = []
     for e in b.elements:
         hit = get(id(e))
         if hit is None:
             hit = (e, json_text(e))
-            if keep:
+            if len(memo) < _MEMO_CAP:
                 memo[id(e)] = hit
         parts.append(hit[1])
     return '{"bag": [' + ", ".join(parts) + "]}"
 
 
-def _exact_payload(entries) -> dict:
+def _exact_payload(entries, rows: Iterable[Value]) -> dict:
     """Output of ``generate --backend exact``; each world is encoded as it is
-    written.  Nearly every element is the same object in many worlds (the
-    input rows, and recurring heads, of which the program's one head table
-    keeps one object per value), so each distinct element is encoded once."""
-    memo: dict = {}
-    worlds = ('{"weight": ' + _ENCODER.encode(w) + ', "world": ' + _bag_text(v.bag, memo, keep=True) + "}"
+    written.  Nearly every element is the same object in many worlds: the
+    input rows, whose texts start the memo, however many, and recurring
+    heads, of which the program's one head table keeps one object per
+    value, and which the memo keeps up to its cap.  So each is encoded
+    once."""
+    memo = {id(e): (e, json_text(e)) for e in rows}
+    worlds = ('{"weight": ' + _ENCODER.encode(w) + ', "world": ' + _bag_text(v.bag, memo) + "}"
               for v, w in entries)
     return {"backend": "exact", "worlds": _Texts(worlds)}
 
@@ -362,10 +366,10 @@ def _exact_payload(entries) -> dict:
 def _mc_payload(worlds: Iterable[Bag], rows: Iterable[Value], samples: int, seed: int) -> dict:
     """Output of ``generate --backend mc``.  Each world is encoded as it
     arrives and then let go; the texts are kept, because a later world may
-    still raise.  Only the texts of ``rows``, the input rows that every
-    world shares, are kept from one world to the next."""
+    still raise.  Elements are encoded through a memo as in the exact
+    writer."""
     memo = {id(e): (e, json_text(e)) for e in rows}
-    texts = [_bag_text(w, memo, keep=False) for w in worlds]
+    texts = [_bag_text(w, memo) for w in worlds]
     return {"backend": "mc", "samples": samples, "seed": seed, "worlds": _Texts(texts)}
 
 

@@ -362,115 +362,114 @@ def check(q: Query, catalog: Mapping[str, Optional[Schema]]) -> Schema:
     table whose rows were never observed: an empty input, or the world
     table of ``estimate``, whose rows are only known once it is sampled.
     """
-    rows: dict[str, RowSchema] = {}
-    for name, s in catalog.items():
-        rows[name] = s.elem if isinstance(s, BagT) else s
+    rows = {name: s.elem if isinstance(s, BagT) else s for name, s in catalog.items()}
+    s = _schema(q, rows)
+    return s if s is not None else BagT(None)
 
-    def go(node: Query) -> Schema:
-        s = go_opt(node)
-        return s if s is not None else BagT(None)
 
-    def go_opt(node: Query) -> Optional[Schema]:
-        if isinstance(node, Table):
-            if node.name not in rows:
-                raise UnknownTableError(node.name)
-            return BagT(rows[node.name])
-        if isinstance(node, Lit):
-            return infer_schema(BagV(node.bag))
-        if isinstance(node, Singleton):
-            return BagT(go_opt(node.q))
-        if isinstance(node, Flatten):
-            elem = _elem(go_opt(node.q), "flatten")
-            if elem is None:
-                return BagT(None)
-            if not isinstance(elem, BagT):
-                raise EngineTypeError("flatten needs a bag of bags")
-            return elem
-        if isinstance(node, MapQ):
-            elem = _elem(go_opt(node.q), "map")
-            return BagT(expr_schema(node.fn, elem)) if elem is not None else BagT(None)
-        if isinstance(node, Product):
-            e1 = _elem(go_opt(node.q1), "product")
-            e2 = _elem(go_opt(node.q2), "product")
-            if e1 is None or e2 is None:
-                return BagT(None)
-            return BagT(TupleT(_parts(e1) + _parts(e2)))
-        if isinstance(node, Project):
-            elem = _elem(go_opt(node.q), "project")
-            if elem is None:
-                return BagT(None)
-            parts = _parts(elem)
-            picked = []
-            for i in node.indices:
-                if not (1 <= i <= len(parts)):
-                    raise EngineTypeError(f"project field .{i} out of range for arity {len(parts)}")
-                picked.append(parts[i - 1])
-            return BagT(picked[0] if len(picked) == 1 else TupleT(tuple(picked)))
-        if isinstance(node, Select):
-            s = go_opt(node.q)
-            elem = _elem(s, "select")
-            if elem is not None:
-                ps = expr_schema(node.pred, elem)
-                if ps is not None and not isinstance(ps, BoolT):
-                    raise EngineTypeError("select predicate must be boolean")
-                return BagT(_narrow(node.pred, elem))
-            return s
-        if isinstance(node, (DUnion, UnionQ)):
-            e1 = _elem(go_opt(node.q1), "dunion")
-            e2 = _elem(go_opt(node.q2), "dunion")
-            if e1 is None:
-                return BagT(e2)
-            if e2 is None:
-                return BagT(e1)
-            return BagT(unify_schema(e1, e2))
-        if isinstance(node, (Difference, IntersectQ)):
-            e1 = _elem(go_opt(node.q1), "difference")
-            _elem(go_opt(node.q2), "difference")
+def _schema(node: Query, rows: Mapping[str, RowSchema]) -> Optional[Schema]:
+    """The schema of ``node``'s result, None if unknown.  A module-level
+    function, not a closure that calls itself, so that a check leaves no
+    reference cycle."""
+    if isinstance(node, Table):
+        if node.name not in rows:
+            raise UnknownTableError(node.name)
+        return BagT(rows[node.name])
+    if isinstance(node, Lit):
+        return infer_schema(BagV(node.bag))
+    if isinstance(node, Singleton):
+        return BagT(_schema(node.q, rows))
+    if isinstance(node, Flatten):
+        elem = _elem(_schema(node.q, rows), "flatten")
+        if elem is None:
+            return BagT(None)
+        if not isinstance(elem, BagT):
+            raise EngineTypeError("flatten needs a bag of bags")
+        return elem
+    if isinstance(node, MapQ):
+        elem = _elem(_schema(node.q, rows), "map")
+        return BagT(expr_schema(node.fn, elem)) if elem is not None else BagT(None)
+    if isinstance(node, Product):
+        e1 = _elem(_schema(node.q1, rows), "product")
+        e2 = _elem(_schema(node.q2, rows), "product")
+        if e1 is None or e2 is None:
+            return BagT(None)
+        return BagT(TupleT(_parts(e1) + _parts(e2)))
+    if isinstance(node, Project):
+        elem = _elem(_schema(node.q, rows), "project")
+        if elem is None:
+            return BagT(None)
+        parts = _parts(elem)
+        picked = []
+        for i in node.indices:
+            if not (1 <= i <= len(parts)):
+                raise EngineTypeError(f"project field .{i} out of range for arity {len(parts)}")
+            picked.append(parts[i - 1])
+        return BagT(picked[0] if len(picked) == 1 else TupleT(tuple(picked)))
+    if isinstance(node, Select):
+        s = _schema(node.q, rows)
+        elem = _elem(s, "select")
+        if elem is not None:
+            ps = expr_schema(node.pred, elem)
+            if ps is not None and not isinstance(ps, BoolT):
+                raise EngineTypeError("select predicate must be boolean")
+            return BagT(_narrow(node.pred, elem))
+        return s
+    if isinstance(node, (DUnion, UnionQ)):
+        e1 = _elem(_schema(node.q1, rows), "dunion")
+        e2 = _elem(_schema(node.q2, rows), "dunion")
+        if e1 is None:
+            return BagT(e2)
+        if e2 is None:
             return BagT(e1)
-        if isinstance(node, (PowerBag, PowerSet)):
-            elem = _elem(go_opt(node.q), "powerbag")
-            return BagT(BagT(elem))
-        if isinstance(node, Dedup):
-            return BagT(_elem(go_opt(node.q), "dedup"))
-        if isinstance(node, Group):
-            elem = _elem(go_opt(node.q), "group")
+        return BagT(unify_schema(e1, e2))
+    if isinstance(node, (Difference, IntersectQ)):
+        e1 = _elem(_schema(node.q1, rows), "difference")
+        _elem(_schema(node.q2, rows), "difference")
+        return BagT(e1)
+    if isinstance(node, (PowerBag, PowerSet)):
+        elem = _elem(_schema(node.q, rows), "powerbag")
+        return BagT(BagT(elem))
+    if isinstance(node, Dedup):
+        return BagT(_elem(_schema(node.q, rows), "dedup"))
+    if isinstance(node, Group):
+        elem = _elem(_schema(node.q, rows), "group")
+        if elem is None:
+            return BagT(None)
+        parts = _parts(elem)
+        for i in node.key_indices + node.val_indices:
+            if not (1 <= i <= len(parts)):
+                raise EngineTypeError(f"group field .{i} out of range for arity {len(parts)}")
+        ks = [parts[i - 1] for i in node.key_indices]
+        vs = [parts[i - 1] for i in node.val_indices]
+        key = ks[0] if len(ks) == 1 else TupleT(tuple(ks))
+        val = vs[0] if len(vs) == 1 else TupleT(tuple(vs))
+        return BagT(TupleT((key, BagT(val))))
+    if isinstance(node, GroupPrime):
+        elem = _elem(_schema(node.q, rows), "group")
+        return BagT(BagT(elem))
+    if isinstance(node, Agg):
+        elem = _elem(_schema(node.q, rows), f"agg {node.kind}")
+        if node.kind == "size":
+            return IntT()
+        if node.kind == "the":
+            return elem  # None: unknown; an empty bag fails when evaluated
+        if node.kind == "sum":
             if elem is None:
-                return BagT(None)
-            parts = _parts(elem)
-            for i in node.key_indices + node.val_indices:
-                if not (1 <= i <= len(parts)):
-                    raise EngineTypeError(f"group field .{i} out of range for arity {len(parts)}")
-            ks = [parts[i - 1] for i in node.key_indices]
-            vs = [parts[i - 1] for i in node.val_indices]
-            key = ks[0] if len(ks) == 1 else TupleT(tuple(ks))
-            val = vs[0] if len(vs) == 1 else TupleT(tuple(vs))
-            return BagT(TupleT((key, BagT(val))))
-        if isinstance(node, GroupPrime):
-            elem = _elem(go_opt(node.q), "group")
-            return BagT(BagT(elem))
-        if isinstance(node, Agg):
-            elem = _elem(go_opt(node.q), f"agg {node.kind}")
-            if node.kind == "size":
                 return IntT()
-            if node.kind == "the":
-                return elem  # None: unknown; an empty bag fails when evaluated
-            if node.kind == "sum":
-                if elem is None:
-                    return IntT()
-                if isinstance(elem, (IntT, RealT)):
-                    return elem
-                raise EngineTypeError("sum needs a bag of numbers")
-            raise EngineTypeError(f"unknown aggregate {node.kind!r}")
-        raise EngineTypeError(f"unknown query node {node!r}")
+            if isinstance(elem, (IntT, RealT)):
+                return elem
+            raise EngineTypeError("sum needs a bag of numbers")
+        raise EngineTypeError(f"unknown aggregate {node.kind!r}")
+    raise EngineTypeError(f"unknown query node {node!r}")
 
-    def _elem(s: Optional[Schema], where: str) -> RowSchema:
-        if s is None:
-            return None
-        if not isinstance(s, BagT):
-            raise EngineTypeError(f"{where} needs a bag input, got a scalar")
-        return s.elem
 
-    return go(q)
+def _elem(s: Optional[Schema], where: str) -> RowSchema:
+    if s is None:
+        return None
+    if not isinstance(s, BagT):
+        raise EngineTypeError(f"{where} needs a bag input, got a scalar")
+    return s.elem
 
 
 def _parts(s: Schema) -> tuple[Schema, ...]:

@@ -717,10 +717,10 @@ class _CompiledProgram:
     An mc world is a map from each tag that can appear, an input tag or a
     head tag, to its run: it starts as a copy of the input's map, each
     rule reads the runs of its body tags and adds its heads to the run of
-    its head tag alone (``Bag.merged``), and the world bag is built once,
-    at the end, by concatenating the elements before, the runs in tag
-    order and the elements after.  The hasher of each rule's seed prefix,
-    seed/rule, is computed here, once per program.
+    its head tag alone, as ``Bag.of`` of the run followed by the heads, and
+    the world bag is built once, at the end, by concatenating the elements
+    before, the runs in tag order and the elements after.  The hasher of
+    each rule's seed prefix, seed/rule, is computed here, once per program.
 
     What the plans keep is decided once per tag, in program order, by
     ``recurs``: each head tag written so far maps to whether its heads
@@ -757,7 +757,7 @@ class _CompiledProgram:
         runs = self.runs.copy()
         for plan, prefix in zip(self.plans, self.prefixes):  # type: ignore[arg-type]
             tag = plan.rule.head_tag
-            runs[tag] = runs[tag].merged(plan.fire(runs, prefix, i, self.gen))  # type: ignore[arg-type]
+            runs[tag] = Bag.of([*runs[tag].elements, *plan.fire(runs, prefix, i, self.gen)])  # type: ignore[arg-type]
         parts = [self.pre, *[runs[t] for t in self.tags], self.post]
         return Bag(tuple(chain.from_iterable([p.elements for p in parts])),
                    tuple(chain.from_iterable([p.key for p in parts])))

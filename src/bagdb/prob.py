@@ -414,13 +414,11 @@ def exact_of(e: SamplerExpr) -> ExactDist:
 def pushforward(q: Query, worlds: Iterable[Bag], table: str = "db") -> Iterator[Value]:
     """The query's result in each world, in order, computed as the world
     arrives.  A failure in world i raises ``WorldEvalError`` naming i."""
-    from . import algebra
+    from .algebra import eval_query
 
     for i, world in enumerate(worlds):
         try:
-            # looked up per call, so that a wrapper installed on
-            # ``algebra.eval_query`` sees every world
-            yield algebra.eval_query(q, {table: world})
+            yield eval_query(q, {table: world})
         except EngineError as e:
             raise WorldEvalError(BagV(world), e, i) from e
 

@@ -10,12 +10,14 @@ fields are its class's own ``__slots__``.  Its ``__init__`` sets ``key``
 from them (a ``BagV`` from its bag's key, which the bag's constructor
 set), and its hash, the square of ``hash(key)`` modulo ``HASH_MOD``, is
 stored on the first ``hash``.  Both are ``Value`` slots, not fields, so
-``==``, order, ``repr``, pickling and the codec never see them.  A bag's
-hash is the sum of its elements' (see ``bags``), and CPython's tuple hash
-is close to additive in one field that changes: summed as they are, the
-key hashes of two bags that swap a field's values between two rows would
-often be equal, and their squares are not.  A ``BagV`` stores no hash of
-its own: its hash is its bag's multiset hash, which the bag stores.
+``==``, order, ``repr``, pickling and the codec never see them.  A bag
+hashes through its elements' ``__hash__``: its hash is the sum of theirs
+(see ``bags``), so only this module knows how a value hashes.  CPython's
+tuple hash is close to additive in one field that changes: summed as
+they are, the key hashes of two bags that swap a field's values between
+two rows would often be equal, and their squares are not.  A ``BagV``
+stores no hash of its own: its hash is its bag's multiset hash, which
+the bag stores.
 """
 from __future__ import annotations
 

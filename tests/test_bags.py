@@ -72,12 +72,12 @@ class TestCanonicalForm:
         assert b.remove(Int(9)) is b
 
     @given(st.lists(merge_values, max_size=6), st.lists(merge_values, max_size=6))
-    @example([Int(0), Int(1)], [Real(1.0), Int(1)])  # every item at or past the last key: appended
+    @example([Int(0), Int(1)], [Real(1.0), Int(1)])  # every item at or past the last key
     @example([], [Int(1), Int(0)])
-    def test_merged_is_of_without_resorting(self, xs, ys):
+    def test_uplus_places_items_after_equal_elements(self, xs, ys):
         # the same element objects in the same order as the stable sort:
         # an item follows the base's elements with an equal key
-        got, want = Bag.of(xs).merged(ys), Bag.of([*Bag.of(xs), *ys])
+        got, want = Bag.of(xs).uplus(Bag.of(ys)), Bag.of([*Bag.of(xs), *ys])
         assert len(got) == len(want) and all(x is y for x, y in zip(got, want))
         assert got.key == tuple(e.key for e in want.elements) == want.key
 
@@ -247,9 +247,9 @@ class TestTagRuns:
 
 class TestStoredKeys:
     """Every way of building a bag leaves ``key`` equal to its elements'
-    keys, whether the constructor computed it or was given it (spliced by
-    ``merged`` and ``payload_run``, filtered by ``q_select``), so a bag
-    value's hash does not depend on how the bag was built."""
+    keys, whether the constructor computed it or was given it (by
+    ``payload_run`` and ``q_select``), so a bag value's hash does not
+    depend on how the bag was built."""
 
     @given(
         st.lists(run_rows, max_size=8),
@@ -259,8 +259,8 @@ class TestStoredKeys:
     )
     def test_every_construction_keys_its_elements(self, xs, ys, x, tag):
         b = Bag.of(xs)
-        merged = b.merged(ys)
-        built = [b, merged, b.uplus(Bag.of(ys)), b.payload_run(tag), b.add(x), b.remove(x),
+        merged = b.uplus(Bag.of(ys))
+        built = [b, merged, b.payload_run(tag), b.add(x), b.remove(x),
                  q_select(Not(IsTag(RowRef(), tag)), merged), q_select(Cmp("!=", RowRef(), Const(x)), merged),
                  pickle.loads(pickle.dumps(merged))]
         if b:
@@ -292,7 +292,7 @@ class TestMultisetHash:
         if base_hashed:  # else the step computes it
             hash(b)
         carried = [bv.bag for bv, _ in _distr(options, b, 1.0)]
-        built = [EMPTY, b, Bag.of(ys), b.merged(ys), b.uplus(Bag.of(ys)), *carried]
+        built = [EMPTY, b, Bag.of(ys), b.uplus(Bag.of(ys)), *carried]
         built.append(Bag.of([BagV(c) for c in built]))
         for c in built:
             assert hash(c) == c.__hash__() == hash(BagV(c)) == hash_from_scratch(c)

@@ -29,7 +29,7 @@ from bagdb.dsl import parse
 from bagdb.errors import EngineError, EngineTypeError
 from bagdb.pbmonad import parse_rules, run_rule_program
 from bagdb.prob import Seed
-from bagdb.values import BagV, Int, Real, Str, Tagged, to_json
+from bagdb.values import BagV, Int, Real, Str, Tagged, json_text, to_json
 
 from strategies import json_edge_values, seeds
 
@@ -920,7 +920,7 @@ class TestStreamedOutput:
         weight = st.floats(allow_nan=False) | st.sampled_from([-0.0, math.inf, -math.inf, 5e-324])
         entries = data.draw(st.lists(st.tuples(world, weight), max_size=5))
         plain = {"backend": "exact", "worlds": [{"weight": w, "world": to_json(v)} for v, w in entries]}
-        assert self.emitted(_exact_payload(entries)) == self.dumped(plain)
+        assert self.emitted(_exact_payload(entries, pool)) == self.dumped(plain)
 
     @given(st.data())
     def test_mc(self, data):
@@ -935,12 +935,28 @@ class TestStreamedOutput:
         # Int(-1) and Int(-2) hash alike in CPython
         entries = [(BagV(Bag.of([Int(-1)])), 0.5), (BagV(Bag.of([Int(-2)])), 0.5)]
         plain = {"backend": "exact", "worlds": [{"weight": w, "world": to_json(v)} for v, w in entries]}
-        assert self.emitted(_exact_payload(entries)) == self.dumped(plain)
+        assert self.emitted(_exact_payload(entries, ())) == self.dumped(plain)
 
-    def test_mc_lets_each_world_go(self):
-        # a world's own rows are freed once the world after it is encoded
-        # (the loop still holds a world while it asks for the next one);
-        # the input rows stay
+    def test_writers_encode_each_element_once(self, monkeypatch):
+        # an element object that recurs within and across worlds is encoded
+        # once by either writer, an input row when the memo starts; an equal
+        # object is encoded again
+        import bagdb.cli as cli
+        calls = []
+        monkeypatch.setattr(cli, "json_text", lambda v: calls.append(v) or json_text(v))
+        row, head = Tagged("address", Str("H1")), Tagged("alarm", Str("H1"))
+        worlds = [Bag.of([row, head, head]), Bag.of([row]), Bag.of([row, head, Tagged("alarm", Str("H1"))])]
+        self.emitted(_mc_payload(iter(worlds), [row], 3, 0))
+        assert len(calls) == 3
+        self.emitted(_exact_payload([(BagV(w), 1 / 3) for w in worlds], [row]))
+        assert len(calls) == 6
+
+    def test_mc_lets_each_world_go(self, monkeypatch):
+        # with the memo full, a world's own rows are freed once the world
+        # after it is encoded (the loop still holds a world while it asks
+        # for the next one); the input row, which starts the memo, stays
+        import bagdb.cli as cli
+        monkeypatch.setattr(cli, "_MEMO_CAP", 1)
         rows = [Tagged("address", Str("H1"))]
         refs: list[list] = []
 

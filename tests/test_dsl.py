@@ -1,6 +1,8 @@
 """Query language: lexer, parser, its round trip through the test printer
 ``query_text.pretty``, and the static checker."""
+import gc
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from bagdb.algebra import (
     eval_query,
 )
 from bagdb.bags import EMPTY, Bag
+from bagdb.cli import load_table
 from bagdb.dsl import check, parse, tokenize
 from bagdb.errors import (
     EmptyAggregateError,
@@ -353,3 +356,33 @@ class TestCheck:
             eval_query(q, ENV, max_powerbag=4096)
         except (EmptyAggregateError, ResourceLimitError):
             pass
+
+    def test_leaves_no_reference_cycle(self):
+        # with the collector off, no check leaves anything for it to free:
+        # every fixture query, against the fixture table and the world table
+        fixtures = Path(__file__).parent / "fixtures"
+        catalog = {"db": load_table(fixtures / "db.jsonl")[0], "world": None}
+        for path in sorted(fixtures.glob("*.query")):
+            q = parse(path.read_text(encoding="utf-8"))
+            gc.collect()
+            gc.disable()
+            try:
+                check(q, catalog)
+                assert gc.collect() == 0, path.name
+            finally:
+                gc.enable()
+
+    @settings(max_examples=100)
+    @given(queries)
+    def test_random_checks_leave_no_reference_cycle(self, q):
+        # a check that raises leaves no cycle either
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                check(q, CATALOG)
+            except EngineTypeError:
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -1356,7 +1356,7 @@ class TestOneGeneration:
         out = tmp_path / "out.json"
         gc.collect()
         gc.disable()
-        _emit(str(out), _exact_payload(run_rule_program(prog, base, "exact").entries))
+        _emit(str(out), _exact_payload(run_rule_program(prog, base, "exact").entries, base))
         assert gc.collect() == 0
         if town == "town":
             assert out.read_bytes() == (fixtures / "golden" / "generate-exact-town.json").read_bytes()
@@ -1368,7 +1368,8 @@ class TestOneGeneration:
         gc.collect()
         gc.disable()
         try:
-            _emit(os.devnull, _exact_payload(run_rule_program(prog, base, "exact", max_worlds=EXACT_LIMIT).entries))
+            dist = run_rule_program(prog, base, "exact", max_worlds=EXACT_LIMIT)
+            _emit(os.devnull, _exact_payload(dist.entries, base))
         except EngineError:  # a run that fails leaves none either
             pass
         assert gc.collect() == 0

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import weakref
 from dataclasses import FrozenInstanceError
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -388,6 +389,16 @@ class TestSchemas:
         except SchemaError:
             return
         assert typecheck(v, s)
+
+    @given(st.lists(values, min_size=1, max_size=5))
+    def test_rows_inhabit_their_unified_schema(self, rows):
+        # why load_table checks no row against the unified schema: every
+        # row whose schema takes part in it inhabits it
+        try:
+            s = reduce(unify_schema, map(infer_schema, rows))
+        except SchemaError:
+            return
+        assert all(typecheck(v, s) for v in rows)
 
     def test_mixed_scalar_bag_has_no_schema(self):
         with pytest.raises(SchemaError):
