@@ -16,17 +16,19 @@ and Suh, "Incremental Multiset Hash Functions", ASIACRYPT 2003).  A
 caller that adds values to a bag whose hash it knows has the new bag's
 hash by addition and passes it to the constructor (``pbmonad``'s exact
 step); any other bag computes its hash on the first ``hash`` and stores
-it.  Only this module and ``values`` know that every Tagged key starts
-with ``(6, tag)`` and every BagV key with 7: a bag's rows of one tag are
-one contiguous run of its elements (``tag_rows``), and a bag splits into
-its elements before its tagged rows, one run per tag and its elements
-after them (``tag_runs``).
+it.  Only this module and ``values`` know that every Tagged key is
+``(6, tag, payload key)`` and every BagV key starts with 7: a payload
+key's rank is at most 7, so a bag's rows of one tag are the one run of
+its elements whose keys lie in ``[(6, tag), (6, tag, (8,)))``, found by
+bisection on the plain keys (``tag_rows``), and a bag splits into its
+elements before its tagged rows, one run per tag and its elements after
+them (``tag_runs``).
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .errors import EngineTypeError
@@ -36,7 +38,6 @@ from .values import HASH_MOD, BagV, Tuple, Value
 A = TypeVar("A")
 
 _KEY = attrgetter("key")
-_TAG_PREFIX = itemgetter(slice(0, 2))
 
 
 class Bag(Frozen):
@@ -150,10 +151,12 @@ EMPTY = Bag(())
 
 def tag_rows(bag: Bag, tag: str) -> tuple[Value, ...]:
     """A bag's rows of one tag, in bag order: every Tagged key is
-    ``(6, tag, payload key)``, so they form one run of its elements."""
+    ``(6, tag, payload key)``, and a payload key starts with its rank, at
+    most 7, so they are the elements whose keys lie in
+    ``[(6, tag), (6, tag, (8,)))``, one run of the bag."""
     keys = bag.key
-    lo = bisect_left(keys, (6, tag), key=_TAG_PREFIX)
-    return bag.elements[lo:bisect_right(keys, (6, tag), lo, key=_TAG_PREFIX)]
+    lo = bisect_left(keys, (6, tag))
+    return bag.elements[lo:bisect_left(keys, (6, tag, (8,)), lo)]
 
 
 def tag_runs(bag: Bag) -> tuple[Bag, dict[str, Bag], Bag]:
@@ -166,7 +169,7 @@ def tag_runs(bag: Bag) -> tuple[Bag, dict[str, Bag], Bag]:
     lo = start
     while lo < end:
         tag = keys[lo][1]
-        hi = bisect_right(keys, (6, tag), lo, end, key=_TAG_PREFIX)
+        hi = bisect_left(keys, (6, tag, (8,)), lo, end)
         runs[tag] = Bag(elements[lo:hi], keys[lo:hi])
         lo = hi
     return Bag(elements[:start], keys[:start]), runs, Bag(elements[end:], keys[end:])

@@ -465,9 +465,13 @@ class _AtomPlan:
 
     ``recurs`` is the program's entry for the tag (``_CompiledProgram``):
     ``None`` for an input tag, whose index the rule plan keeps.  Otherwise
-    the atom is ``varying`` and indexed anew in every world, and if its
-    tag's heads recur, from ``cache``, which maps a row, by value, to its
-    entry: ``_REJECTED`` or the pair (probe key, bound values).
+    the atom is ``varying`` and read anew in every world, and if its tag's
+    heads recur, through ``cache``, which maps a row, by value, to what
+    the atom reads from it.  In a plan of more than one atom that is the
+    row's entry, ``_REJECTED`` or the pair (probe key, bound values), and
+    each world is indexed from it; the one atom of a plan maps the row
+    straight to its match, the plan's ``_Match`` or ``_REJECTED``
+    (``_RulePlan.matches``).
     """
 
     def __init__(self, atom: Atom, slot_of: dict[str, int], recurs: Optional[bool]):
@@ -561,8 +565,12 @@ class _RulePlan:
     list that ``matches`` returns; and a rule whose heads recur
     (``recurs``) keeps them per match, one object per value through the
     program's head ``table``; any other rule keeps no head, so ``head`` and
-    ``fire`` look none up and hash no drawn value.  Entries, their fields
-    and the kept list are stored once computed without raising, so a world
+    ``fire`` look none up and hash no drawn value.  A plan whose one atom
+    has a row cache (``single``) maps each row through it straight to the
+    row's match: one lookup per row, and on a miss the atom's entry, the
+    memo and the guards, so rows with one env share one ``_Match`` (a
+    zero-arity atom's Unit and ``()`` rows do).  Entries, their fields and
+    the kept list are stored once computed without raising, so a world
     raises the same errors, in the same order, whatever earlier worlds have
     cached."""
 
@@ -585,6 +593,7 @@ class _RulePlan:
         self.table = table if self.recurs else None
         self.keeps = not any(ap.varying for ap in self.atoms)
         self.kept: Optional[list[_Match]] = None
+        self.single = len(self.atoms) == 1 and self.atoms[0].cache is not None
 
     def matches(self, world: object, rows: Callable[[object, str], Sequence[Value]]) -> list[_Match]:
         """The entries of the matches whose guards hold against a world, in
@@ -594,6 +603,19 @@ class _RulePlan:
         (``tag_rows``), or an mc world's run (``_run_rows``)."""
         if self.kept is not None:
             return self.kept
+        if self.single:  # the atom's row cache maps a row straight to its match
+            ap, out = self.atoms[0], []
+            cache: dict[Value, object] = ap.cache  # type: ignore[assignment]
+            for row in rows(world, ap.tag):
+                m = cache.get(row)
+                if m is None:
+                    e = ap.entry(row)
+                    m = e if e is _REJECTED else self.match(e[1])  # type: ignore[index]
+                    if len(cache) < _CACHE_CAP:
+                        cache[row] = m
+                if m is not _REJECTED:
+                    out.append(m)
+            return out
         envs: list[tuple[Value, ...]] = [()]
         for n, ap in enumerate(self.atoms):
             index = self.fixed_index[n]
@@ -607,18 +629,20 @@ class _RulePlan:
                 if bucket:
                     nxt.extend([env + vals for vals in bucket])
             envs = nxt
-        memo, room, guards, out = self.memo, self.room, self.guards, []
-        for env in envs:
-            m = memo.get(env) if room else None  # a fresh plan's memo stays empty
-            if m is None:
-                m = _Match(env) if all(cmp_holds(op, a(env), b(env)) for op, a, b in guards) else _REJECTED
-                if len(memo) < room:
-                    memo[env] = m
-            if m is not _REJECTED:
-                out.append(m)
+        out = [m for m in map(self.match, envs) if m is not _REJECTED]
         if self.keeps:
             self.kept = out
         return out
+
+    def match(self, env: tuple[Value, ...]) -> _Match:
+        """The memo's entry for ``env``: its ``_Match``, or ``_REJECTED``
+        when its guards fail."""
+        m = self.memo.get(env) if self.room else None  # a fresh plan's memo stays empty
+        if m is None:
+            m = _Match(env) if all(cmp_holds(op, a(env), b(env)) for op, a, b in self.guards) else _REJECTED
+            if len(self.memo) < self.room:
+                self.memo[env] = m
+        return m
 
     def sampler(self, m: _Match) -> SamplerExpr:
         if m.sampler is None:

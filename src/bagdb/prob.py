@@ -139,6 +139,10 @@ def _entry_key(entry: tuple[Value, float]) -> tuple:
     return entry[0].key
 
 
+def _bag_key(entry: tuple[Value, float]) -> tuple:
+    return entry[0].bag.key  # type: ignore[attr-defined]
+
+
 def _bad_weight(v: Value, w: float) -> NormalizationError:
     """The error for a weight ``w`` of ``v`` that is not ``> 0``."""
     if w < 0:
@@ -192,7 +196,10 @@ class ExactDist(Node):
         order given, starting from ``0.0``; zero weights are dropped, a
         weight that is not ``>= 0`` (negative or NaN) raises, the total
         must be within ``WEIGHT_EPS`` of one, and the support is sorted by
-        key."""
+        key.  A BagV's key is ``(7, bag key)``, above every other value's,
+        so the BagVs sort last, by their bags' keys: sorting on ``(7, K)``
+        would walk the common prefix of two bags' keys twice, once for
+        ``==`` and once for ``<``."""
         items = weights.items() if isinstance(weights, Mapping) else weights
         index: dict[Value, int] = {}  # each distinct value's place in sums
         sums: list[float] = []
@@ -207,7 +214,10 @@ class ExactDist(Node):
             else:
                 sums[i] += w
         _check_total(sums)
-        return cls._canonical(tuple(sorted(zip(index, sums), key=_entry_key)))
+        entries = list(zip(index, sums))
+        bags = [e for e in entries if isinstance(e[0], BagV)]
+        rest = [e for e in entries if not isinstance(e[0], BagV)] if len(bags) < len(entries) else []
+        return cls._canonical(tuple(sorted(rest, key=_entry_key) + sorted(bags, key=_bag_key)))
 
     @classmethod
     def dirac(cls, x: Value) -> "ExactDist":

@@ -701,6 +701,36 @@ class TestModuleLayout:
         assert proc.stdout == "[]\n"
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+class TestBenchmarkProbe:
+    """``perfbench/probe.py`` wraps engine names where their callers look
+    them up, so a name that a refactor deletes or moves breaks the
+    benchmark, which the rest of the suite does not run.  Each command kind
+    runs once, traced, in a child, and the counters that CI's benchmark
+    smoke step checks must read above 0."""
+
+    @pytest.mark.parametrize("kind, argv, live", [
+        ("exact", ["generate", "--db", str(FIXTURES / "town4.jsonl"), "--program", RULES, "--backend", "exact"],
+         ["pbmonad.exact.worlds", "prob.from_weights.calls"]),
+        ("estimate", ["estimate", "--db", TOWN, "--program", RULES, "--query", ALARMS, "--samples", "20",
+                      "--seed", "1", "--stat", "tuple-prob", "--workers", "1"],
+         ["pbmonad.world.calls", "prob.draw.calls"]),
+        ("query", ["query", "--db", DB, "--query", BLOCKBUSTERS],
+         ["algebra.eval_query.calls", "algebra.select.rows_in"]),
+    ], ids=["exact", "estimate", "query"])
+    def test_traced_run_counts_the_live_layers(self, tmp_path, kind, argv, live):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"kind": kind, "argv": argv}), encoding="utf-8")
+        proc = subprocess.run([sys.executable, str(PERFBENCH / "probe.py"), "main", str(plan), "1",
+                               str(tmp_path / "main.out")], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        res = json.loads(proc.stdout)
+        assert res["exit"] == 0
+        assert [c for c in live if not res["counts"].get(c, 0) > 0] == []  # no counter reads 0
+
+
 GOLDEN = FIXTURES / "golden"
 U64_MAX = str(2**64 - 1)
 

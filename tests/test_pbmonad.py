@@ -1001,25 +1001,28 @@ class TestCompiledSampler:
         assert exact_outcome(run_rule_program, prog, base, "exact") == exact_outcome(reference_exact, prog, base)
 
     def test_row_cache_and_head_table_stay_bounded(self, monkeypatch):
-        # pair's atoms read 6 distinct flip rows, and the three rules write
-        # up to 24 heads into the program's one table: each fills at the cap,
-        # stores nothing new, and still answers lookups
+        # pair's atoms read 6 distinct flip rows, and so does echo's one
+        # atom, whose cache maps a row straight to its match; the rules write
+        # up to 24 or 30 heads into the program's one table: each fills at
+        # the cap, stores nothing new, and still answers lookups
         monkeypatch.setattr(pbmonad, "_CACHE_CAP", 3)
-        prog, base = parse_rules(PAIRS), Bag.of([Tagged("src", Int(n)) for n in range(3)])
-        sampler = run_rule_program(prog, base, "mc", seed=Seed(6))
-        flip, pair0, pair1 = sampler.world_fn.__self__.plans
-        table = {}
-        for i in range(30):
-            assert sampler.world(i) == reference_world(prog, base, Seed(6), i)
-            for ap in pair0.atoms + pair1.atoms:
-                assert len(ap.cache) <= 3
-            assert flip.table is pair0.table is pair1.table and len(pair0.table) <= 3
-            assert all(pair0.table[h] is h for h in table)  # the first heads stay
-            table = dict(pair0.table)
-        assert all(len(ap.cache) == 3 for ap in pair0.atoms + pair1.atoms) and len(table) == 3
-        assert flip.table is pair0.table  # one rule writes flip, and its heads recur
-        assert all(ap.cache is None for ap in flip.atoms)  # src rows: a kept index, no cache
-        assert exact_outcome(run_rule_program, prog, base, "exact") == exact_outcome(reference_exact, prog, base)
+        base = Bag.of([Tagged("src", Int(n)) for n in range(3)])
+        for prog in (parse_rules(PAIRS), parse_rules(PAIRS + "\necho(x, y) <- flip(x, y)")):
+            sampler = run_rule_program(prog, base, "mc", seed=Seed(6))
+            flip, *readers = sampler.world_fn.__self__.plans
+            cached = [ap for plan in readers for ap in plan.atoms]
+            table = {}
+            for i in range(30):
+                assert sampler.world(i) == reference_world(prog, base, Seed(6), i)
+                for ap in cached:
+                    assert len(ap.cache) <= 3
+                assert all(plan.table is flip.table for plan in readers) and len(flip.table) <= 3
+                assert all(flip.table[h] is h for h in table)  # the first heads stay
+                table = dict(flip.table)
+            assert all(len(ap.cache) == 3 for ap in cached) and len(table) == 3
+            assert flip.table is not None  # one rule writes flip, and its heads recur
+            assert all(ap.cache is None for ap in flip.atoms)  # src rows: a kept index, no cache
+            assert exact_outcome(run_rule_program, prog, base, "exact") == exact_outcome(reference_exact, prog, base)
 
     @pytest.mark.parametrize("program", [
         "noise(x, normal(0.0, 1.0)) <- src(x)\nhigh(x, z) <- noise(x, z), z > 0.5",
