@@ -22,7 +22,10 @@ key's rank is at most 7, so a bag's rows of one tag are the one run of
 its elements whose keys lie in ``[(6, tag), (6, tag, (8,)))``, found by
 bisection on the plain keys (``tag_rows``), and a bag splits into its
 elements before its tagged rows, one run per tag and its elements after
-them (``tag_runs``).
+them (``tag_runs``).  ``trusted_bagv`` builds a world of ``pbmonad``'s
+exact step, a BagV and its Bag, by setting their slots directly: the
+caller vouches for the order, the keys and the hash sum, and nothing is
+checked.
 """
 from __future__ import annotations
 
@@ -147,6 +150,27 @@ class Bag(Frozen):
 
 
 EMPTY = Bag(())
+
+_new = object.__new__
+_set_elements, _set_key, _set_hash = Bag.elements.__set__, Bag.key.__set__, Bag._hash.__set__  # type: ignore[attr-defined]
+_set_bag, _set_bagv_key = BagV.bag.__set__, BagV.key.__set__  # type: ignore[attr-defined]
+
+
+def trusted_bagv(elements: tuple[Value, ...], key: tuple, hash_sum: int) -> BagV:
+    """``BagV(Bag(elements, key, hash_sum))``, built by setting both
+    objects' slots directly: no ``__init__`` runs, so there is no type check
+    and no lazy import.  The caller guarantees what the constructors would
+    otherwise compute or trust: ``elements`` are in canonical order, ``key``
+    holds their keys, and ``hash_sum`` is the sum of their hashes, reduced
+    modulo ``HASH_MOD`` or not."""
+    bag = _new(Bag)
+    _set_elements(bag, elements)
+    _set_key(bag, key)
+    _set_hash(bag, hash_sum % HASH_MOD)
+    bv = _new(BagV)
+    _set_bag(bv, bag)
+    _set_bagv_key(bv, (7, key))
+    return bv
 
 
 def tag_rows(bag: Bag, tag: str) -> tuple[Value, ...]:

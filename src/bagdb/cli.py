@@ -11,9 +11,10 @@ modules it runs.  ``query`` loads the query engine (``algebra`` and
 both.  ``estimate`` folds the query results in one loop into the
 accumulator of its statistic (see ``STATS``) and finishes it once.  All
 output is deterministic given inputs, seed and flags, and all-or-nothing:
-it is written only after the last step that can fail.  ``--workers`` is
-validated but worlds are generated sequentially, so it cannot change
-results.
+it is written only after the last step that can fail, and ``--output
+FILE`` is written to a new file that replaces FILE after the last byte.
+``--workers`` is validated but worlds are generated sequentially, so it
+cannot change results.
 
 Exit codes: 0 ok, 1 usage, 2 parse error, 3 type/schema error,
 4 resource limit, 5 infinite-support request on the exact backend.
@@ -395,8 +396,52 @@ def _emit(output: str, payload) -> None:
     if output == "-":
         _write(sys.stdout, pieces)
     else:
-        with open(output, "w", encoding="utf-8") as f:
+        _write_file(output, pieces)
+
+
+def _write_file(path: str, pieces: list) -> None:
+    """Write ``pieces`` to ``path``, all or nothing: into a new file in the
+    destination's directory, which replaces the destination after the last
+    byte and is removed on any failure, an interrupt included.  The new
+    file gets the mode that ``open(path, "w")`` would leave: the existing
+    file's, else 0o666 less the umask.  A symlink's target is replaced, as
+    ``open`` would write through it.  A destination that exists and is not
+    a regular file, such as ``/dev/null`` or a FIFO, is written in place."""
+    import os
+    import stat
+
+    try:
+        st: Optional[os.stat_result] = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "w", encoding="utf-8") as f:
             _write(f, pieces)
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    n = 0
+    while True:
+        tmp = os.path.join(directory, f".{name}.{os.getpid()}.{n}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            n += 1
+        except OSError as e:  # named by the destination, as open(path, "w") would name it
+            raise OSError(e.errno, e.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
+            _write(f, pieces)
+        os.replace(tmp, target)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _write(f, pieces: list) -> None:

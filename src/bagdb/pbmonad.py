@@ -18,9 +18,16 @@ does not match ``Real(1.0)``.  A match is its env, the tuple of values it
 binds; its guard outcome, draw distribution and heads depend only on that
 tuple, so a plan keeps them across worlds, keyed by it, for both backends.
 What each plan keeps is decided once per tag, in ``_CompiledProgram``.
-The exact backend applies a rule to a world as the Kleisli extension
-through the distributive law, in product form: every choice of one head
-option per match, added to the world, with the product of their weights.
+The exact backend applies a rule with a draw to a world as the Kleisli
+extension through the distributive law, in product form: every choice of
+one head option per match, added to the world, with the product of their
+weights.  A rule without a draw needs no law: it is the functor P applied
+to one function on bags, ``W -> W + H(W)`` for the heads ``H(W)`` of W's
+matches, and that function is injective.  No rule reads its own head tag
+(``validate_program``), so ``H(W)`` is read off the part of W that the
+function leaves as it is, and bags cancel, so distinct worlds stay
+distinct and no weights are summed.  The step maps each world to one
+world, with its weight (``_map_rule_exact``).
 
 Both backends step worlds through the same plans, and no world is
 re-sorted.  A world's rows of one tag are one run of its sorted
@@ -30,14 +37,16 @@ its head tag.  An mc world is stepped as one run per tag, between the
 input's untagged elements, and its bag is built once, by concatenation
 (``_CompiledProgram``).  The exact backend steps one canonical world
 bag and finds a tag's run by bisection (``tag_rows``).  When a rule's
-head options come in key order, each is placed in the world once, a
-head with one option of weight 1.0 is spliced into it once, and the
+head options come in key order, each is placed in the world once and the
 combinations are built from shared prefixes, so none is sorted;
 otherwise each combination's heads are sorted into the one slice of the
-world that they can reach.  Either way the heads' hashes are added to
-the world's multiset hash (``_distr``).  Every exact operation passes
-its weighted values straight to ``ExactDist.from_weights``, the one
-place where the weights of equal values are summed.
+world that they can reach (``_distr``).  A rule without a draw adds its
+heads to the one run of its head tag.  Either way the heads' hashes are
+added to the world's multiset hash, and each new world is built by
+``bags.trusted_bagv``.  Every exact operation that can give equal values
+passes its weighted values straight to ``ExactDist.from_weights``, the one
+place where the weights of equal values are summed; the map step gives
+none and only sorts its worlds (``ExactDist.from_distinct``).
 
 An atom with no arguments matches the rows that a head with no terms
 writes, ``tag()`` with a Unit payload, as well as an empty tuple payload.
@@ -51,14 +60,14 @@ from __future__ import annotations
 
 import _random
 import gc
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import chain
 from itertools import product as iproduct
 from math import prod
 from operator import attrgetter, itemgetter, le
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .bags import EMPTY, Bag, tag_rows, tag_runs, unit
+from .bags import EMPTY, Bag, tag_rows, tag_runs, trusted_bagv, unit
 from .errors import EngineTypeError, ProgramError, ResourceLimitError
 from .lex import Token, _Parser, tokenize
 from .node import Node
@@ -112,12 +121,13 @@ def _distr(options: Options, base: Bag, weight: float) -> Iterator[tuple[Value, 
     after the base elements whose keys are not above its own, and the
     combinations are built level by level, element by element, each prefix
     (its elements and keys up to its last value, hash and weight) shared by
-    every combination that extends it.  An element whose one option has
-    weight 1.0 is in every combination and changes no weight bit: it is
-    spliced into the base once.  When the options are not ordered, only
-    the base elements whose keys lie between the smallest and the largest
-    option's can move: each combination sorts that slice with its values
-    and splices it between the fixed ends."""
+    every combination that extends it.  An element with one option is a
+    level of one option; if its weight is 1.0, it changes no weight bit.
+    When the options are not ordered, only the base elements whose keys
+    lie between the smallest and the largest option's can move: each
+    combination sorts that slice with its values and splices it between the
+    fixed ends.  A rule without a draw does not come here: it is a map
+    (``_map_rule_exact``)."""
     if not all(options):  # an element without options: no combination
         return
     if not options:
@@ -134,30 +144,11 @@ def _distr(options: Options, base: Bag, weight: float) -> Iterator[tuple[Value, 
         for combo in iproduct(*options):
             xs = tuple(map(_VALUE, combo))
             moved = tuple(sorted(mid + xs, key=_KEY))
-            yield (BagV(Bag(pre + moved + suf, kpre + tuple(map(_KEY, moved)) + ksuf, h + sum(map(hash, xs)))),
+            yield (trusted_bagv(pre + moved + suf, kpre + tuple(map(_KEY, moved)) + ksuf, h + sum(map(hash, xs))),
                    prod(map(_WEIGHT, combo), start=weight))
         return
-    # each option's place in the base with the Dirac values spliced in: after
-    # the base elements not above it and after the Dirac values of earlier
-    # elements, which are the ones spliced in before it
-    levels: list[list[tuple[int, tuple[Value], tuple, int, float]]] = []
-    dirac: list[tuple[int, Value]] = []
-    for opts in options:
-        if len(opts) == 1 and opts[0][1] == 1.0:
-            x = opts[0][0]
-            dirac.append((bisect_right(bkeys, x.key) + len(dirac), x))
-        else:
-            levels.append([(bisect_right(bkeys, x.key) + len(dirac), (x,), (x.key,), hash(x), w) for x, w in opts])
-    if dirac:
-        es, ks = list(elements), list(bkeys)
-        for p, x in dirac:
-            es.insert(p, x)
-            ks.insert(p, x.key)
-            h += hash(x)
-        elements, bkeys = tuple(es), tuple(ks)
-    if not levels:
-        yield BagV(Bag(elements, bkeys, h)), weight
-        return
+    # each option's place in the base: after the base elements not above it
+    levels = [[(bisect_right(bkeys, x.key), (x,), (x.key,), hash(x), w) for x, w in opts] for opts in options]
     prefixes = [((), (), h, weight, 0)]  # elements and keys up to the last value, hash, weight, place
     *inner, last = levels
     for opts in inner:
@@ -166,7 +157,7 @@ def _distr(options: Options, base: Bag, weight: float) -> Iterator[tuple[Value, 
     tails = [(p, x + elements[p:], k + bkeys[p:], hx, wx) for p, x, k, hx, wx in last]
     for pe, pk, s, w, q in prefixes:
         for p, x, k, hx, wx in tails:
-            yield BagV(Bag(pe + elements[q:p] + x, pk + bkeys[q:p] + k, s + hx)), w * wx
+            yield trusted_bagv(pe + elements[q:p] + x, pk + bkeys[q:p] + k, s + hx), w * wx
 
 
 def distr_exact(dists: Iterable[ExactDist]) -> ExactDist:
@@ -663,14 +654,13 @@ class _RulePlan:
         return h
 
     def options(self, world: Bag) -> Options:
-        """The possible heads of each match with their probabilities, in
-        match order.  For each match the parameter check comes before the
-        ``NotFiniteError`` of a continuous head."""
+        """The possible heads of each match of a rule with a draw, with
+        their probabilities, in match order.  For each match the parameter
+        check comes before the ``NotFiniteError`` of a continuous head."""
         out = []
         for m in self.matches(world, tag_rows):
             if m.options is None:
-                m.options = [(self.head(m), 1.0)] if self.dist < 0 else \
-                    [(self.head(m, z), w) for z, w in exact_of(self.sampler(m)).entries]
+                m.options = [(self.head(m, z), w) for z, w in exact_of(self.sampler(m)).entries]
             out.append(m.options)
         return out
 
@@ -707,8 +697,9 @@ def rule_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
 
 
 def _apply_rule_exact(plan: _RulePlan, entries: list[tuple[Value, float]], max_worlds: int) -> ExactDist:
-    """One rule over every world of ``entries``: each world's per-match
-    head options, read through the plan's memo, go through the
+    """One rule over every world of ``entries``.  A rule without a draw is
+    a map (``_map_rule_exact``).  For a rule with a draw, each world's
+    per-match head options, read through the plan's memo, go through the
     distributive law and are added to the world.  Every world is counted
     against ``max_worlds`` before any is enumerated, so the rule that trips
     the limit enumerates nothing.  Then ``entries`` is cleared and each
@@ -716,19 +707,63 @@ def _apply_rule_exact(plan: _RulePlan, entries: list[tuple[Value, float]], max_w
     caller that holds no other reference keeps one generation alive.  It
     runs inside ``run_rule_program``'s pause of the cyclic collector,
     which is process-wide and restored on exit."""
+    if plan.dist < 0:
+        return _map_rule_exact(plan, entries, max_worlds)
     todo: list[tuple[Options, Bag, float]] = []
     processed = 0
     for world_bv, pw in entries:
         options = plan.options(world_bv.bag)  # type: ignore[union-attr]
         processed += prod(map(len, options))
         if processed > max_worlds:
-            raise ResourceLimitError(
-                f"exact enumeration exceeds {max_worlds} worlds; rerun with the mc backend"
-            )
+            raise _too_many_worlds(max_worlds)
         todo.append((options, world_bv.bag, pw))  # type: ignore[union-attr]
     entries.clear()
     todo.reverse()
     return ExactDist.from_weights(chain.from_iterable(_distr(*todo.pop()) for _ in range(len(todo))))
+
+
+def _map_rule_exact(plan: _RulePlan, entries: list[tuple[Value, float]], max_worlds: int) -> ExactDist:
+    """A rule without a draw over every world of ``entries``: each world
+    maps to itself plus the heads of its matches, with its weight.  A
+    world with no match is carried over as the same object.  The heads all
+    carry the head tag, so they go into that tag's one run of the world:
+    as they are when the run is empty and they come in key order, else
+    sorted with the run, stably, so that a row of the world goes before an
+    equal head, as ``Bag.of`` places it.  The new world's hash is the
+    world's plus the heads'.  The map is injective (module docstring), so
+    the worlds are only sorted by key.  Each world counts once against
+    ``max_worlds``, checked as it is reached, after its heads.  The worlds
+    are popped from ``entries``, so each is let go once its successor is
+    built and a caller that holds no other reference keeps one generation
+    alive."""
+    tag = plan.rule.head_tag
+    start, end = (6, tag), (6, tag, (8,))  # the run of the head tag (``tag_rows``)
+    out: list[tuple[Value, float]] = []
+    entries.reverse()
+    for _ in range(len(entries)):
+        world, w = entries.pop()
+        bag = world.bag  # type: ignore[attr-defined]
+        heads = [m.heads.get(None) or plan.head(m) for m in plan.matches(bag, tag_rows)]
+        if len(out) >= max_worlds:
+            raise _too_many_worlds(max_worlds)
+        if heads:
+            elements, keys = bag.elements, bag.key
+            lo = bisect_left(keys, start)
+            hi = bisect_left(keys, end, lo)
+            hkeys = [x.key for x in heads]
+            if lo == hi and all(map(le, hkeys, hkeys[1:])):
+                run, rkeys = tuple(heads), tuple(hkeys)
+            else:
+                run = tuple(sorted(elements[lo:hi] + tuple(heads), key=_KEY))
+                rkeys = tuple(map(_KEY, run))
+            world = trusted_bagv(elements[:lo] + run + elements[hi:], keys[:lo] + rkeys + keys[hi:],
+                                 hash(bag) + sum(map(hash, heads)))
+        out.append((world, w))
+    return ExactDist.from_distinct(out)
+
+
+def _too_many_worlds(max_worlds: int) -> ResourceLimitError:
+    return ResourceLimitError(f"exact enumeration exceeds {max_worlds} worlds; rerun with the mc backend")
 
 
 class _CompiledProgram:

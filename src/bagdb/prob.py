@@ -162,8 +162,9 @@ class ExactDist(Node):
     """Finite-support distribution over values, canonical by construction:
     every weight is positive, the support is strictly increasing by key,
     and the total is within ``WEIGHT_EPS`` of one.  ``ExactDist(entries)``
-    checks this and raises ``NormalizationError`` otherwise; ``from_weights``
-    and ``dirac`` build canonical entries and skip the check."""
+    checks this and raises ``NormalizationError`` otherwise; ``from_weights``,
+    ``from_distinct`` and ``dirac`` build canonical entries and skip the
+    check."""
 
     entries: tuple[tuple[Value, float], ...]
 
@@ -196,10 +197,7 @@ class ExactDist(Node):
         order given, starting from ``0.0``; zero weights are dropped, a
         weight that is not ``>= 0`` (negative or NaN) raises, the total
         must be within ``WEIGHT_EPS`` of one, and the support is sorted by
-        key.  A BagV's key is ``(7, bag key)``, above every other value's,
-        so the BagVs sort last, by their bags' keys: sorting on ``(7, K)``
-        would walk the common prefix of two bags' keys twice, once for
-        ``==`` and once for ``<``."""
+        key (``from_distinct``)."""
         items = weights.items() if isinstance(weights, Mapping) else weights
         index: dict[Value, int] = {}  # each distinct value's place in sums
         sums: list[float] = []
@@ -214,7 +212,18 @@ class ExactDist(Node):
             else:
                 sums[i] += w
         _check_total(sums)
-        entries = list(zip(index, sums))
+        return cls.from_distinct(list(zip(index, sums)))
+
+    @classmethod
+    def from_distinct(cls, entries: list[tuple[Value, float]]) -> "ExactDist":
+        """The distribution on ``entries``, sorted by key and not checked:
+        their values must be distinct, their weights positive, and their
+        total within ``WEIGHT_EPS`` of one, as when they are a canonical
+        distribution's entries mapped through an injective function.  A
+        BagV's key is ``(7, bag key)``, above every other value's, so the
+        BagVs sort last, by their bags' keys: sorting on ``(7, K)`` would
+        walk the common prefix of two bags' keys twice, once for ``==`` and
+        once for ``<``."""
         bags = [e for e in entries if isinstance(e[0], BagV)]
         rest = [e for e in entries if not isinstance(e[0], BagV)] if len(bags) < len(entries) else []
         return cls._canonical(tuple(sorted(rest, key=_entry_key) + sorted(bags, key=_bag_key)))

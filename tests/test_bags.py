@@ -17,10 +17,11 @@ from bagdb.bags import (
     strength,
     tag_rows,
     tag_runs,
+    trusted_bagv,
     unit,
 )
 from bagdb.pbmonad import _distr
-from bagdb.values import BagV, Int, Real, Str, Tagged, Tuple
+from bagdb.values import HASH_MOD, BagV, Int, Real, Str, Tagged, Tuple
 
 from dual_routes import hash_from_scratch, uplus_by_fold
 from strategies import bags, small_bags_st, small_ints, values
@@ -297,6 +298,20 @@ class TestMultisetHash:
         for c in built:
             assert hash(c) == c.__hash__() == hash(BagV(c)) == hash_from_scratch(c)
             assert hash(c) == hash(Bag.of(reversed(c.elements)))
+
+    @given(st.lists(merge_values, max_size=8), st.booleans())
+    @example([Int(n) for n in range(8)], False)
+    def test_trusted_bagv_is_the_checked_one(self, xs, reduced):
+        # built from sorted elements, their keys and their hash sum, reduced
+        # or not, it is BagV(Bag.of(xs)): compared through __hash__ itself,
+        # since hash() would reduce an unreduced sum the same way
+        want = BagV(Bag.of(xs))
+        elements = want.bag.elements
+        hash_sum = sum(map(hash, elements))
+        got = trusted_bagv(elements, tuple(e.key for e in elements), hash_sum % HASH_MOD if reduced else hash_sum)
+        assert got == want and got.key == want.key and got.bag.key == want.bag.key
+        assert got.bag.elements is elements
+        assert got.__hash__() == got.bag.__hash__() == want.__hash__() == hash_from_scratch(want.bag)
 
     def test_worlds_that_swap_outcomes_between_rows_hash_apart(self):
         # one trigger row per house, outcome 0 or 1: CPython's tuple hash is

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bagdb import cli
 from bagdb.algebra import eval_query
 from bagdb.bags import Bag
 from bagdb.cli import (
@@ -846,6 +847,45 @@ class TestOutput:
         assert run(capsys, *argv, "--output", str(target)) == (code, "", err)
         assert not target.exists()
         return code, err
+
+    @pytest.mark.parametrize("existed", [False, True])
+    @pytest.mark.parametrize("after", [0, 100])
+    def test_interrupted_write_leaves_the_destination_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                                 existed, after):
+        # Ctrl-C after some worlds were written to the file: no file, or
+        # the one that was there byte for byte, and no temporary file
+        target = tmp_path / "out.json"
+        if existed:
+            target.write_bytes(b"earlier output\n")
+        written, text = [], cli._bag_text
+
+        def bag_text(*args):
+            if len(written) == after:
+                raise KeyboardInterrupt
+            written.append(None)
+            return text(*args)
+
+        monkeypatch.setattr(cli, "_bag_text", bag_text)
+        argv = ["generate", "--db", str(FIXTURES / "town4.jsonl"), "--program", RULES, "--output", str(target)]
+        assert run(capsys, *argv) == (130, "", "bagdb: interrupted\n")
+        assert len(written) == after
+        assert sorted(os.listdir(tmp_path)) == (["out.json"] if existed else [])
+        if existed:
+            assert target.read_bytes() == b"earlier output\n"
+
+    def test_file_keeps_its_mode_and_a_device_is_written_in_place(self, tmp_path, capsys):
+        target = tmp_path / "out.json"
+        target.write_bytes(b"earlier output\n")
+        target.chmod(0o640)
+        assert run(capsys, *self.CASES["query"], "--output", str(target))[0] == 0
+        assert target.stat().st_mode & 0o7777 == 0o640
+        assert os.listdir(tmp_path) == ["out.json"]
+        assert run(capsys, *self.CASES["query"], "--output", os.devnull) == (0, "", "")
+
+    def test_missing_directory_is_named_by_the_destination(self, tmp_path, capsys):
+        target = str(tmp_path / "missing" / "out.json")
+        assert run(capsys, *self.CASES["query"], "--output", target) == (
+            1, "", f"bagdb: [Errno 2] No such file or directory: {target!r}\n")
 
     def test_mc_world_after_the_first_raises(self, tmp_path, capsys):
         rules = tmp_path / "dyn.rules"

@@ -59,6 +59,7 @@ from dual_routes import (
     bind_by_dict,
     distr_by_dict,
     distr_by_fold,
+    hash_from_scratch,
     naive_matches,
     pb_bind_by_dict,
     pb_uplus_by_dict,
@@ -1306,7 +1307,7 @@ class TestOneGeneration:
         (gc.enable if was else gc.disable)()
 
     @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize("case", ["done", "limit", "interrupt"])
+    @pytest.mark.parametrize("case", ["done", "limit", "interrupt", "interrupt-map"])
     def test_collector_state_is_restored(self, monkeypatch, case, enabled):
         paused = []
         law = pbmonad._distr
@@ -1317,9 +1318,17 @@ class TestOneGeneration:
                 raise KeyboardInterrupt
             return law(*args)
 
-        monkeypatch.setattr(pbmonad, "_distr", distr)
+        def interrupted(*args):
+            paused.append(not gc.isenabled())
+            raise KeyboardInterrupt
+
         (gc.enable if enabled else gc.disable)()
         prog = parse_rules(BURGLARY)
+        if case == "interrupt-map":  # inside the map step of a rule without a draw, its only step
+            monkeypatch.setattr(pbmonad, "trusted_bagv", interrupted)
+            prog = parse_rules("alarm(x) <- address(x, c)")
+        else:
+            monkeypatch.setattr(pbmonad, "_distr", distr)
         if case == "done":
             assert len(run_rule_program(prog, town4(), "exact").entries) == 706
         else:
@@ -1348,6 +1357,36 @@ class TestOneGeneration:
         assert len(consumed) > 100 and len(alive) > len(consumed)
         assert not any(alive)
         assert all(r() is None for r in consumed)
+
+    def test_map_step_lets_each_world_go_once_its_successor_is_built(self, monkeypatch):
+        # a rule without a draw maps each world to one: the world it
+        # consumed is dead once its successor is built, while the worlds
+        # after it are still to come.  A world with no match is carried as
+        # the same object, alive in the step's result
+        step, build = pbmonad._map_rule_exact, pbmonad.trusted_bagv
+        refs, seen, consumed = [], [], []
+
+        def map_step(plan, entries, max_worlds):
+            refs[:] = [weakref.ref(world) for world, _ in entries]
+            try:
+                dist = step(plan, entries, max_worlds)
+            finally:
+                worlds, refs[:] = refs[:], []
+            consumed.extend(i for i, r in enumerate(worlds) if r() is None)
+            return dist
+
+        def trusted_bagv(*args):
+            if refs:  # in the map step, building one world's successor
+                seen.append([r() is not None for r in refs])
+            return build(*args)
+
+        monkeypatch.setattr(pbmonad, "_map_rule_exact", map_step)
+        monkeypatch.setattr(pbmonad, "trusted_bagv", trusted_bagv)
+        assert len(run_rule_program(parse_rules(BURGLARY), town4(), "exact").entries) == 706
+        assert len(seen) == len(consumed) > 100
+        for j, alive in enumerate(seen):
+            assert alive[consumed[j]]
+            assert not any(alive[i] for i in consumed[:j])
 
     @pytest.mark.parametrize("town", ["town", "town4"])
     def test_run_and_write_leave_no_cycle(self, tmp_path, town):
@@ -1605,6 +1644,41 @@ class TestIncrementalExact:
         monkeypatch.setattr(BagV, "__eq__", lambda a, b: calls.append(1) or eq(a, b))
         assert len(run_rule_program(parse_rules(BURGLARY), town4(), "exact").entries) == 706
         assert len(calls) == sum(merges) > 0
+
+    @pytest.mark.parametrize("rule", [
+        "alarm(x) <- flip(x, 1)",  # heads in key order
+        "alarm(y) <- flip(x, 1), opp(x, y)",  # heads against key order
+    ])
+    @pytest.mark.parametrize("held", [[], [0, 2, 2, 5]])
+    def test_map_step_places_heads_in_their_run(self, rule, held):
+        # a rule without a draw adds its heads to the run of its tag, which
+        # the input may already hold: rows equal to, between and around the
+        # heads.  alarm sorts before flip, so the step reorders the worlds.
+        # An input row goes before an equal head, as Bag.of places it
+        prog = parse_rules("flip(x, bernoulli(0.5)) <- coin(x)\n" + rule)
+        held_rows = [Tagged("alarm", Int(n)) for n in held]
+        base = Bag.of([*[Tagged("coin", Int(n)) for n in range(1, 5)],
+                       *[Tagged("opp", Tuple((Int(n), Int(5 - n)))) for n in range(1, 5)], *held_rows])
+        dist = run_rule_program(prog, base, "exact")
+        assert exact_outcome(lambda: dist) == exact_outcome(reference_exact, prog, base)
+        for world, _ in dist.entries:
+            assert world.bag.key == tuple(e.key for e in world.bag)
+            assert hash(world.bag) == hash_from_scratch(world.bag)
+            twos = [x for x in world.bag if x == Tagged("alarm", Int(2))]
+            assert all(x is y for x, y in zip(twos, held_rows[1:3]))
+        assert len(dist.entries) == 16
+
+    @pytest.mark.parametrize("limit", [0, 16])
+    def test_map_step_counts_each_world_once(self, limit):
+        # 16 worlds enter the step and 16 leave it; with no room for the
+        # first, the step raises the message of every exact step
+        prog = parse_rules("flip(x, bernoulli(0.5)) <- coin(x)\nalarm(x) <- flip(x, 1)")
+        base = Bag.of([Tagged("coin", Int(n)) for n in range(4)])
+        prog = prog if limit else RuleProgram(prog.rules[1:])
+        got = exact_outcome(run_rule_program, prog, base, "exact", max_worlds=limit)
+        assert got == exact_outcome(reference_exact, prog, base, limit)
+        assert len(got[0]) == 16 if limit else got == (
+            ResourceLimitError, "exact enumeration exceeds 0 worlds; rerun with the mc backend")
 
     @pytest.mark.parametrize("limit", [300, 628, 636])
     def test_limit_trips_at_the_same_world(self, monkeypatch, limit):
