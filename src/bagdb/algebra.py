@@ -18,23 +18,25 @@ with a constant operand binds the constant.
 ``eval_query`` reads ``match t as (...)``, the payloads of a
 ``select istag(row, t)``, as the payloads of the sorted bag's one run of
 rows tagged ``t`` (``Bag.payload_run``), already in key order; the
-``select`` itself is not run.  It runs a ``select`` directly over a
-``product`` as a hash equijoin on the first conjunct that is ``.i = .j``,
-one field from each side, provided that no conjunct before it can raise:
-each is built from comparisons, ``istag``, ``not``, ``and``, ``or``,
-constants, the row and fields in range (``_cannot_raise``).  Its cost
-grows with the input plus the output instead of with the full product.
-The equality matches numbers across Int and Real, as ``=`` does, so it
-holds on every pair the join builds, and only the other conjuncts are
-evaluated on those pairs, in order.  A ``select`` over such a join whose
-predicate cannot raise adds its conjuncts to the join's, after them; one
-that can raise runs over the join's result.  ``select`` is a monoid
+``select`` itself is not run.  A ``select`` directly over a ``product``,
+and a ``select`` over that one, are planned in one pass over their
+conjuncts in the order they are evaluated (``_join_plan``); the outer
+predicate's conjuncts follow the inner's when it cannot raise as a
+whole.  The plan is a hash equijoin on the first conjunct that is
+``.i = .j``, one field from each side, provided that no conjunct before
+it can raise: each is built from comparisons, ``istag``, ``not``,
+``and``, ``or``, constants, the row and fields in range (``_reads``).
+Its cost grows with the input plus the output instead of with the full
+product.  The equality matches numbers across Int and Real, as ``=``
+does, so it holds on every pair the join builds, and only the other
+conjuncts are evaluated on those pairs, in order.  ``select`` is a monoid
 homomorphism and ``product`` is bilinear, so a conjunct that reads one
 side's fields only can test that side's rows before the pairs are built:
 while no conjunct up to it can raise, it runs as a ``select`` on that
 side, which drops exactly the pairs on which the whole predicate is false
-without raising.  Every other ``select`` over a ``product`` still builds
-the full product.  ``project`` is the bag functor applied to a pick, so a
+without raising.  An outer predicate that can raise runs over the join's
+result.  Every other ``select`` over a ``product`` still builds the full
+product.  ``project`` is the bag functor applied to a pick, so a
 ``project`` over such a join picks its fields inside the pairing: when no
 conjunct is left to test on the pairs and every index is a field of the
 pair, each match is built as its projected row, and no pair is built,
@@ -456,33 +458,32 @@ def q_equijoin(pred: Expr, b1: Bag, b2: Bag, then: Optional[Expr] = None,
                indices: Optional[tuple[int, ...]] = None) -> Bag:
     """``q_select(pred, q_product(b1, b2))``, then ``q_select(then, ...)``
     of that if ``then`` is given, then ``q_project(indices, ...)`` of that
-    if ``indices`` is given, building only the pairs that satisfy the
-    equality ``_join_fields`` finds in ``pred``, if any: every other pair
-    makes ``pred`` false without raising, so the result and the errors are
-    those of the full product.  The equality holds on every built pair,
-    and the conjuncts before it cannot raise, so only the other conjuncts
-    are evaluated, in order, on the built pairs.  A ``then`` that cannot
-    raise is evaluated as more conjuncts of ``pred``, after its own; one
-    that can runs as a ``select`` over the join's result.  Some conjuncts
-    are evaluated on one side's rows before any pair is built
-    (``_side_filters``).  When no conjunct is left for the built pairs and
-    ``indices`` pick fields of the pair (``_projector``), each match is
+    if ``indices`` is given.  A ``then`` that cannot raise adds its
+    conjuncts after ``pred``'s: it is only evaluated on rows that ``pred``
+    keeps, so the two selects are one select by both.  When ``_join_plan``
+    finds an equality in these conjuncts, only the pairs on which it holds
+    are built: every other pair makes the predicate false without raising,
+    so the result and the errors are those of the full product.  The side
+    conjuncts run on their side's rows first, the residual ones on the
+    built pairs, in order, and a ``then`` that can raise as a ``select``
+    over the join's result.  When no conjunct is left for the built pairs
+    and ``indices`` pick fields of the pair (``_projector``), each match is
     built as its projected row, and no pair is: ``project`` is the bag
     functor, so picking inside the pairing is picking after it."""
     left = _uniform_parts(b1, "product (left)")
     right = _uniform_parts(b2, "product (right)")
     if not (left and right):
         return EMPTY if indices is None else q_project(indices, EMPTY)
-    n1, n2 = len(left[0]), len(right[0])
-    join = _join_fields(pred, n1, n2)
-    if join is None:
+    n1, arity = len(left[0]), len(left[0]) + len(right[0])
+    conjuncts = list(_conjuncts(pred))
+    merged = then is not None and _reads(then, arity) is not None
+    plan = _join_plan(conjuncts + list(_conjuncts(then)) if merged else conjuncts, n1, arity)
+    if plan is None:
         built = q_select(pred, q_product(b1, b2))
     else:
-        i, j, rest = join
-        if then is not None and _cannot_raise(then, n1 + n2):
-            rest += _conjuncts(then)
+        i, j, on_left, on_right, rest = plan
+        if merged:
             then = None
-        on_left, on_right, rest = _side_filters(rest, n1, n1 + n2)
         if on_left:
             for c in on_left:
                 b1 = q_select(c, b1)
@@ -492,7 +493,7 @@ def q_equijoin(pred: Expr, b1: Bag, b2: Bag, then: Optional[Expr] = None,
                 b2 = q_select(c, b2)
             right = list(map(tuple_parts, b2.elements))
         make: Callable[[tuple[Value, ...]], Value] = Tuple
-        if indices and not rest and then is None and 1 <= min(indices) and max(indices) <= n1 + n2:
+        if indices and not rest and then is None and 1 <= min(indices) and max(indices) <= arity:
             make, indices = _projector(indices), None  # the rows built are the projected ones
         index: dict[object, list[tuple[Value, ...]]] = {}
         for py in right:
@@ -506,43 +507,67 @@ def q_equijoin(pred: Expr, b1: Bag, b2: Bag, then: Optional[Expr] = None,
     return built if indices is None else q_project(indices, built)
 
 
-def _side_filters(conjuncts: list[Expr], n1: int, arity: int) -> tuple[list[Expr], list[Expr], list[Expr]]:
-    """The residual conjuncts of a join of rows of ``n1`` fields with rows
-    of ``arity - n1``, split three ways: while every conjunct so far cannot
-    raise (``_cannot_raise``), each that reads fields of the left side only
-    is a test of a left row, and each that reads fields of the right side
-    only, renumbered (``_on_right``), of a right row; the others stay, in
-    order, to be evaluated on the built pairs.  A pair that a side's test
-    drops makes the whole predicate false without raising, as every
-    conjunct up to that test cannot raise."""
+def _join_plan(conjuncts: list[Expr], n1: int,
+               arity: int) -> Optional[tuple[int, int, list[Expr], list[Expr], list[Expr]]]:
+    """A hash join that evaluates ``conjuncts``, in order, on the pairs of
+    rows of ``n1`` fields with rows of ``arity - n1``: the 0-based field of
+    each side of the first conjunct that is ``.i = .j`` with one field from
+    each side, and the other conjuncts split three ways.  While no
+    conjunct so far can raise (``_reads``), each that reads fields of the
+    left side only is a test of a left row, and each that reads fields of
+    the right side only, renumbered (``_on_right``), of a right row; the
+    others stay, in order, for the built pairs.  A pair that the equality
+    or a side's test drops makes the whole predicate false without
+    raising, as no conjunct before it can raise.  None when a conjunct
+    before the equality can raise, or there is no equality."""
+    join: Optional[tuple[int, int]] = None
     on_left: list[Expr] = []
     on_right: list[Expr] = []
     rest: list[Expr] = []
-    movable = True
+    safe = True
     for c in conjuncts:
-        movable = movable and _cannot_raise(c, arity)
-        read = set(_fields_read(c)) if movable else set()
-        if read and None not in read and max(read) <= n1:
+        read = _reads(c, arity)
+        safe = safe and read is not None
+        if join is None:
+            if not safe:
+                return None
+            if isinstance(c, Cmp) and c.op == "=" and isinstance(c.left, Field) and isinstance(c.right, Field):
+                i, j = sorted((c.left.index, c.right.index))
+                if i <= n1 < j:  # both in range, as ``_reads`` admitted them
+                    join = i - 1, j - n1 - 1
+                    continue
+        fields = read if safe and None not in read else ()
+        if fields and max(fields) <= n1:
             on_left.append(c)
-        elif read and None not in read and min(read) > n1:
+        elif fields and min(fields) > n1:
             on_right.append(_on_right(c, n1))
         else:
             rest.append(c)
-    return on_left, on_right, rest
+    return None if join is None else (*join, on_left, on_right, rest)
 
 
-def _fields_read(e: Expr) -> Iterator[Optional[int]]:
-    """The indices of the fields that ``e``, a node that ``_cannot_raise``
-    admits, reads, and None where it reads the whole row."""
-    if isinstance(e, Field):
-        yield e.index
-    elif isinstance(e, RowRef):
-        yield None
-    elif isinstance(e, (Not, IsTag)):
-        yield from _fields_read(e.inner)
-    elif isinstance(e, (Cmp, And, Or)):
-        yield from _fields_read(e.left)
-        yield from _fields_read(e.right)
+def _reads(e: Expr, arity: int, operand: bool = False) -> Optional[tuple[Optional[int], ...]]:
+    """The indices of the fields that ``e`` reads, with None for the whole
+    row, when its syntax alone shows that it cannot raise on a row of
+    ``arity`` fields; else None.  Such a predicate yields a Bool: it is a
+    Const Bool, or a Cmp with a known operator, an IsTag, a Not, an And or
+    an Or whose operands cannot raise.  Such an ``operand`` of Cmp or IsTag
+    is one of these predicates, a Const, the row, or a field in range."""
+    if operand and isinstance(e, RowRef):
+        return (None,)
+    if operand and isinstance(e, Field):
+        return (e.index,) if 1 <= e.index <= arity else None
+    if isinstance(e, Const):
+        return () if isinstance(e.value, Value if operand else Bool) else None
+    if isinstance(e, Not):
+        return _reads(e.inner, arity)
+    if isinstance(e, IsTag):
+        return _reads(e.inner, arity, True)
+    if not isinstance(e, (Cmp, And, Or)) or isinstance(e, Cmp) and e.op not in _COMPARISONS:
+        return None
+    left = _reads(e.left, arity, isinstance(e, Cmp))
+    right = None if left is None else _reads(e.right, arity, isinstance(e, Cmp))
+    return None if right is None else left + right
 
 
 def _on_right(e: Expr, n1: int) -> Expr:
@@ -558,8 +583,8 @@ def _on_right(e: Expr, n1: int) -> Expr:
 
 
 def _shifted(e: Expr, by: int) -> Expr:
-    """``e``, a node that ``_cannot_raise`` admits, with every field index
-    lowered by ``by``."""
+    """``e``, a node that ``_reads`` admits, with every field index lowered
+    by ``by``."""
     if isinstance(e, Field):
         return Field(e.index - by)
     if isinstance(e, Not):
@@ -573,28 +598,6 @@ def _shifted(e: Expr, by: int) -> Expr:
     return e  # a Const
 
 
-def _join_fields(pred: Expr, n1: int, n2: int) -> Optional[tuple[int, int, list[Expr]]]:
-    """For rows of ``n1`` fields joined with rows of ``n2``: the 0-based
-    field on each side of the first conjunct of ``pred`` that is ``.i = .j``
-    with one field from each side, provided that no conjunct evaluated
-    before it can raise (``_cannot_raise``), and the other conjuncts, in
-    the order ``pred`` evaluates them.  Else None."""
-    conjuncts = list(_conjuncts(pred))
-    for k, c in enumerate(conjuncts):
-        if (
-            isinstance(c, Cmp)
-            and c.op == "="
-            and isinstance(c.left, Field)
-            and isinstance(c.right, Field)
-        ):
-            i, j = sorted((c.left.index, c.right.index))
-            if 1 <= i <= n1 < j <= n1 + n2:
-                return i - 1, j - n1 - 1, conjuncts[:k] + conjuncts[k + 1:]
-        if not _cannot_raise(c, n1 + n2):
-            return None
-    return None
-
-
 def _conjuncts(pred: Expr) -> Iterator[Expr]:
     """The operands of the ``and`` tree at the top of ``pred``, in the
     order it evaluates them."""
@@ -605,38 +608,6 @@ def _conjuncts(pred: Expr) -> Iterator[Expr]:
             stack += (e.right, e.left)
         else:
             yield e
-
-
-def _cannot_raise(e: Expr, arity: int) -> bool:
-    """Whether ``e`` yields a Bool without raising on every row of ``arity``
-    fields, judged from its syntax alone: it is built from Cmp, IsTag, Not,
-    And and Or; the operands of Not, And and Or are such nodes or a Const
-    Bool; the leaves are Consts, the row, and fields in range."""
-    if isinstance(e, Const):
-        return isinstance(e.value, Bool)
-    if isinstance(e, Not):
-        return _cannot_raise(e.inner, arity)
-    if isinstance(e, (And, Or)):
-        return _cannot_raise(e.left, arity) and _cannot_raise(e.right, arity)
-    if isinstance(e, IsTag):
-        return _operand_cannot_raise(e.inner, arity)
-    if isinstance(e, Cmp):
-        return (
-            e.op in _COMPARISONS
-            and _operand_cannot_raise(e.left, arity)
-            and _operand_cannot_raise(e.right, arity)
-        )
-    return False
-
-
-def _operand_cannot_raise(e: Expr, arity: int) -> bool:
-    if isinstance(e, Const):
-        return isinstance(e.value, Value)
-    if isinstance(e, RowRef):
-        return True
-    if isinstance(e, Field):
-        return 1 <= e.index <= arity
-    return _cannot_raise(e, arity)
 
 
 def _join_key(v: Value) -> tuple:
@@ -898,19 +869,12 @@ class _Evaluation:
         return v.bag
 
 
-def _row_tag(pred: Expr) -> Optional[str]:
-    """``t`` when ``pred`` is ``istag(row, t)``."""
-    if isinstance(pred, IsTag) and isinstance(pred.inner, RowRef) and isinstance(pred.tag, str):
-        return pred.tag
-    return None
-
-
 def _match_tag(node: MapQ) -> Optional[str]:
     """``t`` when ``node`` is what ``match t as (...)`` parses to, the
     payloads of a select by ``istag(row, t)``."""
     fn, q = node.fn, node.q
     if isinstance(fn, Payload) and isinstance(fn.inner, RowRef) and isinstance(q, Select):
-        tag = _row_tag(q.pred)
-        if tag is not None and tag == fn.tag:
-            return tag
+        p = q.pred
+        if isinstance(p, IsTag) and isinstance(p.inner, RowRef) and isinstance(p.tag, str) and p.tag == fn.tag:
+            return p.tag
     return None

@@ -14,18 +14,18 @@ already has it (``payload_run``, ``tag_runs``, ``pbmonad``'s mc world,
 elements' hashes modulo ``HASH_MOD`` (Clarke, Devadas, van Dijk, Gassend
 and Suh, "Incremental Multiset Hash Functions", ASIACRYPT 2003).  A
 caller that adds values to a bag whose hash it knows has the new bag's
-hash by addition and passes it to the constructor (``pbmonad``'s exact
-step); any other bag computes its hash on the first ``hash`` and stores
-it.  Only this module and ``values`` know that every Tagged key is
-``(6, tag, payload key)`` and every BagV key starts with 7: a payload
-key's rank is at most 7, so a bag's rows of one tag are the one run of
-its elements whose keys lie in ``[(6, tag), (6, tag, (8,)))``, found by
-bisection on the plain keys (``tag_rows``), and a bag splits into its
-elements before its tagged rows, one run per tag and its elements after
-them (``tag_runs``).  ``trusted_bagv`` builds a world of ``pbmonad``'s
-exact step, a BagV and its Bag, by setting their slots directly: the
-caller vouches for the order, the keys and the hash sum, and nothing is
-checked.
+hash by addition and builds it with that hash (``pbmonad``'s exact step,
+through ``trusted_bagv``); any other bag computes its hash on the first
+``hash`` and stores it.  Only this module and ``values`` know that every
+Tagged key is ``(6, tag, payload key)`` and every BagV key starts with
+7: a payload key's rank is at most 7, so a bag's rows of one tag are the
+one run of its elements whose keys lie in ``[(6, tag), (6, tag, (8,)))``.
+Bisection on the plain keys finds that run's bounds (``tag_span``) and
+rows (``tag_rows``), and a bag splits into its elements before its
+tagged rows, one run per tag and its elements after them (``tag_runs``).
+``trusted_bagv`` builds a world of ``pbmonad``'s exact step, a BagV and
+its Bag, by setting their slots directly: the caller vouches for the
+order, the keys and the hash sum, and nothing is checked.
 """
 from __future__ import annotations
 
@@ -46,13 +46,11 @@ _KEY = attrgetter("key")
 class Bag(Frozen):
     __slots__ = ("elements", "key", "_hash", "__weakref__")
 
-    def __init__(self, elements: tuple[Value, ...], key: Optional[tuple] = None,
-                 hash_sum: Optional[int] = None):
-        # ``key``, if given, must be the elements' keys, and ``hash_sum``
-        # the sum of their hashes, reduced or not
+    def __init__(self, elements: tuple[Value, ...], key: Optional[tuple] = None):
+        # ``key``, if given, must be the elements' keys
         _setattr(self, "elements", elements)
         _setattr(self, "key", tuple(map(_KEY, elements)) if key is None else key)
-        _setattr(self, "_hash", None if hash_sum is None else hash_sum % HASH_MOD)
+        _setattr(self, "_hash", None)
 
     @classmethod
     def of(cls, items: Iterable[Value]) -> "Bag":
@@ -157,12 +155,12 @@ _set_bag, _set_bagv_key = BagV.bag.__set__, BagV.key.__set__  # type: ignore[att
 
 
 def trusted_bagv(elements: tuple[Value, ...], key: tuple, hash_sum: int) -> BagV:
-    """``BagV(Bag(elements, key, hash_sum))``, built by setting both
-    objects' slots directly: no ``__init__`` runs, so there is no type check
-    and no lazy import.  The caller guarantees what the constructors would
-    otherwise compute or trust: ``elements`` are in canonical order, ``key``
-    holds their keys, and ``hash_sum`` is the sum of their hashes, reduced
-    modulo ``HASH_MOD`` or not."""
+    """``BagV(Bag(elements, key))`` with its hash already stored, built by
+    setting both objects' slots directly: no ``__init__`` runs, so there is
+    no type check and no lazy import.  The caller guarantees what the
+    constructors would otherwise compute or trust: ``elements`` are in
+    canonical order, ``key`` holds their keys, and ``hash_sum`` is the sum
+    of their hashes, reduced modulo ``HASH_MOD`` or not."""
     bag = _new(Bag)
     _set_elements(bag, elements)
     _set_key(bag, key)
@@ -173,14 +171,21 @@ def trusted_bagv(elements: tuple[Value, ...], key: tuple, hash_sum: int) -> BagV
     return bv
 
 
-def tag_rows(bag: Bag, tag: str) -> tuple[Value, ...]:
-    """A bag's rows of one tag, in bag order: every Tagged key is
-    ``(6, tag, payload key)``, and a payload key starts with its rank, at
-    most 7, so they are the elements whose keys lie in
-    ``[(6, tag), (6, tag, (8,)))``, one run of the bag."""
+def tag_span(bag: Bag, tag: str) -> tuple[int, int]:
+    """The bounds ``lo, hi`` of a bag's rows of one tag, one run of its
+    elements, empty at the place where such rows would go: every Tagged
+    key is ``(6, tag, payload key)``, and a payload key starts with its
+    rank, at most 7, so they are the elements whose keys lie in
+    ``[(6, tag), (6, tag, (8,)))``."""
     keys = bag.key
     lo = bisect_left(keys, (6, tag))
-    return bag.elements[lo:bisect_left(keys, (6, tag, (8,)), lo)]
+    return lo, bisect_left(keys, (6, tag, (8,)), lo)
+
+
+def tag_rows(bag: Bag, tag: str) -> tuple[Value, ...]:
+    """A bag's rows of one tag, in bag order (``tag_span``)."""
+    lo, hi = tag_span(bag, tag)
+    return bag.elements[lo:hi]
 
 
 def tag_runs(bag: Bag) -> tuple[Bag, dict[str, Bag], Bag]:

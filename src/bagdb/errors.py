@@ -1,7 +1,9 @@
 """Exception hierarchy shared by the whole engine.
 
 The CLI maps these onto process exit codes, so the split between parse,
-type, resource and finiteness errors is load-bearing; see cli.py.
+type, resource and finiteness errors is load-bearing; see cli.py.  An
+error whose constructor takes more than its message pickles as those
+arguments (``__reduce__``), so it crosses a process boundary whole.
 """
 from __future__ import annotations
 
@@ -24,6 +26,9 @@ class ParseError(EngineError):
         else:
             super().__init__(f"{message} at {loc}")
 
+    def __reduce__(self) -> tuple:
+        return type(self), (self.message, self.line, self.column, self.expected), self.__dict__
+
 
 class EngineTypeError(EngineError):
     """Value or query is ill-typed for the requested operation."""
@@ -33,6 +38,9 @@ class UnknownTableError(EngineTypeError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"unknown table: {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.name,), self.__dict__
 
 
 class SchemaError(EngineTypeError):
@@ -74,6 +82,9 @@ class WorldEvalError(EngineError):
         rows = world.bag.elements
         super().__init__(
             f"query failed in world {index} ({len(rows)} rows: {_preview(rows)}): {cause}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.world, self.cause, self.index), self.__dict__
 
 
 _PREVIEW_CHARS = 200

@@ -60,14 +60,14 @@ from __future__ import annotations
 
 import _random
 import gc
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import chain
 from itertools import product as iproduct
 from math import prod
 from operator import attrgetter, itemgetter, le
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .bags import EMPTY, Bag, tag_rows, tag_runs, trusted_bagv, unit
+from .bags import EMPTY, Bag, tag_rows, tag_runs, tag_span, trusted_bagv, unit
 from .errors import EngineTypeError, ProgramError, ResourceLimitError
 from .lex import Token, _Parser, tokenize
 from .node import Node
@@ -726,8 +726,8 @@ def _map_rule_exact(plan: _RulePlan, entries: list[tuple[Value, float]], max_wor
     """A rule without a draw over every world of ``entries``: each world
     maps to itself plus the heads of its matches, with its weight.  A
     world with no match is carried over as the same object.  The heads all
-    carry the head tag, so they go into that tag's one run of the world:
-    as they are when the run is empty and they come in key order, else
+    carry the head tag, so they go into that tag's one run of the world
+    (``tag_span``): as they are when the run is empty and they come in key order, else
     sorted with the run, stably, so that a row of the world goes before an
     equal head, as ``Bag.of`` places it.  The new world's hash is the
     world's plus the heads'.  The map is injective (module docstring), so
@@ -737,7 +737,6 @@ def _map_rule_exact(plan: _RulePlan, entries: list[tuple[Value, float]], max_wor
     built and a caller that holds no other reference keeps one generation
     alive."""
     tag = plan.rule.head_tag
-    start, end = (6, tag), (6, tag, (8,))  # the run of the head tag (``tag_rows``)
     out: list[tuple[Value, float]] = []
     entries.reverse()
     for _ in range(len(entries)):
@@ -748,8 +747,7 @@ def _map_rule_exact(plan: _RulePlan, entries: list[tuple[Value, float]], max_wor
             raise _too_many_worlds(max_worlds)
         if heads:
             elements, keys = bag.elements, bag.key
-            lo = bisect_left(keys, start)
-            hi = bisect_left(keys, end, lo)
+            lo, hi = tag_span(bag, tag)
             hkeys = [x.key for x in heads]
             if lo == hi and all(map(le, hkeys, hkeys[1:])):
                 run, rkeys = tuple(heads), tuple(hkeys)

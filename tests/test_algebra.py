@@ -523,15 +523,18 @@ class TestEquijoin:
         monkeypatch.setattr(algebra, "q_product", no_product)
         a = Bag.of([Tuple((Str("x"), Int(1))), Tuple((Str("y"), Int(2)))])
         b = Bag.of([Tuple((Real(1.0), Str("p"))), Tuple((Int(3), Str("q")))])
-        first = And(Not(IsTag(Field(4), "a")), Cmp(">=", Field(2), Const(Int(0))))
-        got = eval_query(Select(And(first, Cmp("=", Field(3), Field(2))), Product(Lit(a), Lit(b))), {})
-        assert got == BagV(Bag.of([Tuple((Str("x"), Int(1), Real(1.0), Str("p")))]))
+        first, eq, pairs = (And(Not(IsTag(Field(4), "a")), Cmp(">=", Field(2), Const(Int(0)))),
+                            Cmp("=", Field(3), Field(2)), Product(Lit(a), Lit(b)))
+        for q in (Select(And(first, eq), pairs), Select(eq, Select(first, pairs))):  # in the outer select too
+            got = eval_query(q, {})
+            assert got == BagV(Bag.of([Tuple((Str("x"), Int(1), Real(1.0), Str("p")))]))
 
     @pytest.mark.parametrize("first", [
         Cmp("<", Arith("+", Field(1), Const(Int(1))), Const(Int(5))),  # arithmetic on a string
         Cmp("=", Field(9), Const(Int(1))),  # out of range
         Cmp("=", Field(0), Const(Int(1))),  # out of range
         Field(4),  # not a boolean
+        Const(Int(1)),  # not a boolean
         Payload(Field(1), "a"),
         Or(Const(Bool(False)), Field(4)),  # `or` of a non-boolean
         Not(And(Const(Bool(True)), Cmp("<", Field(1), Arith("*", Field(1), Field(2))))),
@@ -610,15 +613,17 @@ class TestEquijoin:
 @st.composite
 def select_over_join(draw, raising=()):
     """Two bags whose rows have 1-3 fields a side (a 1-field row is a bare
-    value or a 1-tuple), an inner predicate with an equality between a
-    field of each side after 0-2 conjuncts that cannot raise and before
-    0-3 others, and an outer predicate of 1-3 conjuncts, each an ``and``
-    chain nested either way.  A conjunct reads fields of the left side
-    only, of the right side only, of both, the whole row (compared with a
-    row of either side), or constants.  For each of "inner" and "outer" in
-    ``raising``, one conjunct that can raise goes at a random place among
-    that predicate's conjuncts after the equality; the outer predicate may
-    then be that conjunct alone."""
+    value or a 1-tuple), an inner predicate of 0-2 conjuncts that cannot
+    raise followed by 0-3 others, and an outer predicate of 1-3
+    conjuncts, each an ``and`` chain nested either way.  An equality
+    between a field of each side sits in the inner predicate after its
+    first conjuncts, in the outer one at a random place, or nowhere.  A
+    conjunct reads fields of the left side only, of the right side only,
+    of both, the whole row (compared with a row of either side), or
+    constants.  For each of "inner" and "outer" in ``raising``, one
+    conjunct that can raise goes at a random place among that predicate's
+    other conjuncts, after the first ones of the inner predicate; the
+    outer predicate may then be that conjunct alone."""
     n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     field = st.sampled_from(JOIN_FIELDS)
 
@@ -651,16 +656,21 @@ def select_over_join(draw, raising=()):
     anywhere = st.integers(1, n1 + n2).map(Field)
     can_raise = st.one_of(
         anywhere,  # not a boolean
+        const,  # not a boolean either
         st.builds(lambda f: Cmp("<", Arith("+", f, Const(Int(1))), Const(Int(5))), anywhere),
         st.builds(lambda f: Cmp("=", Payload(f, "a"), Const(Int(1))), anywhere),
     )
     i, j = draw(left), draw(right)
     eq = Cmp("=", i, j) if draw(st.booleans()) else Cmp("=", j, i)
+    where = draw(st.sampled_from(["inner", "outer", "neither"]))
     rest = draw(st.lists(safe, max_size=3))
     outer = draw(st.lists(safe, min_size=0 if "outer" in raising else 1, max_size=3))
     for into in (rest,) * ("inner" in raising) + (outer,) * ("outer" in raising):
         into.insert(draw(st.integers(0, len(into))), draw(can_raise))
-    inner = [*draw(st.lists(safe, max_size=2)), eq, *rest]
+    if where == "outer":
+        outer.insert(draw(st.integers(0, len(outer))), eq)
+    first = draw(st.lists(safe, min_size=0 if where == "inner" or rest else 1, max_size=2))
+    inner = [*first, eq, *rest] if where == "inner" else [*first, *rest]
     return conjunction(inner, draw(st.booleans())), conjunction(outer, draw(st.booleans())), a, b
 
 
@@ -669,7 +679,8 @@ class TestSelectOverJoin:
     """A select over the hash join, and a select over that, evaluates each
     conjunct that reads one side's fields only on that side's rows, before
     any pair is built, while no conjunct before it can raise: results and
-    first errors are those of the operators as written."""
+    first errors are those of the operators as written, whether the join's
+    equality is in the inner select, the outer one or neither."""
 
     @pytest.mark.parametrize("raising", [(), ("inner",), ("outer",), ("inner", "outer")])
     @given(data=st.data())

@@ -226,6 +226,7 @@ run_rows = st.one_of(
 
 class TestTagRuns:
     @given(st.lists(run_rows, max_size=10).map(Bag.of), st.sampled_from(["a", "a0", "ab", "b"]))
+    @example(Bag.of([Tagged("a", Int(1)), Tagged("a", BagV(Bag.of([Int(1)]))), Tagged("ab", Int(1))]), "a")
     def test_runs_are_the_tags_rows_and_payloads(self, b, tag):
         rows = [v for v in b if isinstance(v, Tagged) and v.tag == tag]
         assert list(tag_rows(b, tag)) == rows

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import weakref
@@ -27,7 +28,15 @@ from bagdb.cli import (
     main,
 )
 from bagdb.dsl import parse
-from bagdb.errors import EngineError, EngineTypeError
+from bagdb.errors import (
+    EngineError,
+    EngineTypeError,
+    NotFiniteError,
+    ParseError,
+    ResourceLimitError,
+    UnknownTableError,
+    WorldEvalError,
+)
 from bagdb.pbmonad import parse_rules, run_rule_program
 from bagdb.prob import Seed
 from bagdb.values import BagV, Int, Real, Str, Tagged, json_text, to_json
@@ -352,6 +361,23 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "bagdb: mean statistic of infinite numbers has no stddev\n"
 
+
+    @pytest.mark.parametrize("error, code, attrs", [
+        (ParseError("unexpected token", 3, 7, ("|>", "end of input")), 2, ("message", "line", "column", "expected")),
+        (UnknownTableError("t"), 3, ("name",)),
+        (ResourceLimitError("powerbag of a 70-element bag"), 4, ()),
+        (NotFiniteError("poisson has infinite support"), 5, ()),
+        (WorldEvalError(BagV(Bag.of([Int(1), Str("a")])), ResourceLimitError("too big"), 2), 4, ("world", "index")),
+    ], ids=["parse", "unknown-table", "resource-limit", "not-finite", "world-eval"])
+    def test_errors_survive_pickling(self, error, code, attrs):
+        # a worker process hands its error to the parent by pickling it
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error) and str(copy) == str(error)
+        assert [getattr(copy, a) for a in attrs] == [getattr(error, a) for a in attrs]
+        if isinstance(error, WorldEvalError):  # exits as its cause does
+            assert (type(copy.cause), str(copy.cause)) == (type(error.cause), str(error.cause))
+            copy = copy.cause
+        assert cli._exit_for(copy)[0] == code
 
 class TestGenerate:
     def test_exact_weights_sum_to_one(self, capsys):
