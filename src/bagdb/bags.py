@@ -9,7 +9,7 @@ returns a canonical one.  Construct through ``Bag.of``; a sum of bags is
 element after the elements equal to it.  A bag is frozen and slotted,
 like a value, and its constructor sets its ``key``, the tuple of its
 elements' keys: built from the elements, or passed in by a caller that
-already has it (``payload_run``, ``tag_runs``, ``pbmonad``'s mc world,
+already has it (``payload_run``, ``pbmonad``'s mc world,
 ``algebra.q_select``).  A bag's hash is a multiset hash: the sum of its
 elements' hashes modulo ``HASH_MOD`` (Clarke, Devadas, van Dijk, Gassend
 and Suh, "Incremental Multiset Hash Functions", ASIACRYPT 2003).  A
@@ -20,19 +20,20 @@ through ``trusted_bagv``); any other bag computes its hash on the first
 Tagged key is ``(6, tag, payload key)`` and every BagV key starts with
 7: a payload key's rank is at most 7, so a bag's rows of one tag are the
 one run of its elements whose keys lie in ``[(6, tag), (6, tag, (8,)))``.
-Bisection on the plain keys finds that run's bounds (``tag_span``) and
-rows (``tag_rows``), and a bag splits into its elements before its
-tagged rows, one run per tag and its elements after them (``tag_runs``).
-``trusted_bagv`` builds a world of ``pbmonad``'s exact step, a BagV and
-its Bag, by setting their slots directly: the caller vouches for the
-order, the keys and the hash sum, and nothing is checked.
+Bisection on the plain keys finds that run's rows (``tag_rows``), and the
+place where rows of that tag are added (``plus_run``): both backends of
+``pbmonad`` step a world, one canonical bag, by adding each rule's heads
+to their tag's run, with no other element moved.  ``trusted_bagv`` builds
+a world of ``pbmonad``'s exact step, a BagV and its Bag, by setting their
+slots directly: the caller vouches for the order, the keys and the hash
+sum, and nothing is checked.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import groupby
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from operator import attrgetter, le
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .errors import EngineTypeError
 from .node import Frozen, _setattr
@@ -171,37 +172,31 @@ def trusted_bagv(elements: tuple[Value, ...], key: tuple, hash_sum: int) -> BagV
     return bv
 
 
-def tag_span(bag: Bag, tag: str) -> tuple[int, int]:
-    """The bounds ``lo, hi`` of a bag's rows of one tag, one run of its
-    elements, empty at the place where such rows would go: every Tagged
-    key is ``(6, tag, payload key)``, and a payload key starts with its
-    rank, at most 7, so they are the elements whose keys lie in
+def tag_rows(bag: Bag, tag: str) -> tuple[Value, ...]:
+    """A bag's rows of one tag, in bag order: every Tagged key is
+    ``(6, tag, payload key)``, and a payload key starts with its rank, at
+    most 7, so they are the one run of elements whose keys lie in
     ``[(6, tag), (6, tag, (8,)))``."""
     keys = bag.key
     lo = bisect_left(keys, (6, tag))
-    return lo, bisect_left(keys, (6, tag, (8,)), lo)
+    return bag.elements[lo:bisect_left(keys, (6, tag, (8,)), lo)]
 
 
-def tag_rows(bag: Bag, tag: str) -> tuple[Value, ...]:
-    """A bag's rows of one tag, in bag order (``tag_span``)."""
-    lo, hi = tag_span(bag, tag)
-    return bag.elements[lo:hi]
-
-
-def tag_runs(bag: Bag) -> tuple[Bag, dict[str, Bag], Bag]:
-    """A bag split at its tagged rows: its elements before them, one run
-    per tag, in tag order, and its elements after them, the BagVs.  The
-    three, runs in tag order, concatenate back to the bag."""
+def plus_run(bag: Bag, tag: str, rows: Sequence[Value]) -> tuple[tuple[Value, ...], tuple]:
+    """The elements and keys of ``bag`` plus ``rows``, which all carry
+    ``tag``: they go into the bag's one run of that tag (``tag_rows``).
+    When the run is empty and the rows come in key order, they are placed
+    as they are; otherwise the run is sorted with them, stably, so that a
+    row of the bag goes before an equal new row, as ``Bag.of`` places it."""
     elements, keys = bag.elements, bag.key
-    start, end = bisect_left(keys, (6,)), bisect_left(keys, (7,))
-    runs: dict[str, Bag] = {}
-    lo = start
-    while lo < end:
-        tag = keys[lo][1]
-        hi = bisect_left(keys, (6, tag, (8,)), lo, end)
-        runs[tag] = Bag(elements[lo:hi], keys[lo:hi])
-        lo = hi
-    return Bag(elements[:start], keys[:start]), runs, Bag(elements[end:], keys[end:])
+    end = (6, tag, (8,))
+    lo = bisect_left(keys, (6, tag))
+    rkeys = [x.key for x in rows]
+    if (lo == len(keys) or keys[lo] > end) and all(map(le, rkeys, rkeys[1:])):
+        return elements[:lo] + tuple(rows) + elements[lo:], keys[:lo] + tuple(rkeys) + keys[lo:]
+    hi = bisect_left(keys, end, lo)
+    run = tuple(sorted(elements[lo:hi] + tuple(rows), key=_KEY))
+    return elements[:lo] + run + elements[hi:], keys[:lo] + tuple(map(_KEY, run)) + keys[hi:]
 
 
 def unit(x: Value) -> Bag:

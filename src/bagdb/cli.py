@@ -93,7 +93,9 @@ def load_table(path: Path) -> tuple[Optional[Schema], Bag]:
     rows: list[Value] = []
     schema: Optional[Schema] = None
     text = read_text(path)
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # "\n" only: str.splitlines also breaks at U+0085, U+2028 and U+2029,
+    # which JSON allows raw inside a string
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():  # a JSON error's column counts from the start of the line
             continue
         try:

@@ -29,19 +29,20 @@ function leaves as it is, and bags cancel, so distinct worlds stay
 distinct and no weights are summed.  The step maps each world to one
 world, with its weight (``_map_rule_exact``).
 
-Both backends step worlds through the same plans, and no world is
-re-sorted.  A world's rows of one tag are one run of its sorted
-elements, and the bag of a sum of tags is the product of their bags, so
-a rule reads only the runs of its body tags and writes only the run of
-its head tag.  An mc world is stepped as one run per tag, between the
-input's untagged elements, and its bag is built once, by concatenation
-(``_CompiledProgram``).  The exact backend steps one canonical world
-bag and finds a tag's run by bisection (``tag_rows``).  When a rule's
+Both backends step one world representation through the same plans: a
+canonical world bag, never re-sorted.  A world's rows of one tag are one
+run of its sorted elements, found by bisection (``tag_rows``), so a rule
+reads only the runs of its body tags and writes only the run of its head
+tag.  By the distributive law an mc world is one draw per match from the
+head options that the exact step enumerates, so an mc rule step is the
+exact map step with drawn heads: each adds its heads to their tag's run
+with one splice (``bags.plus_run``), the mc step as a ``Bag`` and the
+exact step as a world whose hash is the world's plus the heads'
+(``_CompiledProgram.world``, ``_map_rule_exact``).  When an exact rule's
 head options come in key order, each is placed in the world once and the
 combinations are built from shared prefixes, so none is sorted;
 otherwise each combination's heads are sorted into the one slice of the
-world that they can reach (``_distr``).  A rule without a draw adds its
-heads to the one run of its head tag.  Either way the heads' hashes are
+world that they can reach (``_distr``).  Either way the heads' hashes are
 added to the world's multiset hash, and each new world is built by
 ``bags.trusted_bagv``.  Every exact operation that can give equal values
 passes its weighted values straight to ``ExactDist.from_weights``, the one
@@ -67,7 +68,7 @@ from math import prod
 from operator import attrgetter, itemgetter, le
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .bags import EMPTY, Bag, tag_rows, tag_runs, tag_span, trusted_bagv, unit
+from .bags import EMPTY, Bag, plus_run, tag_rows, trusted_bagv, unit
 from .errors import EngineTypeError, ProgramError, ResourceLimitError
 from .lex import Token, _Parser, tokenize
 from .node import Node
@@ -586,18 +587,17 @@ class _RulePlan:
         self.kept: Optional[list[_Match]] = None
         self.single = len(self.atoms) == 1 and self.atoms[0].cache is not None
 
-    def matches(self, world: object, rows: Callable[[object, str], Sequence[Value]]) -> list[_Match]:
-        """The entries of the matches whose guards hold against a world, in
-        canonical order: each atom's rows in bag order, earlier atoms
-        varying slowest.  An atom whose index is not kept reads its tag's
-        rows as ``rows(world, tag)``: those of a canonical world bag
-        (``tag_rows``), or an mc world's run (``_run_rows``)."""
+    def matches(self, world: Bag) -> list[_Match]:
+        """The entries of the matches whose guards hold against a world
+        bag, either backend's, in canonical order: each atom's rows in bag
+        order, earlier atoms varying slowest.  An atom whose index is not
+        kept reads its tag's run of the world (``tag_rows``)."""
         if self.kept is not None:
             return self.kept
         if self.single:  # the atom's row cache maps a row straight to its match
             ap, out = self.atoms[0], []
             cache: dict[Value, object] = ap.cache  # type: ignore[assignment]
-            for row in rows(world, ap.tag):
+            for row in tag_rows(world, ap.tag):
                 m = cache.get(row)
                 if m is None:
                     e = ap.entry(row)
@@ -611,7 +611,7 @@ class _RulePlan:
         for n, ap in enumerate(self.atoms):
             index = self.fixed_index[n]
             if index is None:
-                index = ap.index(rows(world, ap.tag))
+                index = ap.index(tag_rows(world, ap.tag))
                 if not ap.varying:
                     self.fixed_index[n] = index
             nxt = []
@@ -658,17 +658,17 @@ class _RulePlan:
         their probabilities, in match order.  For each match the parameter
         check comes before the ``NotFiniteError`` of a continuous head."""
         out = []
-        for m in self.matches(world, tag_rows):
+        for m in self.matches(world):
             if m.options is None:
                 m.options = [(self.head(m, z), w) for z, w in exact_of(self.sampler(m)).entries]
             out.append(m.options)
         return out
 
-    def fire(self, runs: dict[str, Bag], prefix: "hashlib._Hash", i: int, gen: _random.Random) -> list[Value]:
-        """The heads this rule adds to world i, whose runs are ``runs``, in
+    def fire(self, world: Bag, prefix: "hashlib._Hash", i: int, gen: _random.Random) -> list[Value]:
+        """The heads this rule adds to ``world``, mc world i so far, in
         match order.  Given ``prefix``, the hasher of seed/rule, the draw of
         match j reseeds ``gen`` to the stream of seed/(rule, i, j)."""
-        matches = self.matches(runs, _run_rows)
+        matches = self.matches(world)
         if self.dist < 0 or not matches:
             return [self.head(m) for m in matches]
         world = child_hasher(prefix, i)  # raises for i >= 2**64, before a bad parameter
@@ -681,10 +681,6 @@ class _RulePlan:
                 or self.head(m, z) for j, m in enumerate(matches)]
 
 
-def _run_rows(runs: dict[str, Bag], tag: str) -> tuple[Value, ...]:
-    return runs.get(tag, EMPTY).elements
-
-
 def rule_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
     """The rule's matches against a canonical world as named envs, in
     canonical order (rows per atom in bag order, earlier atoms vary
@@ -693,7 +689,7 @@ def rule_matches(rule: Rule, bag: Bag) -> list[dict[str, Value]]:
     the match ordinal used for seed derivation.  An unbound variable
     raises ``ProgramError`` when the rule is compiled, whatever the bag."""
     plan = _RulePlan(0, rule, {})
-    return [dict(zip(plan.names, m.env)) for m in plan.matches(bag, tag_rows)]
+    return [dict(zip(plan.names, m.env)) for m in plan.matches(bag)]
 
 
 def _apply_rule_exact(plan: _RulePlan, entries: list[tuple[Value, float]], max_worlds: int) -> ExactDist:
@@ -727,35 +723,24 @@ def _map_rule_exact(plan: _RulePlan, entries: list[tuple[Value, float]], max_wor
     maps to itself plus the heads of its matches, with its weight.  A
     world with no match is carried over as the same object.  The heads all
     carry the head tag, so they go into that tag's one run of the world
-    (``tag_span``): as they are when the run is empty and they come in key order, else
-    sorted with the run, stably, so that a row of the world goes before an
-    equal head, as ``Bag.of`` places it.  The new world's hash is the
-    world's plus the heads'.  The map is injective (module docstring), so
-    the worlds are only sorted by key.  Each world counts once against
-    ``max_worlds``, checked as it is reached, after its heads.  The worlds
-    are popped from ``entries``, so each is let go once its successor is
-    built and a caller that holds no other reference keeps one generation
-    alive."""
+    (``bags.plus_run``, the splice of the mc step too), and the new
+    world's hash is the world's plus the heads'.  The map is injective
+    (module docstring), so the worlds are only sorted by key.  Each world
+    counts once against ``max_worlds``, checked as it is reached, after
+    its heads.  The worlds are popped from ``entries``, so each is let go
+    once its successor is built and a caller that holds no other
+    reference keeps one generation alive."""
     tag = plan.rule.head_tag
     out: list[tuple[Value, float]] = []
     entries.reverse()
     for _ in range(len(entries)):
         world, w = entries.pop()
         bag = world.bag  # type: ignore[attr-defined]
-        heads = [m.heads.get(None) or plan.head(m) for m in plan.matches(bag, tag_rows)]
+        heads = [m.heads.get(None) or plan.head(m) for m in plan.matches(bag)]
         if len(out) >= max_worlds:
             raise _too_many_worlds(max_worlds)
         if heads:
-            elements, keys = bag.elements, bag.key
-            lo, hi = tag_span(bag, tag)
-            hkeys = [x.key for x in heads]
-            if lo == hi and all(map(le, hkeys, hkeys[1:])):
-                run, rkeys = tuple(heads), tuple(hkeys)
-            else:
-                run = tuple(sorted(elements[lo:hi] + tuple(heads), key=_KEY))
-                rkeys = tuple(map(_KEY, run))
-            world = trusted_bagv(elements[:lo] + run + elements[hi:], keys[:lo] + rkeys + keys[hi:],
-                                 hash(bag) + sum(map(hash, heads)))
+            world = trusted_bagv(*plus_run(bag, tag, heads), hash(bag) + sum(map(hash, heads)))
         out.append((world, w))
     return ExactDist.from_distinct(out)
 
@@ -767,17 +752,14 @@ def _too_many_worlds(max_worlds: int) -> ResourceLimitError:
 class _CompiledProgram:
     """A rule program compiled once: the exact backend steps every world
     through its plans, and ``world(i)`` samples mc world i by stepping the
-    input's runs through them.
+    input bag, ``base``, through them.
 
-    The input is split once (``tag_runs``) into its elements before the
-    tagged rows, one run per tag and its elements after the tagged rows.
-    An mc world is a map from each tag that can appear, an input tag or a
-    head tag, to its run: it starts as a copy of the input's map, each
-    rule reads the runs of its body tags and adds its heads to the run of
-    its head tag alone, as ``Bag.of`` of the run followed by the heads, and
-    the world bag is built once, at the end, by concatenating the elements
-    before, the runs in tag order and the elements after.  The hasher of
-    each rule's seed prefix, seed/rule, is computed here, once per program.
+    An mc world is a canonical bag, as an exact world is: it starts as the
+    input bag, and each rule matches against the world so far and adds its
+    drawn heads to the run of its head tag (``bags.plus_run``, the splice
+    of the exact map step), so a world that raises leaves nothing behind.
+    The hasher of each rule's seed prefix, seed/rule, is computed here,
+    once per program.
 
     What the plans keep is decided once per tag, in program order, by
     ``recurs``: each head tag written so far maps to whether its heads
@@ -806,18 +788,15 @@ class _CompiledProgram:
             self.plans.append(plan)
             recurs[rule.head_tag] = plan.recurs and recurs.get(rule.head_tag, True)
         self.prefixes = None if seed is None else [seed.child(k).hasher() for k in range(len(self.plans))]
-        self.pre, runs, self.post = tag_runs(b)
-        self.runs = dict.fromkeys(recurs, EMPTY) | runs
-        self.tags = None if seed is None else sorted(self.runs)  # only an mc world is built from runs
+        self.base = b
 
     def world(self, i: int) -> Bag:
-        runs = self.runs.copy()
+        world = self.base
         for plan, prefix in zip(self.plans, self.prefixes):  # type: ignore[arg-type]
-            tag = plan.rule.head_tag
-            runs[tag] = Bag.of([*runs[tag].elements, *plan.fire(runs, prefix, i, self.gen)])  # type: ignore[arg-type]
-        parts = [self.pre, *[runs[t] for t in self.tags], self.post]
-        return Bag(tuple(chain.from_iterable([p.elements for p in parts])),
-                   tuple(chain.from_iterable([p.key for p in parts])))
+            heads = plan.fire(world, prefix, i, self.gen)  # type: ignore[arg-type]
+            if heads:
+                world = Bag(*plus_run(world, plan.rule.head_tag, heads))
+        return world
 
 
 # ---------------------------------------------------------------------------

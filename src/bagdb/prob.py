@@ -12,8 +12,7 @@ generator and reseed it before each draw.  Every multi-draw construct
 derives child seeds instead of sharing a stream, so each draw is
 addressed by its path and no evaluation order can change a result.
 Bernoulli draws return one of two shared values, ``Int(0)`` and
-``Int(1)``.  (``--workers`` is accepted by the CLI but worlds are
-generated sequentially; it cannot change output.)
+``Int(1)``.
 
 ``pushforward`` imports ``algebra`` when its first result is asked for,
 not with this module, so that ``generate``, which runs no query, does not

@@ -478,7 +478,9 @@ def deserialize(text: str) -> Value:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(e.msg, e.lineno, e.colno) from None
+        # json's own message for this one ends "starting at", as in ``lex``
+        msg = "unterminated string" if e.msg.startswith("Unterminated string") else e.msg
+        raise ParseError(msg, e.lineno, e.colno) from None
     except ValueError:  # an integer longer than the interpreter converts
         limit = sys.get_int_max_str_digits()
         # the text before it is JSON, so it is the first such number outside

@@ -14,9 +14,9 @@ from bagdb.bags import (
     Bag,
     counts,
     free_extend,
+    plus_run,
     strength,
     tag_rows,
-    tag_runs,
     trusted_bagv,
     unit,
 )
@@ -235,16 +235,16 @@ class TestTagRuns:
         assert payloads.elements == Bag.of(v.value for v in rows).elements
         assert payloads.key == tuple(v.value.key for v in rows)
 
-    @given(st.lists(run_rows, max_size=10).map(Bag.of))
-    def test_split_concatenates_back_to_the_bag(self, b):
-        pre, runs, post = tag_runs(b)
-        assert list(runs) == sorted(runs)
-        for tag, run in runs.items():
-            assert run.elements == tag_rows(b, tag) and run.key == tuple(v.key for v in run) and run
-        assert not any(isinstance(v, Tagged) for v in pre) and all(isinstance(v, BagV) for v in post)
-        parts = [pre, *runs.values(), post]
-        assert sum((p.elements for p in parts), ()) == b.elements
-        assert sum((p.key for p in parts), ()) == b.key
+    @given(st.lists(run_rows, max_size=10).map(Bag.of), st.sampled_from(["a", "a0", "ab", "b"]),
+           st.lists(merge_values, max_size=4))
+    def test_plus_run_is_the_stably_sorted_sum(self, b, tag, payloads):
+        # the same objects as Bag.of of the bag followed by the rows: a row
+        # of the bag goes before an equal new row
+        rows = [Tagged(tag, v) for v in payloads]
+        elements, keys = plus_run(b, tag, rows)
+        want = Bag.of([*b, *rows])
+        assert all(x is y for x, y in zip(elements, want.elements)) and len(elements) == len(want)
+        assert keys == want.key
 
 
 class TestStoredKeys:

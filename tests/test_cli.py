@@ -229,6 +229,25 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "bagdb: parse error: t.jsonl: Expecting ',' delimiter at line 3, column 8\n"
 
+    def test_table_lines_end_at_newlines_only(self, tmp_path, capsys):
+        # json.dumps with ensure_ascii=False writes U+0085, U+2028 and U+2029
+        # raw inside strings: they end no line of a table, so its rows load
+        # whole and a bad row after them is reported at its own line
+        rows = [{"tag": "s", "value": f"a{c}b"} for c in "\u0085\u2028\u2029"]
+        t, q, p = tmp_path / "t.jsonl", tmp_path / "q.query", tmp_path / "p.rules"
+        t.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8")
+        q.write_text("table t\n")
+        p.write_text("h(x) <- s(x)\n")
+        code, out, _ = run(capsys, "query", "--db", str(t), "--query", str(q))
+        assert (code, json.loads(out)) == (0, {"bag": rows})
+        code, out, _ = run(capsys, "generate", "--db", str(t), "--program", str(p), "--backend", "exact")
+        [world] = json.loads(out)["worlds"]
+        assert code == 0 and world["world"]["bag"] == [{"tag": "h", "value": r["value"]} for r in rows] + rows
+        with t.open("a", encoding="utf-8") as f:
+            f.write("[1, 2x]\n")
+        assert run(capsys, "query", "--db", str(t), "--query", str(q)) == \
+            (2, "", "bagdb: parse error: t.jsonl: Expecting ',' delimiter at line 4, column 6\n")
+
     @pytest.mark.parametrize("backend", ["exact", "mc"])
     @pytest.mark.parametrize("row", ['{"tag": "b", "value": 1}', '{"tag": "a", "value": 1}'],
                              ids=["matched", "unmatched"])

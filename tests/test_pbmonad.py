@@ -2,6 +2,7 @@
 bag-level generators, and generative rule programs."""
 import copy
 import gc
+import json
 import math
 import os
 import tracemalloc
@@ -17,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bagdb.algebra import Agg, Cmp, Const, Table
-from bagdb.bags import EMPTY, Bag, tag_rows, tag_runs
-from bagdb.cli import _emit, _exact_payload, load_table
+from bagdb.bags import EMPTY, Bag, tag_rows
+from bagdb.cli import _emit, _exact_payload, load_table, main
 from bagdb.errors import (
     EngineError,
     EngineTypeError,
@@ -848,12 +849,9 @@ def plan_and_worlds(draw):
     return rule, varying, worlds
 
 
-def plan_matches(plan, world, runs=False):
-    """The named envs of a plan's matches against a world bag, whose tags'
-    rows the plan reads as the exact backend does, ``tag_rows`` of the bag,
-    or with ``runs`` as the mc backend does, its tag runs."""
-    matches = plan.matches(tag_runs(world)[1], pbmonad._run_rows) if runs else plan.matches(world, tag_rows)
-    return [dict(zip(plan.names, m.env)) for m in matches]
+def plan_matches(plan, world):
+    """The named envs of a plan's matches against a world bag."""
+    return [dict(zip(plan.names, m.env)) for m in plan.matches(world)]
 
 
 # flip's heads recur, and pair joins them into up to n * n distinct matches;
@@ -869,17 +867,15 @@ class TestCompiledSampler:
     @settings(max_examples=150)
     @given(plan_and_worlds())
     def test_plan_matches_every_world_as_rule_matches(self, cap, marked, rule_varying_worlds):
-        # one plan per way of reading rows steps through the worlds with its
-        # row caches, memo and kept list warm; with the cap at 2 the
-        # full-cache paths run too, and with its varying tags marked as not
-        # recurring, the paths that cache nothing
+        # one plan steps through the worlds with its row caches, memo and
+        # kept list warm; with the cap at 2 the full-cache paths run too, and
+        # with its varying tags marked as not recurring, the paths that
+        # cache nothing
         rule, varying, worlds = rule_varying_worlds
         with mock.patch.object(pbmonad, "_CACHE_CAP", cap or pbmonad._CACHE_CAP):
-            spans, runs = [_RulePlan(0, rule, dict.fromkeys(varying, not marked)) for _ in range(2)]
+            plan = _RulePlan(0, rule, dict.fromkeys(varying, not marked))
             for world in worlds:
-                want = outcome(naive_matches, rule, world)
-                assert outcome(plan_matches, spans, world) == want
-                assert outcome(plan_matches, runs, world, True) == want
+                assert outcome(plan_matches, plan, world) == outcome(naive_matches, rule, world)
 
     @settings(max_examples=150)
     @given(programs_and_bags(), mc_seeds)
@@ -1140,11 +1136,10 @@ class TestCompiledSampler:
 
 @pytest.mark.hashseed
 class TestWorldRuns:
-    """An mc world is stepped as one run per tag, between the input's
-    elements before its tagged rows and those after them, and its bag is
-    built once, by concatenation: it must be the world that merging each
-    rule's heads into the whole world gives, element for element and key
-    for key, and a canonical bag."""
+    """An mc world is one canonical bag, and each rule splices its heads
+    into the run of its head tag (``bags.plus_run``): it must be the world
+    that merging each rule's heads into the whole world gives, element for
+    element and key for key, and a canonical bag."""
 
     # untagged scalar rows before the tagged rows and BagV rows after them
     ENDS = [Int(3), Str("u"), Real(-0.0), BagV(Bag.of([Int(1)])), BagV(EMPTY)]
@@ -1169,7 +1164,10 @@ class TestWorldRuns:
          [Tagged("z", Int(n)) for n in range(3)]),
         # never and after stay empty, and nothing is a body tag no run holds
         ("never(x) <- src(x), x > 100\nafter(x) <- never(x)\nnone(x) <- nothing(x)\nhit(x) <- src(x)", []),
-    ], ids=["input-holds-head", "two-writers", "unsorted-heads", "empty-run"])
+        # the draw leads the payload, so the heads come in match order, not
+        # key order, into an empty run
+        ("h(bernoulli(0.5), x) <- src(x)", []),
+    ], ids=["input-holds-head", "two-writers", "unsorted-heads", "empty-run", "draw-first"])
     def test_world_is_the_merged_world(self, program, rows):
         base = Bag.of(self.SRC + rows + self.ENDS)
         self.assert_worlds_as_reference(parse_rules(program), base)
@@ -1181,14 +1179,13 @@ class TestWorldRuns:
 
     def test_world_that_raises_leaves_the_next_one_whole(self):
         # bad's parameter 1.5 raises in the worlds where flip drew 1, after
-        # flip has added its heads to the world's runs: the next world
-        # starts again from the input's runs
+        # flip has added its heads to the world: the next world starts
+        # again from the input bag
         prog = parse_rules("flip(x, bernoulli(0.5)) <- src(x)\n"
                            "bad(x, bernoulli(r)) <- flip(x, 1), rate(x, r)\nlate(x) <- flip(x, 0)")
         base = Bag.of([Tagged("src", Int(1)), Tagged("rate", Tuple((Int(1), Real(1.5))))] + self.ENDS)
         sampler = run_rule_program(prog, base, "mc", seed=Seed(3))
         compiled = sampler.world_fn.__self__
-        runs = dict(compiled.runs)
         raised = []
         for i in range(30):
             got, want = outcome(sampler.world, i), outcome(reference_world, prog, base, Seed(3), i)
@@ -1196,7 +1193,7 @@ class TestWorldRuns:
             raised.append(isinstance(got, tuple))
             if not raised[-1]:
                 assert got.key == want.key and Bag.of(got.elements).key == got.key
-            assert compiled.runs == runs and all(compiled.runs[t] is r for t, r in runs.items())
+            assert compiled.base is base
         assert any(a and not b for a, b in zip(raised, raised[1:]))  # a good world right after a bad one
 
 
@@ -1775,3 +1772,44 @@ class TestCrossBackend:
         for v in rows:
             p = min(marginal[v], 1.0)
             assert abs(present[v] / MC_WORLDS - p) <= z * math.sqrt(p * (1 - p) / MC_WORLDS) + 1e-9, v
+
+    # By the distributive law an mc world is one draw per match from the
+    # head options that the exact step enumerates, and both backends add
+    # heads to a world by one splice: every mc world is an exact world, and
+    # a program without draws has one world, the same in both
+    @pytest.mark.hashseed
+    @settings(max_examples=300, derandomize=True)
+    @given(programs_and_bags(prob_values, ("bernoulli", None), (1, 2, 1), min_rank=1, split=True), mc_seeds)
+    def test_every_mc_world_is_an_exact_world(self, prog_base, seed):
+        prog, base = prog_base
+        try:
+            exact = run_rule_program(prog, base, "exact", max_worlds=EXACT_LIMIT)
+        except EngineError:
+            return
+        for world in run_rule_program(prog, base, "mc", seed=seed).worlds(40):
+            assert exact.weight(BagV(world)) > 0
+
+    @pytest.mark.hashseed
+    @settings(max_examples=200, derandomize=True)
+    @given(programs_and_bags(prob_values, (None,), (1, 2, 1), min_rank=1), mc_seeds)
+    def test_without_draws_the_mc_world_is_the_exact_one(self, prog_base, seed):
+        prog, base = prog_base
+        try:
+            exact = run_rule_program(prog, base, "exact", max_worlds=EXACT_LIMIT)
+        except EngineError:
+            return
+        sampler = run_rule_program(prog, base, "mc", seed=seed)
+        for i in (0, 1, 5):
+            assert exact_outcome(lambda: exact) == exact_outcome(ExactDist.dirac, BagV(sampler.world(i)))
+
+    @pytest.mark.hashseed
+    @pytest.mark.parametrize("db", ["town.jsonl", "town4.jsonl"])
+    def test_every_mc_world_text_is_an_exact_world_text(self, capsys, db):
+        # as the CLI writes them: each of 300 mc worlds is among the exact ones
+        argv = ["generate", "--db", str(Path(__file__).parent / "fixtures" / db),
+                "--program", str(Path(__file__).parent / "fixtures" / "burglary.rules")]
+        assert main([*argv, "--backend", "exact"]) == 0
+        exact = {json.dumps(e["world"]) for e in json.loads(capsys.readouterr().out)["worlds"]}
+        assert main([*argv, "--backend", "mc", "--samples", "300", "--seed", "7"]) == 0
+        mc = [json.dumps(w) for w in json.loads(capsys.readouterr().out)["worlds"]]
+        assert len(mc) == 300 and all(w in exact for w in mc)
